@@ -1,6 +1,7 @@
 """Attention complexity benchmark: exact multiply-add counts and wall time
-for the softmax baseline, the right-associated linear attention core, and
-the motion-difference weight construction, across a token-count sweep.
+for the softmax baseline, the right-associated linear attention core, the
+motion-difference weight construction and its gate projection, and the
+fused row-tiled motion gate, across a token-count sweep.
 
 Counting rules (documented so the closed forms are checkable): a matmul
 of (m x k) @ (k x n) counts m*n*k multiply-adds; an elementwise scale,
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .exceptions import ConfigError
 from .tensor import _sigmoid_value
 
@@ -93,6 +95,30 @@ def gate_projection(Wm: np.ndarray, G: np.ndarray, b: np.ndarray,
     return _sigmoid_value(c.matmul(Wm, G) + b)
 
 
+def motion_gate_tiled(Qc: np.ndarray, Kc: np.ndarray, Qp: np.ndarray, Kp: np.ndarray,
+                      alpha: float, G: np.ndarray, b: np.ndarray, rows: int | None = None,
+                      counter: MacCounter | None = None) -> np.ndarray:
+    """Forward of ``tensor.motion_gate``: motion map and gate projection fused
+    over tiles of `rows` query rows (default: the op's own tile height).
+
+    1/sqrt(d) and alpha are folded into the N x d operands once, so each
+    tile is one (rows x 2d) @ (2d x N) product followed by SiLU and the
+    gate matmul: 3 N^2 d + N^2 + 2 N d in all, for any tile height, against
+    3 N^2 d + 4 N^2 for motion_weight_map plus gate_projection.
+    """
+    c = counter or MacCounter()
+    N, d = Qc.shape
+    inv = 1.0 / math.sqrt(d)
+    lhs = np.concatenate([c.ew(Qc * inv), c.ew(Qp * (-alpha * inv))], axis=1)
+    rhs = np.concatenate([Kc, Kp], axis=1)
+    rows = rows or max(1, T.MOTION_GATE_TILE_ELEMS // N)
+    out = np.empty((N, G.shape[1]))
+    for lo in range(0, N, rows):
+        s = c.matmul(lhs[lo:lo + rows], rhs.T)
+        out[lo:lo + rows] = _sigmoid_value(c.matmul(c.silu(s), G) + b)
+    return out
+
+
 @dataclass
 class BenchRecord:
     N: int
@@ -101,7 +127,8 @@ class BenchRecord:
     seconds: dict[str, float] = field(default_factory=dict)
 
 
-_VARIANTS = ("softmax", "linear_core", "motion_map", "gate_projection")
+_VARIANTS = ("softmax", "linear_core", "motion_map", "gate_projection",
+             "motion_gate_tiled")
 
 
 def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
@@ -109,8 +136,9 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
     """Count and time each kernel over a strictly increasing token sweep.
 
     Returns the per-N records, the fitted log-log count slopes, and a text
-    report. Slopes for the linear core, softmax baseline, and motion map
-    are asserted at 1, 2, 2 (tolerance 0.15) in the report.
+    report. Slopes for the linear core, softmax baseline, motion map and
+    tiled motion gate are asserted at 1, 2, 2, 2 (tolerance 0.15) in the
+    report.
     """
     if len(Ns) < 4 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ConfigError(f"need >= 4 strictly increasing N values, got {Ns}")
@@ -132,7 +160,12 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
         def run_motion():
             return motion_weight_map(Q, K, Qp, Kp, 0.5, counter=cnt)
 
-        for name, fn in zip(_VARIANTS[:3], (run_softmax, run_linear, run_motion)):
+        def run_gate_tiled():
+            return motion_gate_tiled(Q, K, Qp, Kp, 0.5, G, b, counter=cnt)
+
+        timed = {"softmax": run_softmax, "linear_core": run_linear,
+                 "motion_map": run_motion, "motion_gate_tiled": run_gate_tiled}
+        for name, fn in timed.items():
             cnt = MacCounter()
             fn()
             rec.counts[name] = cnt.count
@@ -163,17 +196,20 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
         secs = np.array([max(r.seconds[name], 1e-9) for r in records])
         time_slopes[name] = float(np.polyfit(logn, np.log(secs), 1)[0])
 
-    expected = {"linear_core": 1.0, "softmax": 2.0, "motion_map": 2.0}
+    expected = {"linear_core": 1.0, "softmax": 2.0, "motion_map": 2.0,
+                "motion_gate_tiled": 2.0}
     lines = [f"attention scaling over N = {Ns}, d = {d}",
-             f"{'variant':<16}{'count slope':>12}{'time slope':>12}  counts"]
+             f"{'variant':<18}{'count slope':>12}{'time slope':>12}  counts"]
     for name in _VARIANTS:
         counts = " ".join(str(r.counts[name]) for r in records)
-        lines.append(f"{name:<16}{slopes[name]:>12.4f}{time_slopes[name]:>12.2f}  {counts}")
+        lines.append(f"{name:<18}{slopes[name]:>12.4f}{time_slopes[name]:>12.2f}  {counts}")
     for name, want in expected.items():
         ok = abs(slopes[name] - want) <= 0.15
         lines.append(f"slope check {name}: {slopes[name]:.4f} vs {want} +/- 0.15 -> "
                      f"{'PASS' if ok else 'FAIL'}")
     lines.append("gate_projection is quadratic like the motion map (reported, not asserted)")
+    lines.append("motion_gate_tiled is motion_map + gate_projection fused over row tiles: "
+                 "same order, no N x N map held")
     return records, slopes, "\n".join(lines) + "\n"
 
 

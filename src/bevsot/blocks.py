@@ -6,8 +6,13 @@ The motion weights Wm = SiLU(sim(curr) - alpha * sim(prev)) compare
 query-key similarity maps of the two frames; a sigmoid of a learned
 projection of each token's difference row gates the linear-attention
 core, boosting tokens whose similarity pattern changed (moving targets)
-and damping static background. The gate path is quadratic in token count
-by construction; the attention core itself stays linear.
+and damping static background. The model path computes the gate with the
+fused tape op ``T.motion_gate``, which walks the map in row tiles and
+recomputes them in backward: compute stays Theta(N^2 d), quadratic in token
+count by construction, but live memory is O(r N + N d) for tiles of r rows
+instead of a stack of N x N maps. ``imm_weights`` materializes the maps and
+is kept as the oracle the fused op is tested against. The attention core
+itself stays linear.
 """
 
 from __future__ import annotations
@@ -125,7 +130,8 @@ def _head_slices(t: Tensor, bp: BlockParams) -> list[Tensor]:
 
 
 def imm_weights(xb_prev: Tensor, xb_curr: Tensor, bp: BlockParams) -> Tensor:
-    """Motion-difference weights, one N x N map per head.
+    """Motion-difference weights, one N x N map per head: the materialized
+    oracle of ``T.motion_gate`` (the model path never builds these maps).
 
     Both query-key products are scaled by 1/sqrt(d) before the difference
     to keep the SiLU input magnitude stable.
@@ -145,24 +151,32 @@ def imm_weights(xb_prev: Tensor, xb_curr: Tensor, bp: BlockParams) -> Tensor:
     return T.stack(maps)
 
 
-def focus_attention(xb_curr: Tensor, wm: Optional[Tensor], bp: BlockParams) -> Tensor:
-    """Linear attention over current-frame tokens, gated by the motion weights.
+def focus_attention(xb_curr: Tensor, xb_prev: Optional[Tensor], bp: BlockParams) -> Tensor:
+    """Linear attention over current-frame tokens, gated by frame motion.
 
     Per head: core = SiLU(Q) @ (SiLU(K)^T @ V) in right-associated order
     (cost N*d*d, never materializing an N x N attention map); the gate is
-    sigmoid of a learned map of each token's motion-difference row onto d
-    channels. With the motion module disabled the gate is identically 1
-    and the output is the plain kernelized attention.
+    ``T.motion_gate``, the sigmoid of a learned map of each token's
+    motion-difference row onto d channels, computed in row tiles from the
+    current Q/K (shared with the core) and the previous frame's Q/K. With
+    ``xb_prev`` None (motion module disabled) the gate is identically 1 and
+    the output is the plain kernelized attention.
     """
+    if xb_prev is not None and not bp.imm:
+        raise ShapeError("focus_attention given a previous frame on a block with "
+                         "the motion module disabled")
     qs = _head_slices(T.matmul(xb_curr, bp.wq), bp)
     ks = _head_slices(T.matmul(xb_curr, bp.wk), bp)
     vs = _head_slices(T.matmul(xb_curr, bp.wv), bp)
+    if xb_prev is not None:
+        q_prev = _head_slices(T.matmul(xb_prev, bp.wq), bp)
+        k_prev = _head_slices(T.matmul(xb_prev, bp.wk), bp)
     outs = []
     for i in range(bp.heads):
         core = T.matmul(T.silu(qs[i]), T.matmul(T.transpose(T.silu(ks[i])), vs[i]))
-        if wm is not None:
-            gate = T.sigmoid(T.add(T.matmul(T.take(wm, i), T.take(bp.gate_w, i)),
-                                   T.take(bp.gate_b, i)))
+        if xb_prev is not None:
+            gate = T.motion_gate(qs[i], ks[i], q_prev[i], k_prev[i], bp.alpha,
+                                 T.take(bp.gate_w, i), T.take(bp.gate_b, i))
             core = T.mul(core, gate)
         outs.append(core)
     merged = outs[0] if bp.heads == 1 else T.concat(outs, axis=-1)
@@ -170,16 +184,15 @@ def focus_attention(xb_curr: Tensor, wm: Optional[Tensor], bp: BlockParams) -> T
 
 
 def block_forward(pair: FramePair, bp: BlockParams) -> Tensor:
-    """Full block: tokenize, preprocess, motion weights, gated attention,
-    residual on the current-frame tokens, then pre-LN FFN with residual."""
+    """Full block: tokenize, preprocess, motion-gated attention, residual on
+    the current-frame tokens, then pre-LN FFN with residual."""
     if bp.imm:
         x_prev, x_curr = tokenize(pair, bp)
         xb_prev, xb_curr = preprocess(x_prev, x_curr, bp)
-        wm = imm_weights(xb_prev, xb_curr, bp)
     else:
         x_curr = _tokenize_one(pair.curr, bp, False)
         xb_curr = _preprocess_one(x_curr, bp, False)
-        wm = None
-    fhat = T.add(focus_attention(xb_curr, wm, bp), x_curr)
+        xb_prev = None
+    fhat = T.add(focus_attention(xb_curr, xb_prev, bp), x_curr)
     hidden = T.silu(T.linear(T.layernorm(fhat, bp.ln2_g, bp.ln2_b), bp.ffn1_w, bp.ffn1_b))
     return T.add(T.linear(hidden, bp.ffn2_w, bp.ffn2_b), fhat)

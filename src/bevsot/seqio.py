@@ -49,7 +49,14 @@ def read_points_bin(path: str) -> PointCloud:
         raise DataFormatError(
             f"{path}: byte {len(blob) - len(blob) % 12}: truncated point record "
             f"(file size {len(blob)} is not a multiple of 12)")
-    return PointCloud(np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(-1, 3))
+    xyz = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(-1, 3)
+    bad = ~np.isfinite(xyz).all(axis=1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise DataFormatError(
+            f"{path}: byte {12 * first}: non-finite coordinate in point {first} "
+            f"({int(bad.sum())} such points)")
+    return PointCloud(xyz)
 
 
 def read_labels(path: str) -> list[Box3D]:

@@ -291,6 +291,82 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return add(out, b) if b is not None else out
 
 
+# element budget of one motion_gate tile: rows per tile = max(1, budget // N),
+# so 64 rows at N = 1024 and the whole map once N <= 256
+MOTION_GATE_TILE_ELEMS = 1 << 16
+
+
+def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
+                G: Tensor, b: Tensor) -> Tensor:
+    """sigmoid(SiLU(S) @ G + b) with S = (qc/sqrt(d)) kc^T - alpha (qp/sqrt(d)) kp^T.
+
+    The N x N map S is never held whole: query rows are processed in tiles,
+    each tile's S is one BLAS product [qc/sqrt(d), -alpha qp/sqrt(d)] @
+    [kc, kp]^T of inner dimension 2d, and only the N x dg gate is kept.
+    Backward recomputes every tile's S instead of storing it, so live memory
+    is O(rows * N + N * d) rather than O(N^2); the gradients of kc, kp, G, b
+    and the scalar alpha are summed across tiles.
+    """
+    N, d = qc.shape
+    if not (kc.shape == qp.shape == kp.shape == (N, d)):
+        raise ShapeError(f"motion_gate: q/k shapes {qc.shape} {kc.shape} {qp.shape} {kp.shape}")
+    if G.ndim != 2 or G.shape[0] != N or b.shape != (G.shape[1],):
+        raise ShapeError(f"motion_gate: gate {G.shape} + {b.shape} for {N} tokens")
+    inv = 1.0 / np.sqrt(d)
+    a = alpha.item()
+    lhs = np.concatenate([qc.data * inv, qp.data * (-a * inv)], axis=1)  # N x 2d
+    rhs_t = np.concatenate([kc.data, kp.data], axis=1).T  # 2d x N
+    Gd, bd = G.data, b.data
+    rows = min(N, max(1, MOTION_GATE_TILE_ELEMS // N))
+    tiles = [slice(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
+
+    def silu_tile(t, buf):
+        """S, sigmoid(S) and SiLU(S) of one row tile, written into buf[:3];
+        reusing the buffers saves a fresh allocation per temporary."""
+        h = t.stop - t.start
+        s, sig, m = buf[0, :h], buf[1, :h], buf[2, :h]
+        np.matmul(lhs[t], rhs_t, out=s)
+        np.negative(s, out=sig)
+        with np.errstate(over="ignore"):  # exp overflow gives sigmoid exactly 0
+            np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
+        np.multiply(s, sig, out=m)
+        return s, sig, m
+
+    gate = np.empty((N, Gd.shape[1]))
+    buf = np.empty((3, rows, N))
+    for t in tiles:
+        z = silu_tile(t, buf)[2] @ Gd + bd
+        _ensure_finite(z, "motion_gate")
+        gate[t] = _sigmoid_value(z)
+
+    def bw(g):
+        dz = g * gate * (1.0 - gate)
+        dlhs = np.empty_like(lhs)
+        drhs_t = np.zeros((2 * d, N))
+        dG = np.zeros_like(Gd)
+        buf = np.empty((4, rows, N))
+        part = np.empty((2 * d, N))
+        for t in tiles:
+            s, sig, m = silu_tile(t, buf)
+            dG += m.T @ dz[t]
+            # SiLU'(S) = sig + m (1 - sig), built in the buffers of s and m
+            np.multiply(m, sig, out=s)
+            m -= s
+            m += sig
+            ds = np.matmul(dz[t], Gd.T, out=buf[3, :t.stop - t.start])
+            ds *= m
+            np.matmul(ds, rhs_t.T, out=dlhs[t])
+            drhs_t += np.matmul(lhs[t].T, ds, out=part)
+        dqp = dlhs[:, d:] * (-a * inv)
+        dalpha = -inv * float(np.sum(dlhs[:, d:] * qp.data))
+        return (dlhs[:, :d] * inv, drhs_t[:d].T, dqp, drhs_t[d:].T,
+                np.full(alpha.shape, dalpha), dG, dz.sum(axis=0))
+
+    return _out(gate, "motion_gate", (qc, kc, qp, kp, alpha, G, b), bw)
+
+
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last (channel) axis, then affine."""
     if x.shape[-1] == 0:

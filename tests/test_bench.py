@@ -6,8 +6,8 @@ import pytest
 
 from bevsot.bench import (MacCounter, bench_attention, bench_csv,
                           gate_projection, linear_attention_core,
-                          linear_attention_quadratic, motion_weight_map,
-                          softmax_attention)
+                          linear_attention_quadratic, motion_gate_tiled,
+                          motion_weight_map, softmax_attention)
 from bevsot.exceptions import ConfigError
 
 
@@ -30,6 +30,11 @@ def gate_macs(N, d):
     return N * N * d
 
 
+def motion_gate_tiled_macs(N, d):
+    # two operand scales, per-row (2d-inner) sim, SiLU, gate matmul
+    return 2 * N * d + 2 * N * N * d + N * N + N * N * d
+
+
 @pytest.mark.parametrize("N,d", [(8, 4), (32, 8), (64, 16), (128, 8)])
 def test_counts_match_closed_forms_exactly(rng, N, d):
     Q, K, V, Qp, Kp = (rng.standard_normal((N, d)) for _ in range(5))
@@ -45,6 +50,18 @@ def test_counts_match_closed_forms_exactly(rng, N, d):
     c = MacCounter()
     gate_projection(wm, rng.standard_normal((N, d)), np.zeros(d), counter=c)
     assert c.count == gate_macs(N, d)
+
+
+@pytest.mark.parametrize("N,d", [(8, 4), (32, 8), (64, 16)])
+@pytest.mark.parametrize("rows", [1, 3, 64, None])
+def test_motion_gate_tiled_count_and_values(rng, N, d, rows):
+    Qc, Kc, Qp, Kp, G = (rng.standard_normal((N, d)) for _ in range(5))
+    b = rng.standard_normal(d)
+    c = MacCounter()
+    got = motion_gate_tiled(Qc, Kc, Qp, Kp, 0.7, G, b, rows=rows, counter=c)
+    assert c.count == motion_gate_tiled_macs(N, d)
+    want = gate_projection(motion_weight_map(Qc, Kc, Qp, Kp, 0.7), G, b)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_doubling_ratios_exact():
@@ -70,6 +87,8 @@ def test_bench_slopes_and_report():
     assert abs(slopes["linear_core"] - 1.0) <= 0.15
     assert abs(slopes["softmax"] - 2.0) <= 0.15
     assert abs(slopes["motion_map"] - 2.0) <= 0.15
+    assert abs(slopes["motion_gate_tiled"] - 2.0) <= 0.15
+    assert "slope check motion_gate_tiled" in report
     assert "PASS" in report and "FAIL" not in report
     csv = bench_csv(records)
     assert csv.splitlines()[0].startswith("N,d,count_softmax")

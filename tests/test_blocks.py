@@ -7,9 +7,9 @@ import pytest
 from bevsot import tensor as T
 from bevsot.blocks import (BlockParams, FramePair, block_forward, focus_attention,
                            imm_weights, preprocess, tokenize)
-from bevsot.exceptions import ShapeError
+from bevsot.exceptions import NumericError, ShapeError
 from bevsot.gradcheck import gradcheck_params
-from bevsot.tensor import Tensor
+from bevsot.tensor import Tape, Tensor
 
 
 def leaf(arr):
@@ -195,8 +195,7 @@ def test_attention_zero_values_gives_output_bias(rng):
     bp = make_block(rng=rng)
     bp.wv = Tensor(np.zeros((4, 4)))
     x = Tensor(rng.standard_normal((16, 4)))
-    wm = imm_weights(x, T.scale(x, 0.5), bp)
-    out = focus_attention(x, wm, bp)
+    out = focus_attention(x, T.scale(x, 0.5), bp)
     np.testing.assert_allclose(out.data, np.broadcast_to(bp.lo_b.data, (16, 4)),
                                atol=1e-15)
 
@@ -216,10 +215,9 @@ def test_attention_gate_saturation_matches_ungated(rng):
     bp = make_block(rng=rng)
     x = Tensor(rng.standard_normal((16, 4)))
     xp = Tensor(rng.standard_normal((16, 4)))
-    wm = imm_weights(xp, x, bp)
     bp.gate_w = Tensor(np.zeros((1, 16, 4)))
     bp.gate_b = Tensor(np.full((1, 4), 60.0))  # sigmoid(60) ~ 1
-    gated = focus_attention(x, wm, bp)
+    gated = focus_attention(x, xp, bp)
     ungated = focus_attention(x, None, bp)
     np.testing.assert_allclose(gated.data, ungated.data, atol=1e-6)
 
@@ -238,6 +236,109 @@ def test_attention_multi_head_concat(rng):
     x = Tensor(rng.standard_normal((16, 4)))
     out = focus_attention(x, None, bp)
     assert out.shape == (16, 4)
+
+
+def test_attention_prev_frame_needs_motion_module(rng):
+    bp = make_block(rng=rng, imm=False)
+    x = Tensor(rng.standard_normal((16, 4)))
+    with pytest.raises(ShapeError):
+        focus_attention(x, x, bp)
+
+
+# ---------------------------------------------------------------------------
+# fused row-tiled motion gate
+
+
+def _gate_leaves(rng, N=16, C=4, heads=1, alpha=0.5):
+    """Leaves X = [Q | K] per frame, alpha, and per-head gate parameters."""
+    d = C // heads
+    return dict(xc=leaf(rng.standard_normal((N, 2 * C))),
+                xp=leaf(rng.standard_normal((N, 2 * C))),
+                alpha=leaf(alpha), gate_w=leaf(rng.uniform(-0.5, 0.5, (heads, N, d))),
+                gate_b=leaf(rng.uniform(-0.5, 0.5, (heads, d))))
+
+
+def _oracle_gates(lv, heads):
+    """sigmoid(take(imm_weights) take(gate_w) + gate_b) per head. Selector
+    projections make imm_weights' Q and K the leaf halves themselves, so the
+    leaf gradients are exactly the fused op's q/k input gradients."""
+    C = lv["xc"].shape[1] // 2
+    eye, zero = np.eye(C), np.zeros((C, C))
+    bp = BlockParams(H=1, W=C, C=C, heads=heads, cnn_w=None, cnn_b=None, pos=None,
+                     ln1_g=None, ln1_b=None, wq=Tensor(np.vstack([eye, zero])),
+                     wk=Tensor(np.vstack([zero, eye])), wv=None, lo_w=None, lo_b=None,
+                     ln2_g=None, ln2_b=None, ffn1_w=None, ffn1_b=None, ffn2_w=None,
+                     ffn2_b=None, alpha=lv["alpha"])
+    wm = imm_weights(lv["xp"], lv["xc"], bp)
+    return [T.sigmoid(T.add(T.matmul(T.take(wm, i), T.take(lv["gate_w"], i)),
+                            T.take(lv["gate_b"], i))) for i in range(heads)]
+
+
+def _fused_gates(lv, heads):
+    C = lv["xc"].shape[1] // 2
+    d = C // heads
+
+    def qk(x, i):
+        return (T.slice_cols(x, i * d, (i + 1) * d),
+                T.slice_cols(x, C + i * d, C + (i + 1) * d))
+
+    return [T.motion_gate(*qk(lv["xc"], i), *qk(lv["xp"], i), lv["alpha"],
+                          T.take(lv["gate_w"], i), T.take(lv["gate_b"], i))
+            for i in range(heads)]
+
+
+def _run_gates(build, lv, heads, probe):
+    for t in lv.values():
+        t.grad = None
+    with Tape() as tape:
+        gates = build(lv, heads)
+        loss = T.sum_all(T.mul(T.concat(gates, axis=-1), Tensor(probe)))
+        tape.backward(loss)
+    return (np.concatenate([g.data for g in gates], axis=-1),
+            {name: t.grad.copy() for name, t in lv.items()})
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, [0.5]])
+@pytest.mark.parametrize("rows", [1, 5, 16, 40])
+def test_motion_gate_matches_materialized_oracle(monkeypatch, heads, alpha, rows):
+    # 16 tokens in tiles of 1 row, 5 rows (not a divisor), the whole map, more
+    monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * 16)
+    rng = np.random.default_rng(7)
+    lv = _gate_leaves(rng, heads=heads, alpha=alpha)
+    probe = rng.standard_normal((16, 4))
+    want, want_grads = _run_gates(_oracle_gates, lv, heads, probe)
+    got, got_grads = _run_gates(_fused_gates, lv, heads, probe)
+    assert np.max(np.abs(got - want)) < 1e-9
+    for name, g in want_grads.items():
+        assert got_grads[name].shape == g.shape, name
+        assert np.max(np.abs(got_grads[name] - g)) < 1e-9, name
+
+
+def test_motion_gate_gradcheck(monkeypatch):
+    monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", 5 * 12)  # 5-row tiles of 12
+    rng = np.random.default_rng(3)
+    qc, kc, qp, kp = (leaf(rng.standard_normal((12, 3))) for _ in range(4))
+    alpha = leaf(0.7)
+    G, b = leaf(rng.uniform(-0.5, 0.5, (12, 3))), leaf(rng.uniform(-0.5, 0.5, 3))
+    probe = Tensor(rng.standard_normal((12, 3)))
+
+    def f():
+        return T.sum_all(T.mul(T.motion_gate(qc, kc, qp, kp, alpha, G, b), probe))
+
+    params = [("qc", qc), ("kc", kc), ("qp", qp), ("kp", kp), ("alpha", alpha),
+              ("G", G), ("b", b)]
+    errs = gradcheck_params(f, params)
+    assert max(errs.values()) < 1e-7, errs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_motion_gate_overflow_raises_naming_op(rng):
+    # S overflows to +inf and so does Z, whose sigmoid would be a finite 1
+    q = Tensor(np.full((8, 2), 1e200))
+    G, b = Tensor(rng.uniform(0.1, 1.0, (8, 2))), Tensor(np.zeros(2))
+    with pytest.raises(NumericError, match="motion_gate"):
+        T.motion_gate(q, q, q, q, Tensor(0.0), G, b)
 
 
 # ---------------------------------------------------------------------------

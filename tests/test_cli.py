@@ -12,7 +12,8 @@ from bevsot.config import RunConfig, config_text, from_items, load_config
 from bevsot.exceptions import ConfigError
 from bevsot.geometry import relative_motion
 from bevsot.metrics import ope
-from bevsot.params import read_checkpoint
+from bevsot.model import TrackerModel
+from bevsot.params import read_checkpoint, save_checkpoint
 from bevsot.scene import SceneConfig, generate
 from bevsot.seqio import write_sequence, write_tracklet
 from bevsot.track import Tracklet, track_sequence
@@ -78,6 +79,23 @@ def test_missing_data_exit_code_2(tmp_path):
     code = run(["track", "--checkpoint", ck, "--data", tmp_path / "missing",
                 "--out", tmp_path / "o"] + FAST)
     assert code == 2
+
+
+def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
+    data, ck = tmp_path / "d", tmp_path / "ck.bin"
+    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
+    model = TrackerModel(from_items(dict(a.split("=", 1) for a in FAST[1::2])).model_config())
+    save_checkpoint(model.store, str(ck))
+    frame = data / "seq_000" / "frames" / "000003.bin"
+    xyz = np.fromfile(frame, dtype="<f4")
+    xyz[4] = np.nan
+    xyz.tofile(frame)
+    capsys.readouterr()
+    code = run(["track", "--checkpoint", ck, "--data", data, "--out", tmp_path / "t"] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(frame) in err and "non-finite" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -233,3 +233,24 @@ def test_nan_loss_aborts_with_step_diagnostic(rng):
                              augment=False)
     with pytest.raises(NumericError, match=r"epoch \d+ step \d+"):
         train(m, samples, settings)
+
+
+def test_desk_training_step_records_no_quadratic_tensor():
+    """The motion gate is row-tiled: no tensor on the tape of a desk-preset
+    training step holds an N x N map of the stage-1 token count."""
+    from bevsot.config import RunConfig
+    from bevsot.scene import generate
+    from bevsot.train import make_training_samples
+    cfg = RunConfig()
+    m = TrackerModel(cfg.model_config(), seed=0)
+    samples = make_training_samples([generate(cfg.scene_config(seed=0))],
+                                    cfg.crop_spec())[:cfg.batch]
+    with Tape() as tape:
+        terms = [motion_loss(m.forward_clouds(s.prev_pts, s.curr_pts, s.spec),
+                             s.target, m.config) for s in samples]
+        loss = T.scale(T.sum_all(T.stack(terms)), 1.0 / len(terms))
+        tape.backward(loss)
+    n1 = cfg.grid * cfg.grid
+    largest = max(node.out.data.size for node in tape._nodes)
+    assert 0 < largest < n1 * n1
+    assert m.store["stage1.alpha"].grad is not None

@@ -173,6 +173,16 @@ def test_truncated_point_file_reports_offset(tmp_path):
         read_points_bin(str(path))
 
 
+def test_non_finite_point_reports_offset(tmp_path):
+    pts = np.zeros((5, 3), dtype="<f4")
+    pts[3, 1] = np.inf
+    pts[4, 0] = np.nan
+    path = tmp_path / "nan.bin"
+    path.write_bytes(pts.tobytes())
+    with pytest.raises(DataFormatError, match=r"nan\.bin: byte 36: non-finite .*point 3 \(2 such"):
+        read_points_bin(str(path))
+
+
 def test_empty_frame_parses_to_empty_cloud(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"")
