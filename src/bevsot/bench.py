@@ -96,10 +96,10 @@ def gate_projection(Wm: np.ndarray, G: np.ndarray, b: np.ndarray,
 
 
 def motion_gate_tiled(Qc: np.ndarray, Kc: np.ndarray, Qp: np.ndarray, Kp: np.ndarray,
-                      alpha: float, G: np.ndarray, b: np.ndarray, rows: int | None = None,
+                      alpha: float, G: np.ndarray, b: np.ndarray,
                       counter: MacCounter | None = None) -> np.ndarray:
     """Forward of ``tensor.motion_gate``: motion map and gate projection fused
-    over tiles of `rows` query rows (default: the op's own tile height).
+    over tiles of query rows, with the op's own tile height.
 
     1/sqrt(d) and alpha are folded into the N x d operands once, so each
     tile is one (rows x 2d) @ (2d x N) product followed by SiLU and the
@@ -111,7 +111,7 @@ def motion_gate_tiled(Qc: np.ndarray, Kc: np.ndarray, Qp: np.ndarray, Kp: np.nda
     inv = 1.0 / math.sqrt(d)
     lhs = np.concatenate([c.ew(Qc * inv), c.ew(Qp * (-alpha * inv))], axis=1)
     rhs = np.concatenate([Kc, Kp], axis=1)
-    rows = rows or max(1, T.MOTION_GATE_TILE_ELEMS // N)
+    rows = min(N, max(1, T.MOTION_GATE_TILE_ELEMS // N))
     out = np.empty((N, G.shape[1]))
     for lo in range(0, N, rows):
         s = c.matmul(lhs[lo:lo + rows], rhs.T)
@@ -214,10 +214,12 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
 
 
 def bench_csv(records: list[BenchRecord]) -> str:
-    lines = ["N,d," + ",".join(f"count_{v}" for v in _VARIANTS)
-             + "," + ",".join(f"seconds_{v}" for v in _VARIANTS)]
+    # the fused kernel's two columns come last, so the older columns keep their positions
+    base = [v for v in _VARIANTS if v != "motion_gate_tiled"]
+    cols = ([("count", v) for v in base] + [("seconds", v) for v in base]
+            + [("count", "motion_gate_tiled"), ("seconds", "motion_gate_tiled")])
+    lines = ["N,d," + ",".join(f"{kind}_{v}" for kind, v in cols)]
     for r in records:
-        lines.append(f"{r.N},{r.d},"
-                     + ",".join(str(r.counts[v]) for v in _VARIANTS) + ","
-                     + ",".join(f"{r.seconds[v]:.6e}" for v in _VARIANTS))
+        lines.append(f"{r.N},{r.d}," + ",".join(
+            str(r.counts[v]) if kind == "count" else f"{r.seconds[v]:.6e}" for kind, v in cols))
     return "\n".join(lines) + "\n"

@@ -320,24 +320,15 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     rows = min(N, max(1, MOTION_GATE_TILE_ELEMS // N))
     tiles = [slice(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
 
-    def silu_tile(t, buf):
-        """S, sigmoid(S) and SiLU(S) of one row tile, written into buf[:3];
-        reusing the buffers saves a fresh allocation per temporary."""
-        h = t.stop - t.start
-        s, sig, m = buf[0, :h], buf[1, :h], buf[2, :h]
-        np.matmul(lhs[t], rhs_t, out=s)
-        np.negative(s, out=sig)
-        with np.errstate(over="ignore"):  # exp overflow gives sigmoid exactly 0
-            np.exp(sig, out=sig)
-        sig += 1.0
-        np.reciprocal(sig, out=sig)
-        np.multiply(s, sig, out=m)
-        return s, sig, m
+    def silu_tile(t):
+        """S, sigmoid(S) and SiLU(S) of one row tile."""
+        s = lhs[t] @ rhs_t
+        sig = _sigmoid_value(s)
+        return s, sig, s * sig
 
     gate = np.empty((N, Gd.shape[1]))
-    buf = np.empty((3, rows, N))
     for t in tiles:
-        z = silu_tile(t, buf)[2] @ Gd + bd
+        z = silu_tile(t)[2] @ Gd + bd
         _ensure_finite(z, "motion_gate")
         gate[t] = _sigmoid_value(z)
 
@@ -346,19 +337,12 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
         dlhs = np.empty_like(lhs)
         drhs_t = np.zeros((2 * d, N))
         dG = np.zeros_like(Gd)
-        buf = np.empty((4, rows, N))
-        part = np.empty((2 * d, N))
         for t in tiles:
-            s, sig, m = silu_tile(t, buf)
+            s, sig, m = silu_tile(t)
             dG += m.T @ dz[t]
-            # SiLU'(S) = sig + m (1 - sig), built in the buffers of s and m
-            np.multiply(m, sig, out=s)
-            m -= s
-            m += sig
-            ds = np.matmul(dz[t], Gd.T, out=buf[3, :t.stop - t.start])
-            ds *= m
-            np.matmul(ds, rhs_t.T, out=dlhs[t])
-            drhs_t += np.matmul(lhs[t].T, ds, out=part)
+            ds = (dz[t] @ Gd.T) * (sig + m * (1.0 - sig))  # SiLU'(S) = sig + SiLU(S) (1 - sig)
+            dlhs[t] = ds @ rhs_t.T
+            drhs_t += lhs[t].T @ ds
         dqp = dlhs[:, d:] * (-a * inv)
         dalpha = -inv * float(np.sum(dlhs[:, d:] * qp.data))
         return (dlhs[:, :d] * inv, drhs_t[:d].T, dqp, drhs_t[d:].T,

@@ -4,6 +4,7 @@ forms, exact doubling ratios, and the log-log scaling slopes."""
 import numpy as np
 import pytest
 
+from bevsot import tensor as T
 from bevsot.bench import (MacCounter, bench_attention, bench_csv,
                           gate_projection, linear_attention_core,
                           linear_attention_quadratic, motion_gate_tiled,
@@ -54,11 +55,13 @@ def test_counts_match_closed_forms_exactly(rng, N, d):
 
 @pytest.mark.parametrize("N,d", [(8, 4), (32, 8), (64, 16)])
 @pytest.mark.parametrize("rows", [1, 3, 64, None])
-def test_motion_gate_tiled_count_and_values(rng, N, d, rows):
+def test_motion_gate_tiled_count_and_values(rng, monkeypatch, N, d, rows):
+    if rows is not None:  # None keeps the default tile budget
+        monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * N)
     Qc, Kc, Qp, Kp, G = (rng.standard_normal((N, d)) for _ in range(5))
     b = rng.standard_normal(d)
     c = MacCounter()
-    got = motion_gate_tiled(Qc, Kc, Qp, Kp, 0.7, G, b, rows=rows, counter=c)
+    got = motion_gate_tiled(Qc, Kc, Qp, Kp, 0.7, G, b, counter=c)
     assert c.count == motion_gate_tiled_macs(N, d)
     want = gate_projection(motion_weight_map(Qc, Kc, Qp, Kp, 0.7), G, b)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -91,7 +94,11 @@ def test_bench_slopes_and_report():
     assert "slope check motion_gate_tiled" in report
     assert "PASS" in report and "FAIL" not in report
     csv = bench_csv(records)
-    assert csv.splitlines()[0].startswith("N,d,count_softmax")
+    assert csv.splitlines()[0] == (
+        "N,d,count_softmax,count_linear_core,count_motion_map,count_gate_projection,"
+        "seconds_softmax,seconds_linear_core,seconds_motion_map,seconds_gate_projection,"
+        "count_motion_gate_tiled,seconds_motion_gate_tiled")
+    assert all(len(line.split(",")) == 12 for line in csv.splitlines())
     assert len(csv.splitlines()) == 5
 
 
