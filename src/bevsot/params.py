@@ -82,24 +82,57 @@ class ParamStore:
         return other
 
 
+# elements per adamw_step chunk: 16K float64 values, so a chunk of p, g, m, v
+# and the two scratch buffers (768 KB) stays in cache across its ufunc passes
+ADAMW_CHUNK = 1 << 14
+
+
 def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
                betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
     """One decoupled-weight-decay Adam update over every parameter.
 
     Requires grads populated for all parameters; increments per-parameter
     step counts. Grads are left in place (call ``store.zero_grad()``).
+
+    Each parameter and its moments are updated in place, ``ADAMW_CHUNK``
+    elements at a time through two scratch buffers, with the operations of
+        m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
+        p = p - lr (mhat / (sqrt(vhat) + eps) + wd p)
+    in this order, so the result is bit-identical to the whole-array form.
     """
     b1, b2 = betas
+    t1, t2 = np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK)
     for name, p in store.items():
         if p.grad is None:
             raise ValueError(f"adamw_step: parameter '{name}' has no gradient")
         st = store._state[name]
         st.step += 1
-        st.m = b1 * st.m + (1.0 - b1) * p.grad
-        st.v = b2 * st.v + (1.0 - b2) * (p.grad * p.grad)
-        mhat = st.m / (1.0 - b1 ** st.step)
-        vhat = st.v / (1.0 - b2 ** st.step)
-        p.data = p.data - lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.data)
+        c1, c2 = 1.0 - b1 ** st.step, 1.0 - b2 ** st.step
+        # the update is written through reshape(-1) views: a strided p.data
+        # would reshape to a copy and lose it, a read-only one would refuse it
+        p.data = np.require(p.data, np.float64, "CW")
+        pf, mf, vf = p.data.reshape(-1), st.m.reshape(-1), st.v.reshape(-1)
+        gf = np.broadcast_to(p.grad, p.data.shape).reshape(-1)
+        for lo in range(0, pf.size, ADAMW_CHUNK):
+            hi = min(lo + ADAMW_CHUNK, pf.size)
+            pc, mc, vc, gc = pf[lo:hi], mf[lo:hi], vf[lo:hi], gf[lo:hi]
+            a, b = t1[:hi - lo], t2[:hi - lo]
+            np.multiply(b1, mc, out=mc)
+            np.multiply(1.0 - b1, gc, out=a)
+            np.add(mc, a, out=mc)
+            np.multiply(gc, gc, out=a)
+            np.multiply(1.0 - b2, a, out=a)
+            np.multiply(b2, vc, out=vc)
+            np.add(vc, a, out=vc)
+            np.divide(vc, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(mc, c1, out=a)
+            np.divide(a, b, out=a)
+            np.multiply(weight_decay, pc, out=b)
+            np.add(a, b, out=a)
+            np.multiply(lr, a, out=a)
+            np.subtract(pc, a, out=pc)
 
 
 def lr_at_epoch(base_lr: float, epoch: int, decay_factor: float = 5.0,
@@ -160,7 +193,12 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
         off += 2
         if off + nlen + 1 > len(blob):
             fail(off, "truncated name")
-        name = blob[off:off + nlen].decode("utf-8")
+        try:
+            name = blob[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            fail(off + exc.start, f"parameter name is not valid utf-8 ({exc.reason})")
+        if name in out:
+            fail(off, f"repeated parameter name '{name}'")
         off += nlen
         ndim = blob[off]
         off += 1

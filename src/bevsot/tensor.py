@@ -90,6 +90,11 @@ class Tape:
         if not loss.requires_grad:
             raise ValueError("loss was not recorded on this tape (no grad path)")
         loss.grad = np.ones_like(loss.data)
+        # A backward closure may hand one array to several inputs (add gives
+        # its g to both) or return its own out_grad, so a first contribution
+        # is aliased, never written. The second allocates inp.grad + g, which
+        # this pass then owns; only owned buffers take later ones with +=.
+        owned: set[int] = set()
         for node in reversed(self._nodes):
             out_grad = node.out.grad
             if out_grad is None:
@@ -98,8 +103,13 @@ class Tape:
             for inp, g in zip(node.inputs, grads):
                 if g is None or not inp.requires_grad:
                     continue
-                # never accumulate in place: g may alias another grad buffer
-                inp.grad = g if inp.grad is None else inp.grad + g
+                if inp.grad is None:
+                    inp.grad = g
+                elif id(inp) in owned:
+                    inp.grad += g
+                else:
+                    inp.grad = inp.grad + g
+                    owned.add(id(inp))
 
 
 def _active_tape() -> Optional[Tape]:
@@ -389,12 +399,20 @@ def _conv_geometry(H: int, W: int, stride: int, padding: int):
     return Ho, Wo
 
 
-def _scatter_indices(Ho, Wo, Wp, stride):
-    """Flat padded-grid index for every (output position, kernel offset)."""
-    oi, oj = np.meshgrid(np.arange(Ho), np.arange(Wo), indexing="ij")
-    base = (oi * stride)[..., None, None] * Wp + (oj * stride)[..., None, None]
-    di, dj = np.meshgrid(np.arange(_KSIZE), np.arange(_KSIZE), indexing="ij")
-    return (base + di * Wp + dj).reshape(-1)
+def _col2im(dwin: np.ndarray, Hp: int, Wp: int, stride: int) -> np.ndarray:
+    """Sum window gradients (Ho, Wo, 3, 3, C) back onto the padded (Hp, Wp, C) grid.
+
+    One strided slice-add per kernel tap. Taps go in descending order, so
+    every cell adds its windows' terms in ascending window order, the same
+    order as a scatter over the windows.
+    """
+    Ho, Wo = dwin.shape[:2]
+    dxp = np.zeros((Hp, Wp, dwin.shape[-1]))
+    for i in reversed(range(_KSIZE)):
+        for j in reversed(range(_KSIZE)):
+            dxp[i:i + stride * (Ho - 1) + 1:stride,
+                j:j + stride * (Wo - 1) + 1:stride] += dwin[:, :, i, j]
+    return dxp
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
@@ -428,41 +446,28 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     if depthwise:
         wd = w.data
         data = np.einsum("xycij,ijc->xyc", win, wd)
-        if b is not None:
-            data = data + b.data
 
-        def bw(g):
-            dw = np.einsum("xycij,xyc->ijc", win, g)
-            dwin = g[..., None, None] * wd.transpose(2, 0, 1)  # (Ho,Wo,C,3,3)
-            cols = dwin.transpose(0, 1, 3, 4, 2).reshape(-1, Cin)
-            dxp = np.zeros((Hp * Wp, Cin))
-            np.add.at(dxp, _scatter_indices(Ho, Wo, Wp, stride), cols)
-            dxp = dxp.reshape(Hp, Wp, Cin)
-            dx = dxp[padding:Hp - padding, padding:Wp - padding, :] if padding else dxp
-            grads = [dx, dw]
-            if b is not None:
-                grads.append(g.sum(axis=(0, 1)))
-            return tuple(grads)
+        def window_grads(g):
+            return g[:, :, None, None, :] * wd, np.einsum("xycij,xyc->ijc", win, g)
 
     else:
         patches = win.transpose(0, 1, 3, 4, 2).reshape(Ho * Wo, _KSIZE * _KSIZE * Cin)
         w2d = w.data.reshape(_KSIZE * _KSIZE * Cin, Cout)
         data = (patches @ w2d).reshape(Ho, Wo, Cout)
-        if b is not None:
-            data = data + b.data
 
-        def bw(g):
+        def window_grads(g):
             g2d = g.reshape(Ho * Wo, Cout)
-            dw = (patches.T @ g2d).reshape(w.data.shape)
-            dpatch = (g2d @ w2d.T).reshape(-1, Cin)
-            dxp = np.zeros((Hp * Wp, Cin))
-            np.add.at(dxp, _scatter_indices(Ho, Wo, Wp, stride), dpatch)
-            dxp = dxp.reshape(Hp, Wp, Cin)
-            dx = dxp[padding:Hp - padding, padding:Wp - padding, :] if padding else dxp
-            grads = [dx, dw]
-            if b is not None:
-                grads.append(g.sum(axis=(0, 1)))
-            return tuple(grads)
+            return ((g2d @ w2d.T).reshape(Ho, Wo, _KSIZE, _KSIZE, Cin),
+                    (patches.T @ g2d).reshape(w.data.shape))
+
+    if b is not None:
+        data = data + b.data
+
+    def bw(g):
+        dwin, dw = window_grads(g)
+        dxp = _col2im(dwin, Hp, Wp, stride)
+        dx = dxp[padding:Hp - padding, padding:Wp - padding] if padding else dxp
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 1)))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _out(data, "conv2d", inputs, bw)

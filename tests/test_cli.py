@@ -81,11 +81,17 @@ def test_missing_data_exit_code_2(tmp_path):
     assert code == 2
 
 
-def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
+def data_and_checkpoint(tmp_path):
+    """Generated sequences and an initial-weights checkpoint for `track`."""
     data, ck = tmp_path / "d", tmp_path / "ck.bin"
     assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
     model = TrackerModel(from_items(dict(a.split("=", 1) for a in FAST[1::2])).model_config())
     save_checkpoint(model.store, str(ck))
+    return data, ck
+
+
+def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
+    data, ck = data_and_checkpoint(tmp_path)
     frame = data / "seq_000" / "frames" / "000003.bin"
     xyz = np.fromfile(frame, dtype="<f4")
     xyz[4] = np.nan
@@ -95,6 +101,19 @@ def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert str(frame) in err and "non-finite" in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_name_not_utf8_exit_code_2(tmp_path, capsys):
+    data, ck = data_and_checkpoint(tmp_path)
+    blob = bytearray(ck.read_bytes())
+    blob[14] = 0xFF  # first byte of the first parameter name
+    ck.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = run(["track", "--checkpoint", ck, "--data", data, "--out", tmp_path / "t"] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{ck}: byte 14:" in err and "utf-8" in err
     assert "Traceback" not in err
 
 

@@ -1,11 +1,13 @@
 """ParamStore, AdamW, the step-decay schedule, and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from bevsot.exceptions import ConfigError, DataFormatError
-from bevsot.params import (ParamStore, adamw_step, load_checkpoint, lr_at_epoch,
-                           read_checkpoint, save_checkpoint)
+from bevsot.params import (ADAMW_CHUNK, ParamStore, adamw_step, load_checkpoint,
+                           lr_at_epoch, read_checkpoint, save_checkpoint)
 
 
 def store_with(name="p", value=1.0):
@@ -61,6 +63,49 @@ def test_adamw_two_steps_hand_computed():
         v = b2 * v + (1 - b2) * g * g
         x = x - lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
     np.testing.assert_allclose(p.data, [x], rtol=1e-12)
+
+
+def adamw_whole_array(store, lr, weight_decay, betas, eps):
+    """AdamW as whole-array expressions, the form the chunked update replaced."""
+    b1, b2 = betas
+    for name, p in store.items():
+        st = store._state[name]
+        st.step += 1
+        st.m = b1 * st.m + (1.0 - b1) * p.grad
+        st.v = b2 * st.v + (1.0 - b2) * (p.grad * p.grad)
+        mhat = st.m / (1.0 - b1 ** st.step)
+        vhat = st.v / (1.0 - b2 ** st.step)
+        p.data = p.data - lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.data)
+
+
+def test_adamw_chunked_bit_identical_to_whole_array(rng):
+    base = rng.standard_normal((6, 4))
+    base_before = base.copy()
+    values = {"alpha": np.asarray(0.5),  # 0-d, like the stage alphas
+              "big": rng.standard_normal(2 * ADAMW_CHUNK + 77),
+              "small": rng.standard_normal((3, 5))}
+    stores = [ParamStore(), ParamStore()]
+    for s in stores:
+        for name, v in values.items():
+            s.create(name, v)
+        s.create("viewed", np.zeros((4, 6)))
+        s["viewed"].data = base.T  # a strided view of another array
+    hyper = dict(lr=0.01, weight_decay=0.1, betas=(0.9, 0.999), eps=1e-8)
+    for _ in range(5):
+        grads = {name: rng.standard_normal(p.shape) for name, p in stores[0].items()}
+        for s in stores:
+            for name, p in s.items():
+                p.grad = grads[name].copy()
+        adamw_step(stores[0], **hyper)
+        adamw_whole_array(stores[1], **hyper)
+        for name, p in stores[0].items():
+            q, st, sr = stores[1][name], stores[0]._state[name], stores[1]._state[name]
+            np.testing.assert_array_equal(p.grad, grads[name])  # grads only read
+            assert np.array_equal(p.data, q.data), name
+            assert np.array_equal(st.m, sr.m) and np.array_equal(st.v, sr.v), name
+            assert st.step == sr.step
+    np.testing.assert_array_equal(base, base_before)  # the view's base is not written
+    assert not np.array_equal(stores[0]["viewed"].data, base.T)
 
 
 def test_lr_schedule_paper_values():
@@ -140,6 +185,33 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataFormatError, match="magic"):
         read_checkpoint(str(path))
+
+
+def raw_checkpoint(entries):
+    """Checkpoint bytes for (name bytes, values) pairs, names written as given."""
+    blob = b"BSOT" + struct.pack("<II", 1, len(entries))
+    for raw, values in entries:
+        arr = np.asarray(values, dtype="<f8")
+        blob += struct.pack("<H", len(raw)) + raw + struct.pack("<B", arr.ndim)
+        blob += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+    return blob
+
+
+def test_checkpoint_name_not_utf8(tmp_path):
+    path = tmp_path / "bad.bin"
+    # the second name starts at 12 + (2 + 2 + 1 + 4 + 8) + 2 = 31; 0xff is at 32
+    path.write_bytes(raw_checkpoint([(b"ok", [1.0]), (b"w\xff", [2.0])]))
+    with pytest.raises(DataFormatError, match="not valid utf-8") as exc:
+        read_checkpoint(str(path))
+    assert str(exc.value).startswith(f"{path}: byte 32:")
+
+
+def test_checkpoint_repeated_name(tmp_path):
+    path = tmp_path / "twice.bin"
+    path.write_bytes(raw_checkpoint([(b"ab", [1.0]), (b"ab", [2.0])]))
+    with pytest.raises(DataFormatError, match="repeated parameter name 'ab'") as exc:
+        read_checkpoint(str(path))
+    assert str(exc.value).startswith(f"{path}: byte 31:")
 
 
 def test_clone_is_independent(rng):

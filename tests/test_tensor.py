@@ -150,6 +150,45 @@ def test_conv2d_grad(rng, stride, padding, depthwise):
     assert gradcheck(fw, w) < 1e-6
 
 
+def scatter_col2im(dwin, Hp, Wp, stride):
+    """The np.add.at scatter that _col2im replaced: one flat padded-grid
+    index per (window, tap), all window gradients added in one pass."""
+    Ho, Wo, _, _, C = dwin.shape
+    oi, oj = np.meshgrid(np.arange(Ho), np.arange(Wo), indexing="ij")
+    base = (oi * stride)[..., None, None] * Wp + (oj * stride)[..., None, None]
+    di, dj = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    out = np.zeros((Hp * Wp, C))
+    np.add.at(out, (base + di * Wp + dj).reshape(-1), dwin.reshape(-1, C))
+    return out.reshape(Hp, Wp, C)
+
+
+COL2IM_CASES = [(H, W, stride, padding) for H, W in [(5, 7), (4, 4), (1, 1), (3, 3)]
+                for stride in (1, 2) for padding in (0, 1) if H + 2 * padding >= 3]
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+@pytest.mark.parametrize("H,W,stride,padding", COL2IM_CASES)
+def test_conv2d_input_grad_matches_add_at_scatter(rng, H, W, stride, padding, depthwise):
+    C = 3
+    x = leaf(rng.standard_normal((H, W, C)))
+    w = leaf(rng.standard_normal((3, 3, C) if depthwise else (3, 3, C, 2)))
+    out_shape = T.conv2d(x, w, stride=stride, padding=padding, depthwise=depthwise).shape
+    up = rng.standard_normal(out_shape)
+    (dx,) = grad_of(lambda t: T.sum_all(T.mul(
+        T.conv2d(t, w, stride=stride, padding=padding, depthwise=depthwise), Tensor(up))), x)
+    # the window gradients as the scatter backward formed them
+    Ho, Wo = out_shape[:2]
+    if depthwise:
+        dwin = (up[..., None, None] * w.data.transpose(2, 0, 1)).transpose(0, 1, 3, 4, 2)
+    else:
+        dwin = up.reshape(Ho * Wo, -1) @ w.data.reshape(9 * C, -1).T
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    dxp = scatter_col2im(dwin.reshape(Ho, Wo, 3, 3, C), Hp, Wp, stride)
+    want = dxp[padding:Hp - padding, padding:Wp - padding]
+    assert dx.shape == want.shape
+    assert np.abs(dx - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # layernorm
 
@@ -377,6 +416,36 @@ def test_grad_accumulates_across_uses(rng):
     with Tape() as tape:
         tape.backward(T.sum_all(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 3)))
+
+
+def test_accumulation_never_writes_an_aliased_grad():
+    # add's backward hands one array to both inputs. add(a, b) is recorded
+    # after the sums of a, so backward reaches it first and a's first
+    # contribution is b's gradient array; adding into it would change b.grad
+    a, b = leaf(np.ones(3)), leaf(np.ones(3))
+    with Tape() as tape:
+        sa1, sa2 = T.sum_all(a), T.sum_all(a)
+        loss = T.add(T.add(T.sum_all(T.add(a, b)), sa1), sa2)
+    tape.backward(loss)
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    np.testing.assert_array_equal(a.grad, np.full(3, 3.0))
+
+
+def test_accumulation_leaves_earlier_pass_grads_alone():
+    # a.grad from the first pass is that pass's buffer; a second pass without
+    # zero_grad adds onto a new array and leaves the held one as it was
+    a = leaf(np.ones(3))
+
+    def three_uses():
+        with Tape() as tape:
+            loss = T.add(T.add(T.sum_all(a), T.sum_all(a)), T.sum_all(a))
+        tape.backward(loss)
+
+    three_uses()
+    held = a.grad
+    three_uses()
+    np.testing.assert_array_equal(held, np.full(3, 3.0))
+    np.testing.assert_array_equal(a.grad, np.full(3, 6.0))
 
 
 # ---------------------------------------------------------------------------
