@@ -111,7 +111,7 @@ def motion_gate_tiled(Qc: np.ndarray, Kc: np.ndarray, Qp: np.ndarray, Kp: np.nda
     inv = 1.0 / math.sqrt(d)
     lhs = np.concatenate([c.ew(Qc * inv), c.ew(Qp * (-alpha * inv))], axis=1)
     rhs = np.concatenate([Kc, Kp], axis=1)
-    rows = min(N, max(1, T.MOTION_GATE_TILE_ELEMS // N))
+    rows = T.motion_gate_rows(N)
     out = np.empty((N, G.shape[1]))
     for lo in range(0, N, rows):
         s = c.matmul(lhs[lo:lo + rows], rhs.T)

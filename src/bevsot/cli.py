@@ -110,15 +110,13 @@ def cmd_train(args) -> int:
     out = _run_dir(args.out, "train")
     cfgmod.save_config(cfg, os.path.join(out, "config.echo.cfg"))
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
+    settings = cfg.train_settings()
     if args.data:
         seqs = [read_sequence(d) for d in list_sequence_dirs(args.data)]
     else:
         seqs = _generate_dataset(cfg, cfg.seed)
-    if cfg.crop_mode == "ratio":
-        samples = make_training_samples(
-            seqs, per_sequence_spec=lambda s: cfg.crop_spec(s.gt[0]))
-    else:
-        samples = make_training_samples(seqs, cfg.crop_spec())
+    samples = make_training_samples(
+        seqs, per_sequence_spec=lambda s: cfg.crop_spec(s.gt[0]))
     if not samples:
         raise DataFormatError("no training samples (are the sequences length >= 2?)")
     print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
@@ -128,7 +126,7 @@ def cmd_train(args) -> int:
     with open(log_path, "w") as fh:
         cols = ["epoch", "lr", "loss"] + [f"alpha{s + 1}" for s in range(n_alpha)]
         fh.write(",".join(cols) + "\n")
-        history = train(model, samples, cfg.train_settings(), log=print)
+        history = train(model, samples, settings, log=print)
         for st in history:
             row = [str(st.epoch), repr(st.lr), repr(st.mean_loss)]
             row += [f"{a:.6f}" for a in st.alphas]
@@ -148,8 +146,7 @@ def cmd_track(args) -> int:
     for seq_dir in list_sequence_dirs(args.data):
         seq = read_sequence(seq_dir)
         name = os.path.basename(os.path.normpath(seq_dir))
-        spec = cfg.crop_spec(seq.gt[0]) if cfg.crop_mode == "ratio" else cfg.crop_spec()
-        motion_model = tracker_motion_model(model, spec)
+        motion_model = tracker_motion_model(model, cfg.crop_spec(seq.gt[0]))
         tr = track_sequence(seq.frames, seq.gt[0], motion_model, sequence_id=name)
         tdir = os.path.join(out, name)
         os.makedirs(tdir, exist_ok=True)
@@ -210,8 +207,8 @@ def cmd_gradcheck(args) -> int:
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     model.randomize_all(rng)
-    spec = cfg.crop_spec()
     seq = generate(cfg.scene_config(seed=cfg.seed + 2))
+    spec = cfg.crop_spec(seq.gt[0])
     sample = make_training_samples([seq], spec)[0]
 
     def f():

@@ -17,70 +17,83 @@ from .train import TrainSettings
 
 @dataclass
 class RunConfig:
+    # keys named like a field of ModelConfig, TrainSettings or SceneConfig
+    # take that class's default and are passed to it by name
+
     # model
-    grid: int = 32
-    channels: int = 8
-    heads: int = 1
-    stages: int = 3
-    head_trunk: int = 256
-    ffn_expand: int = 2
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 1.0
-    huber_delta: float = 1.0
-    imm: bool = True
-    dwc: bool = True
-    linear: bool = True
-    shared: bool = True
+    grid: int = ModelConfig.grid
+    channels: int = ModelConfig.channels
+    heads: int = ModelConfig.heads
+    stages: int = ModelConfig.stages
+    head_trunk: int = ModelConfig.head_trunk
+    ffn_expand: int = ModelConfig.ffn_expand
+    lambda1: float = ModelConfig.lambda1
+    lambda2: float = ModelConfig.lambda2
+    lambda3: float = ModelConfig.lambda3
+    huber_delta: float = ModelConfig.huber_delta
+    imm: bool = ModelConfig.imm
+    dwc: bool = ModelConfig.dwc
+    linear: bool = ModelConfig.linear
+    shared: bool = ModelConfig.shared
     # crop window: fixed symmetric ranges (default) or a window proportional
     # to the target box size (crop_mode=ratio)
     crop_mode: str = "fixed"
-    crop_xy: float = 4.8
-    crop_z: float = 1.5
+    crop_xy: float = CropSpec.x_range[1]
+    crop_z: float = CropSpec.z_range[1]
     crop_ratio: float = 2.0
     # training
-    lr: float = 5e-4
-    weight_decay: float = 0.01
-    batch: int = 4
-    epochs: int = 5
-    decay_factor: float = 5.0
-    decay_interval: int = 20
-    max_steps: int = 0
-    augment: bool = True
-    flip_axis: str = "x"
-    max_rot_deg: float = 5.0
+    lr: float = TrainSettings.lr
+    weight_decay: float = TrainSettings.weight_decay
+    batch: int = TrainSettings.batch
+    epochs: int = TrainSettings.epochs
+    decay_factor: float = TrainSettings.decay_factor
+    decay_interval: int = TrainSettings.decay_interval
+    max_steps: int = TrainSettings.max_steps
+    augment: bool = TrainSettings.augment
+    flip_axis: str = TrainSettings.flip_axis
+    max_rot_deg: float = TrainSettings.max_rot_deg
     # scene generation
     sequences: int = 48
-    scene_length: int = 16
-    speed_min: float = 0.10
-    speed_max: float = 0.35
-    yaw_rate_max: float = 0.04
-    points_per_m2: float = 40.0
-    clutter_density: float = 0.6
-    clutter_extent: float = 10.0
-    occlusion_dropout: float = 0.1
-    surface_noise: float = 0.01
-    size_w: float = 1.8
-    size_h: float = 1.6
-    size_l: float = 4.2
-    size_jitter: float = 0.1
+    scene_length: int = SceneConfig.length
+    speed_min: float = SceneConfig.speed_range[0]
+    speed_max: float = SceneConfig.speed_range[1]
+    yaw_rate_max: float = SceneConfig.yaw_rate_max
+    points_per_m2: float = SceneConfig.points_per_m2
+    clutter_density: float = SceneConfig.clutter_density
+    clutter_extent: float = SceneConfig.clutter_extent
+    occlusion_dropout: float = SceneConfig.occlusion_dropout
+    surface_noise: float = SceneConfig.surface_noise
+    size_w: float = SceneConfig.size_mean[0]
+    size_h: float = SceneConfig.size_mean[1]
+    size_l: float = SceneConfig.size_mean[2]
+    size_jitter: float = SceneConfig.size_jitter
     static_fraction: float = 0.25
     # general
-    seed: int = 0
+    seed: int = TrainSettings.seed
 
     # -- derived views ------------------------------------------------------
 
+    def _view(self, cls, **given):
+        """`cls` built from the fields it shares by name with this config;
+        `given` values win over same-named fields."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls)
+                  if f.name in _FIELDS and f.name not in given}
+        return cls(**shared, **given)
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            grid=self.grid, channels=self.channels, heads=self.heads,
-            stages=self.stages, head_trunk=self.head_trunk,
-            ffn_expand=self.ffn_expand, lambda1=self.lambda1,
-            lambda2=self.lambda2, lambda3=self.lambda3,
-            huber_delta=self.huber_delta, imm=self.imm, dwc=self.dwc,
-            linear=self.linear, shared=self.shared)
+        return self._view(ModelConfig)
+
+    def train_settings(self) -> TrainSettings:
+        return self._view(TrainSettings)
+
+    def scene_config(self, seed: int, static: bool = False) -> SceneConfig:
+        return self._view(SceneConfig, size_mean=(self.size_w, self.size_h, self.size_l),
+                          speed_range=(self.speed_min, self.speed_max),
+                          length=self.scene_length, seed=seed, static=static)
 
     def crop_spec(self, target_box=None) -> CropSpec:
-        """The crop window; pass the sequence's target box for ratio mode."""
+        """The crop window. Fixed mode ignores `target_box`; ratio mode sizes
+        the window from it and needs it."""
         if self.crop_mode == "ratio":
             if target_box is None:
                 raise ConfigError("crop_mode=ratio needs the sequence's target box")
@@ -94,27 +107,6 @@ class RunConfig:
                         y_range=(-self.crop_xy, self.crop_xy),
                         z_range=(-self.crop_z, self.crop_z),
                         grid=(self.grid, self.grid))
-
-    def scene_config(self, seed: int, static: bool = False) -> SceneConfig:
-        return SceneConfig(
-            size_mean=(self.size_w, self.size_h, self.size_l),
-            size_jitter=self.size_jitter,
-            speed_range=(self.speed_min, self.speed_max),
-            yaw_rate_max=self.yaw_rate_max,
-            points_per_m2=self.points_per_m2,
-            clutter_density=self.clutter_density,
-            clutter_extent=self.clutter_extent,
-            occlusion_dropout=self.occlusion_dropout,
-            surface_noise=self.surface_noise,
-            length=self.scene_length, static=static, seed=seed)
-
-    def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            lr=self.lr, weight_decay=self.weight_decay, batch=self.batch,
-            epochs=self.epochs, decay_factor=self.decay_factor,
-            decay_interval=self.decay_interval, max_steps=self.max_steps,
-            augment=self.augment, flip_axis=self.flip_axis,
-            max_rot_deg=self.max_rot_deg, seed=self.seed)
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
@@ -146,16 +138,28 @@ def from_items(items: dict[str, str], base: RunConfig | None = None) -> RunConfi
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory, not a config file") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     items: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, raw = stripped.split("=", 1)
-            items[key.strip()] = raw
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}: line {lineno}: key '{key}' already set "
+                              f"on line {first_line[key]}")
+        first_line[key] = lineno
+        items[key] = raw
     return from_items(items, base)
 
 

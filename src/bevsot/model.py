@@ -59,6 +59,9 @@ class ModelConfig:
             raise ConfigError("need at least one stage")
         if self.grid >> (self.stages - 1) < 1:
             raise ConfigError(f"grid {self.grid} too small for {self.stages} stages")
+        for name in ("heads", "ffn_expand"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.head_widths is not None and len(self.head_widths) != HEAD_CONVS:

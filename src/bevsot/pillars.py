@@ -56,7 +56,7 @@ class CropSpec:
 HUMAN_CROP = CropSpec(x_range=(-1.92, 1.92), y_range=(-1.92, 1.92))
 
 
-def ratio_crop_spec(box: Box3D, ratio: float = 2.0, grid: tuple[int, int] = (128, 128),
+def ratio_crop_spec(box: Box3D, ratio: float, grid: tuple[int, int] = (128, 128),
                     z_range: tuple[float, float] = (-1.5, 1.5)) -> CropSpec:
     """Alternative crop: a window with the target's footprint aspect ratio,
     `ratio` times its size. Cell size then varies per target instead of

@@ -25,7 +25,7 @@ SENSOR = np.array([0.0, 0.0, 1.8])
 class SceneConfig:
     size_mean: tuple[float, float, float] = (1.8, 1.6, 4.2)  # (w, h, l)
     size_jitter: float = 0.1  # relative, uniform
-    speed_range: tuple[float, float] = (0.08, 0.25)  # m/frame along heading
+    speed_range: tuple[float, float] = (0.10, 0.35)  # m/frame along heading
     yaw_rate_max: float = 0.04  # rad/frame, uniform in [-max, max]
     lateral_drift: float = 0.02  # m/frame sideways, uniform in [-d, d]
     vertical_drift: float = 0.01
@@ -37,7 +37,7 @@ class SceneConfig:
     occlusion_dropout: float = 0.1
     segment_frames: int = 4  # frames per constant-velocity segment
     static: bool = False  # near-static target (drifts only)
-    length: int = 12
+    length: int = 16
     seed: int = 0
 
     def __post_init__(self):

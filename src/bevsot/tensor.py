@@ -306,6 +306,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 MOTION_GATE_TILE_ELEMS = 1 << 16
 
 
+def motion_gate_rows(N: int) -> int:
+    """Query rows per motion_gate tile for N tokens."""
+    return min(N, max(1, MOTION_GATE_TILE_ELEMS // N))
+
+
 def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
                 G: Tensor, b: Tensor) -> Tensor:
     """sigmoid(SiLU(S) @ G + b) with S = (qc/sqrt(d)) kc^T - alpha (qp/sqrt(d)) kp^T.
@@ -327,7 +332,7 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     lhs = np.concatenate([qc.data * inv, qp.data * (-a * inv)], axis=1)  # N x 2d
     rhs_t = np.concatenate([kc.data, kp.data], axis=1).T  # 2d x N
     Gd, bd = G.data, b.data
-    rows = min(N, max(1, MOTION_GATE_TILE_ELEMS // N))
+    rows = motion_gate_rows(N)
     tiles = [slice(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
 
     def silu_tile(t):

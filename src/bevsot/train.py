@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .exceptions import NumericError
+from .exceptions import ConfigError, NumericError
 from .geometry import box_in_frame, relative_motion
 from .model import TrackerModel, motion_loss
 from .params import adamw_step, lr_at_epoch
@@ -18,11 +18,11 @@ from .tensor import Tape
 
 @dataclass
 class TrainSettings:
-    lr: float = 1e-4
+    lr: float = 5e-4
     weight_decay: float = 0.01
     betas: tuple[float, float] = (0.9, 0.999)
-    batch: int = 8
-    epochs: int = 8
+    batch: int = 4
+    epochs: int = 5
     decay_factor: float = 5.0
     decay_interval: int = 20
     max_steps: int = 0  # 0 = no cap
@@ -30,6 +30,13 @@ class TrainSettings:
     flip_axis: str = "x"
     max_rot_deg: float = 5.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("batch", "decay_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.decay_factor > 0:
+            raise ConfigError(f"decay_factor must be > 0, got {self.decay_factor}")
 
 
 def make_training_samples(sequences: list[LabeledSequence], spec: CropSpec = None,

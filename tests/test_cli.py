@@ -3,6 +3,7 @@ small workloads."""
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from bevsot.config import RunConfig, config_text, from_items, load_config
 from bevsot.exceptions import ConfigError
 from bevsot.geometry import relative_motion
 from bevsot.metrics import ope
-from bevsot.model import TrackerModel
+from bevsot.model import ModelConfig, TrackerModel
 from bevsot.params import read_checkpoint, save_checkpoint
 from bevsot.scene import SceneConfig, generate
 from bevsot.seqio import write_sequence, write_tracklet
 from bevsot.track import Tracklet, track_sequence
+from bevsot.train import TrainSettings
 
 FAST = ["--set", "sequences=3", "--set", "scene_length=4", "--set", "grid=16",
         "--set", "channels=4", "--set", "head_trunk=32", "--set", "epochs=1",
@@ -59,6 +61,119 @@ def test_config_file_comments_and_errors(tmp_path):
         load_config(str(path))
 
 
+# config_text(RunConfig()) at the commit that introduced the introspected views
+DESK_TEXT = """\
+grid=32
+channels=8
+heads=1
+stages=3
+head_trunk=256
+ffn_expand=2
+lambda1=1.0
+lambda2=1.0
+lambda3=1.0
+huber_delta=1.0
+imm=true
+dwc=true
+linear=true
+shared=true
+crop_mode=fixed
+crop_xy=4.8
+crop_z=1.5
+crop_ratio=2.0
+lr=0.0005
+weight_decay=0.01
+batch=4
+epochs=5
+decay_factor=5.0
+decay_interval=20
+max_steps=0
+augment=true
+flip_axis=x
+max_rot_deg=5.0
+sequences=48
+scene_length=16
+speed_min=0.1
+speed_max=0.35
+yaw_rate_max=0.04
+points_per_m2=40.0
+clutter_density=0.6
+clutter_extent=10.0
+occlusion_dropout=0.1
+surface_noise=0.01
+size_w=1.8
+size_h=1.6
+size_l=4.2
+size_jitter=0.1
+static_fraction=0.25
+seed=0
+"""
+FULL_TEXT = (DESK_TEXT.replace("grid=32", "grid=128").replace("channels=8", "channels=16")
+             .replace("head_trunk=256", "head_trunk=512").replace("lr=0.0005", "lr=0.0001")
+             .replace("batch=4", "batch=128"))
+
+
+def test_config_text_matches_golden(tmp_path):
+    assert config_text(RunConfig()) == DESK_TEXT
+    out = tmp_path / "g"
+    assert run(["gen", "--preset", "full", "--set", "sequences=0", "--out", out]) == 0
+    echo = (out / "config.echo.cfg").read_text()
+    assert echo == FULL_TEXT.replace("sequences=48", "sequences=0")
+
+
+def test_views_of_default_config_are_library_defaults():
+    cfg = RunConfig()
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.train_settings() == TrainSettings()
+    assert cfg.scene_config(seed=SceneConfig.seed) == SceneConfig()
+
+
+# RunConfig keys no view receives under their own name
+NOT_SHARED = {"crop_mode", "crop_xy", "crop_z", "crop_ratio", "sequences",
+              "static_fraction", "scene_length", "speed_min", "speed_max",
+              "size_w", "size_h", "size_l"}
+
+
+def test_every_field_reaches_its_view():
+    values = {}
+    for i, f in enumerate(fields(RunConfig)):
+        default = getattr(RunConfig, f.name)
+        if isinstance(default, bool):
+            values[f.name] = not default
+        elif isinstance(default, int):
+            values[f.name] = 100 + i
+        elif isinstance(default, float):
+            values[f.name] = 1000.5 + i
+        else:
+            values[f.name] = f"{default}-{i}"
+    cfg = RunConfig(**values)
+    views = {"model": cfg.model_config(), "train": cfg.train_settings(),
+             "scene": cfg.scene_config(seed=7, static=True)}
+    defaults = {"model": ModelConfig(), "train": TrainSettings(), "scene": SceneConfig()}
+    scene_given = {"size_mean": (cfg.size_w, cfg.size_h, cfg.size_l),
+                   "speed_range": (cfg.speed_min, cfg.speed_max),
+                   "length": cfg.scene_length, "seed": 7, "static": True}
+    reached = set()
+    for kind, view in views.items():
+        for f in fields(view):
+            got = getattr(view, f.name)
+            if kind == "scene" and f.name in scene_given:
+                assert got == scene_given[f.name], f.name
+            elif f.name in values:
+                assert got == values[f.name], f"{kind}.{f.name}"
+                reached.add(f.name)
+            else:
+                assert got == getattr(defaults[kind], f.name), f"{kind}.{f.name}"
+    assert reached == set(values) - NOT_SHARED
+
+
+def test_scene_config_seed_is_the_argument():
+    cfg = RunConfig(seed=3)
+    scene = cfg.scene_config(seed=11)
+    assert scene.seed == 11 and not scene.static
+    assert cfg.scene_config(seed=11, static=True).static
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -71,6 +186,40 @@ def test_usage_error_exit_code_1(capsys):
 
 def test_unknown_config_key_exit_code_1(tmp_path):
     assert run(["gen", "--out", tmp_path / "g", "--set", "nope=1"]) == 1
+
+
+def _config_error(capsys, code, *names):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert all(n in err for n in names), err
+    assert "Traceback" not in err
+
+
+def test_config_file_repeated_key_exit_code_1(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("grid=16\n# again\ngrid=32\n")
+    code = run(["gen", "--out", tmp_path / "g", "--config", path])
+    _config_error(capsys, code, str(path), "line 3", "'grid'", "line 1")
+
+
+def test_config_file_not_utf8_exit_code_1(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"grid=16\nseed=\xff\n")
+    code = run(["gen", "--out", tmp_path / "g", "--config", path])
+    _config_error(capsys, code, str(path), "UTF-8")
+
+
+def test_config_file_directory_exit_code_1(tmp_path, capsys):
+    code = run(["gen", "--out", tmp_path / "g", "--config", tmp_path])
+    _config_error(capsys, code, str(tmp_path), "directory")
+
+
+@pytest.mark.parametrize("key", ["batch", "heads", "ffn_expand", "decay_interval",
+                                 "decay_factor"])
+def test_zero_divisor_exit_code_1(tmp_path, capsys, key):
+    code = run(["train", "--out", tmp_path / "r"] + FAST + ["--set", f"{key}=0"])
+    _config_error(capsys, code, key)
 
 
 def test_missing_data_exit_code_2(tmp_path):
@@ -135,7 +284,7 @@ def test_train_lr_zero_checkpoint_equals_init(tmp_path):
                 "--set", "weight_decay=0", "--set", "augment=false"] + FAST)
     assert code == 0
     entries = read_checkpoint(str(out / "checkpoint.bin"))
-    from bevsot.model import TrackerModel
+    from bevsot.model import ModelConfig, TrackerModel
     cfg = load_config(str(out / "config.echo.cfg"))
     init = TrackerModel(cfg.model_config(), seed=1)
     for name, t in init.store.items():
@@ -244,6 +393,8 @@ def test_ratio_crop_requires_box():
     cfg = RunConfig(crop_mode="ratio")
     with pytest.raises(ConfigError):
         cfg.crop_spec()
+    box = generate(SceneConfig(length=2, seed=1)).gt[0]
+    assert RunConfig().crop_spec(box) == RunConfig().crop_spec()
     cfg2 = RunConfig(crop_mode="sideways")
     with pytest.raises(ConfigError):
         cfg2.crop_spec()
@@ -259,6 +410,11 @@ def test_numeric_failure_exit_code_3(tmp_path):
 def test_gradcheck_impossible_tol_exit_3():
     assert run(["gradcheck", "--samples", "1", "--tol", "1e-30",
                 "--set", "head_trunk=16", "--set", "scene_length=3"]) == 3
+
+
+def test_gradcheck_ratio_crop_mode():
+    assert run(["gradcheck", "--samples", "1", "--set", "crop_mode=ratio",
+                "--set", "head_trunk=16", "--set", "scene_length=3"]) == 0
 
 
 def test_ablation_toggles_shape_the_checkpoint(tmp_path):
