@@ -136,9 +136,7 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
     """Count and time each kernel over a strictly increasing token sweep.
 
     Returns the per-N records, the fitted log-log count slopes, and a text
-    report. Slopes for the linear core, softmax baseline, motion map and
-    tiled motion gate are asserted at 1, 2, 2, 2 (tolerance 0.15) in the
-    report.
+    report that lists each of ``slope_checks`` as PASS or FAIL.
     """
     if len(Ns) < 4 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ConfigError(f"need >= 4 strictly increasing N values, got {Ns}")
@@ -196,21 +194,27 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
         secs = np.array([max(r.seconds[name], 1e-9) for r in records])
         time_slopes[name] = float(np.polyfit(logn, np.log(secs), 1)[0])
 
-    expected = {"linear_core": 1.0, "softmax": 2.0, "motion_map": 2.0,
-                "motion_gate_tiled": 2.0}
     lines = [f"attention scaling over N = {Ns}, d = {d}",
              f"{'variant':<18}{'count slope':>12}{'time slope':>12}  counts"]
     for name in _VARIANTS:
         counts = " ".join(str(r.counts[name]) for r in records)
         lines.append(f"{name:<18}{slopes[name]:>12.4f}{time_slopes[name]:>12.2f}  {counts}")
-    for name, want in expected.items():
-        ok = abs(slopes[name] - want) <= 0.15
+    for name, want, ok in slope_checks(slopes):
         lines.append(f"slope check {name}: {slopes[name]:.4f} vs {want} +/- 0.15 -> "
                      f"{'PASS' if ok else 'FAIL'}")
     lines.append("gate_projection is quadratic like the motion map (reported, not asserted)")
     lines.append("motion_gate_tiled is motion_map + gate_projection fused over row tiles: "
                  "same order, no N x N map held")
     return records, slopes, "\n".join(lines) + "\n"
+
+
+def slope_checks(slopes: dict[str, float]) -> list[tuple[str, float, bool]]:
+    """(variant, expected order, within 0.15 of it) for each asserted count
+    slope: 1 for the linear core, 2 for softmax, the motion map and the
+    tiled motion gate."""
+    expected = {"linear_core": 1.0, "softmax": 2.0, "motion_map": 2.0,
+                "motion_gate_tiled": 2.0}
+    return [(name, want, abs(slopes[name] - want) <= 0.15) for name, want in expected.items()]
 
 
 def bench_csv(records: list[BenchRecord]) -> str:

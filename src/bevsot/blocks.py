@@ -6,13 +6,15 @@ The motion weights Wm = SiLU(sim(curr) - alpha * sim(prev)) compare
 query-key similarity maps of the two frames; a sigmoid of a learned
 projection of each token's difference row gates the linear-attention
 core, boosting tokens whose similarity pattern changed (moving targets)
-and damping static background. The model path computes the gate with the
-fused tape op ``T.motion_gate``, which walks the map in row tiles and
-recomputes them in backward: compute stays Theta(N^2 d), quadratic in token
-count by construction, but live memory is O(r N + N d) for tiles of r rows
-instead of a stack of N x N maps. ``imm_weights`` materializes the maps and
-is kept as the oracle the fused op is tested against. The attention core
-itself stays linear.
+and damping static background. Heads are an axis inside the ops, not a
+loop here: the attention core masks its C x C middle product to the
+per-head blocks, and the fused tape op ``T.motion_gate`` gates all heads
+at once, walking the maps in row tiles that backward recomputes. Compute
+stays Theta(N^2 d) per head, quadratic in token count by construction,
+but live memory is O(r N + N C) for tiles of r rows instead of a stack
+of N x N maps. ``imm_weights`` materializes the maps head by head and is
+kept as the oracle the fused op is tested against. The attention core
+itself stays linear in N.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import tensor as T
 from .exceptions import ShapeError
@@ -124,11 +128,6 @@ def preprocess(x_prev: Tensor, x_curr: Tensor, bp: BlockParams) -> tuple[Tensor,
     return _preprocess_one(x_prev, bp, True), _preprocess_one(x_curr, bp, False)
 
 
-def _head_slices(t: Tensor, bp: BlockParams) -> list[Tensor]:
-    d = bp.d
-    return [T.slice_cols(t, i * d, (i + 1) * d) for i in range(bp.heads)]
-
-
 def imm_weights(xb_prev: Tensor, xb_curr: Tensor, bp: BlockParams) -> Tensor:
     """Motion-difference weights, one N x N map per head: the materialized
     oracle of ``T.motion_gate`` (the model path never builds these maps).
@@ -139,10 +138,9 @@ def imm_weights(xb_prev: Tensor, xb_curr: Tensor, bp: BlockParams) -> Tensor:
     if not bp.imm:
         raise ShapeError("imm_weights called on a block with the motion module disabled")
     inv = 1.0 / math.sqrt(bp.d)
-    q_prev = _head_slices(T.matmul(xb_prev, bp.wq), bp)
-    k_prev = _head_slices(T.matmul(xb_prev, bp.wk), bp)
-    q_curr = _head_slices(T.matmul(xb_curr, bp.wq), bp)
-    k_curr = _head_slices(T.matmul(xb_curr, bp.wk), bp)
+    split = lambda t: [T.slice_cols(t, i * bp.d, (i + 1) * bp.d) for i in range(bp.heads)]
+    q_prev, k_prev, q_curr, k_curr = (split(T.matmul(x, w)) for x in (xb_prev, xb_curr)
+                                      for w in (bp.wq, bp.wk))
     maps = []
     for i in range(bp.heads):
         sim_curr = T.scale(T.matmul(q_curr[i], T.transpose(k_curr[i])), inv)
@@ -154,33 +152,27 @@ def imm_weights(xb_prev: Tensor, xb_curr: Tensor, bp: BlockParams) -> Tensor:
 def focus_attention(xb_curr: Tensor, xb_prev: Optional[Tensor], bp: BlockParams) -> Tensor:
     """Linear attention over current-frame tokens, gated by frame motion.
 
-    Per head: core = SiLU(Q) @ (SiLU(K)^T @ V) in right-associated order
-    (cost N*d*d, never materializing an N x N attention map); the gate is
-    ``T.motion_gate``, the sigmoid of a learned map of each token's
-    motion-difference row onto d channels, computed in row tiles from the
-    current Q/K (shared with the core) and the previous frame's Q/K. With
-    ``xb_prev`` None (motion module disabled) the gate is identically 1 and
-    the output is the plain kernelized attention.
+    core = SiLU(Q) @ (SiLU(K)^T @ V), right-associated (cost N*C*C, no N x N
+    map). With several heads the C x C middle product is masked to its
+    block diagonal, which is exactly each head's own d x d product. The
+    gate is ``T.motion_gate`` over all heads, from the current Q/K (shared
+    with the core) and the previous frame's Q/K. With ``xb_prev`` None
+    (motion module off) the gate is identically 1 and the output is the
+    plain kernelized attention.
     """
     if xb_prev is not None and not bp.imm:
         raise ShapeError("focus_attention given a previous frame on a block with "
                          "the motion module disabled")
-    qs = _head_slices(T.matmul(xb_curr, bp.wq), bp)
-    ks = _head_slices(T.matmul(xb_curr, bp.wk), bp)
-    vs = _head_slices(T.matmul(xb_curr, bp.wv), bp)
+    q, k, v = (T.matmul(xb_curr, w) for w in (bp.wq, bp.wk, bp.wv))
+    kv = T.matmul(T.transpose(T.silu(k)), v)
+    if bp.heads > 1:
+        kv = T.mul(kv, Tensor(np.kron(np.eye(bp.heads), np.ones((bp.d, bp.d)))))
+    core = T.matmul(T.silu(q), kv)
     if xb_prev is not None:
-        q_prev = _head_slices(T.matmul(xb_prev, bp.wq), bp)
-        k_prev = _head_slices(T.matmul(xb_prev, bp.wk), bp)
-    outs = []
-    for i in range(bp.heads):
-        core = T.matmul(T.silu(qs[i]), T.matmul(T.transpose(T.silu(ks[i])), vs[i]))
-        if xb_prev is not None:
-            gate = T.motion_gate(qs[i], ks[i], q_prev[i], k_prev[i], bp.alpha,
-                                 T.take(bp.gate_w, i), T.take(bp.gate_b, i))
-            core = T.mul(core, gate)
-        outs.append(core)
-    merged = outs[0] if bp.heads == 1 else T.concat(outs, axis=-1)
-    return T.linear(merged, bp.lo_w, bp.lo_b)
+        gate = T.motion_gate(q, k, T.matmul(xb_prev, bp.wq), T.matmul(xb_prev, bp.wk),
+                             bp.alpha, bp.gate_w, bp.gate_b)
+        core = T.mul(core, gate)
+    return T.linear(core, bp.lo_w, bp.lo_b)
 
 
 def block_forward(pair: FramePair, bp: BlockParams) -> Tensor:

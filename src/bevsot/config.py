@@ -141,10 +141,10 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except IsADirectoryError:
-        raise ConfigError(f"{path}: is a directory, not a config file") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from None
     items: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):

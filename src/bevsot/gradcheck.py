@@ -21,27 +21,7 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> fl
     raise (never reported as agreement)."""
     if not x.requires_grad:
         raise ValueError("gradcheck input must require grad")
-    x.data = np.ascontiguousarray(x.data)  # reshape(-1) below must be a view
-    with Tape() as tape:
-        out = f(x)
-        if out.data.size != 1:
-            raise ShapeError(f"gradcheck: f must be scalar-valued, got {out.shape}")
-        x.grad = None
-        tape.backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + eps
-        hi = f(x).item()
-        flat[i] = keep - eps
-        lo = f(x).item()
-        flat[i] = keep
-        nflat[i] = (hi - lo) / (2.0 * eps)
-    return _rel_err(analytic, numeric)
+    return gradcheck_params(lambda: f(x), [("x", x)], eps)["x"]
 
 
 def gradcheck_params(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],

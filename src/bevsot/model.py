@@ -29,14 +29,18 @@ HEAD_CONVS = 3
 HEAD_MAX_CHANNELS = 512
 
 
+def _head_pad(h: int) -> int:
+    """Valid padding, or same padding once the h x h grid is smaller than the kernel."""
+    return 0 if h >= 3 else 1
+
+
 def _head_step(h: int) -> int:
-    pad = 0 if h >= 3 else 1
-    return (h + 2 * pad - 3) // 2 + 1
+    return (h + 2 * _head_pad(h) - 3) // 2 + 1
 
 
 @dataclass
 class ModelConfig:
-    grid: int = 32
+    grid: int = CropSpec.grid[0]
     channels: int = 8
     heads: int = 1
     stages: int = 3
@@ -258,8 +262,8 @@ class TrackerModel:
             raise ShapeError(f"head input {feat.shape} does not match {expected}")
         x = feat
         for w, b, (g, beta) in zip(self.head.conv_w, self.head.conv_b, self.head.conv_ln):
-            pad = 0 if x.shape[0] >= 3 else 1
-            x = T.silu(T.layernorm(T.conv2d(x, w, b, stride=2, padding=pad), g, beta))
+            x = T.conv2d(x, w, b, stride=2, padding=_head_pad(x.shape[0]))
+            x = T.silu(T.layernorm(x, g, beta))
         x = T.reshape(x, (1, x.shape[2]))
         trunk = T.silu(T.linear(x, self.head.trunk_w, self.head.trunk_b))
         xy = T.linear(trunk, self.head.xy_w, self.head.xy_b)

@@ -34,7 +34,7 @@ class CropSpec:
     x_range: tuple[float, float] = (-4.8, 4.8)
     y_range: tuple[float, float] = (-4.8, 4.8)
     z_range: tuple[float, float] = (-1.5, 1.5)
-    grid: tuple[int, int] = (128, 128)  # (H, W)
+    grid: tuple[int, int] = (32, 32)  # (H, W); also the model's default grid
 
     def __post_init__(self):
         for lo, hi in (self.x_range, self.y_range, self.z_range):
@@ -56,8 +56,8 @@ class CropSpec:
 HUMAN_CROP = CropSpec(x_range=(-1.92, 1.92), y_range=(-1.92, 1.92))
 
 
-def ratio_crop_spec(box: Box3D, ratio: float, grid: tuple[int, int] = (128, 128),
-                    z_range: tuple[float, float] = (-1.5, 1.5)) -> CropSpec:
+def ratio_crop_spec(box: Box3D, ratio: float, grid: tuple[int, int] = CropSpec.grid,
+                    z_range: tuple[float, float] = CropSpec.z_range) -> CropSpec:
     """Alternative crop: a window with the target's footprint aspect ratio,
     `ratio` times its size. Cell size then varies per target instead of
     staying constant across sequences."""

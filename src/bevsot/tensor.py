@@ -313,55 +313,62 @@ def motion_gate_rows(N: int) -> int:
 
 def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
                 G: Tensor, b: Tensor) -> Tensor:
-    """sigmoid(SiLU(S) @ G + b) with S = (qc/sqrt(d)) kc^T - alpha (qp/sqrt(d)) kp^T.
+    """The (N, C) gate of all heads: head h owns column block h of width
+    d = C / heads, sigmoid(SiLU(S_h) @ G[h] + b[h]) with S_h = (qc_h/sqrt(d))
+    kc_h^T - alpha (qp_h/sqrt(d)) kp_h^T; G is (heads, N, d), b (heads, d).
 
-    The N x N map S is never held whole: query rows are processed in tiles,
-    each tile's S is one BLAS product [qc/sqrt(d), -alpha qp/sqrt(d)] @
-    [kc, kp]^T of inner dimension 2d, and only the N x dg gate is kept.
-    Backward recomputes every tile's S instead of storing it, so live memory
-    is O(rows * N + N * d) rather than O(N^2); the gradients of kc, kp, G, b
-    and the scalar alpha are summed across tiles.
+    No N x N map is held whole: each head's query rows are processed in
+    tiles, one BLAS product [qc_h/sqrt(d), -alpha qp_h/sqrt(d)] @ [kc_h,
+    kp_h]^T of inner dimension 2d per tile, and backward recomputes the
+    tiles instead of storing them, so live memory is O(rows * N + N * C).
+    The gradients of kc, kp, G, b and the scalar alpha are summed across tiles.
     """
-    N, d = qc.shape
-    if not (kc.shape == qp.shape == kp.shape == (N, d)):
+    N, C = qc.shape
+    if not (kc.shape == qp.shape == kp.shape == (N, C)):
         raise ShapeError(f"motion_gate: q/k shapes {qc.shape} {kc.shape} {qp.shape} {kp.shape}")
-    if G.ndim != 2 or G.shape[0] != N or b.shape != (G.shape[1],):
-        raise ShapeError(f"motion_gate: gate {G.shape} + {b.shape} for {N} tokens")
+    heads = G.shape[0] if G.ndim == 3 else 0
+    d = C // heads if heads and C % heads == 0 else 0
+    if not d or G.shape != (heads, N, d) or b.shape != (heads, d):
+        raise ShapeError(f"motion_gate: gate {G.shape} + {b.shape} for {N} x {C} projections")
     inv = 1.0 / np.sqrt(d)
     a = alpha.item()
-    lhs = np.concatenate([qc.data * inv, qp.data * (-a * inv)], axis=1)  # N x 2d
-    rhs_t = np.concatenate([kc.data, kp.data], axis=1).T  # 2d x N
-    Gd, bd = G.data, b.data
+    cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
+    lhs = [np.concatenate([qc.data[:, c] * inv, qp.data[:, c] * (-a * inv)], axis=1)
+           for c in cols]  # N x 2d per head
+    rhs_t = [np.concatenate([kc.data[:, c], kp.data[:, c]], axis=1).T for c in cols]
+    # heads one after another, so a tile's working set does not grow with heads
     rows = motion_gate_rows(N)
-    tiles = [slice(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
+    tiles = [(h, c, slice(lo, min(lo + rows, N)))
+             for h, c in enumerate(cols) for lo in range(0, N, rows)]
 
-    def silu_tile(t):
-        """S, sigmoid(S) and SiLU(S) of one row tile."""
-        s = lhs[t] @ rhs_t
+    def silu_tile(h, t):  # S, sigmoid(S) and SiLU(S) of head h's row tile t
+        s = lhs[h][t] @ rhs_t[h]
         sig = _sigmoid_value(s)
         return s, sig, s * sig
 
-    gate = np.empty((N, Gd.shape[1]))
-    for t in tiles:
-        z = silu_tile(t)[2] @ Gd + bd
+    gate = np.empty((N, C))
+    for h, c, t in tiles:
+        z = silu_tile(h, t)[2] @ G.data[h] + b.data[h]
         _ensure_finite(z, "motion_gate")
-        gate[t] = _sigmoid_value(z)
+        gate[t, c] = _sigmoid_value(z)
 
     def bw(g):
         dz = g * gate * (1.0 - gate)
-        dlhs = np.empty_like(lhs)
-        drhs_t = np.zeros((2 * d, N))
-        dG = np.zeros_like(Gd)
-        for t in tiles:
-            s, sig, m = silu_tile(t)
-            dG += m.T @ dz[t]
-            ds = (dz[t] @ Gd.T) * (sig + m * (1.0 - sig))  # SiLU'(S) = sig + SiLU(S) (1 - sig)
-            dlhs[t] = ds @ rhs_t.T
-            drhs_t += lhs[t].T @ ds
-        dqp = dlhs[:, d:] * (-a * inv)
-        dalpha = -inv * float(np.sum(dlhs[:, d:] * qp.data))
-        return (dlhs[:, :d] * inv, drhs_t[:d].T, dqp, drhs_t[d:].T,
-                np.full(alpha.shape, dalpha), dG, dz.sum(axis=0))
+        dlhs = [np.empty((N, 2 * d)) for _ in cols]
+        drhs_t = [np.zeros((2 * d, N)) for _ in cols]
+        dG = np.zeros_like(G.data)
+        for h, c, t in tiles:
+            s, sig, m = silu_tile(h, t)
+            dG[h] += m.T @ dz[t, c]
+            # SiLU'(S) = sig + SiLU(S) (1 - sig)
+            ds = (dz[t, c] @ G.data[h].T) * (sig + m * (1.0 - sig))
+            dlhs[h][t] = ds @ rhs_t[h].T
+            drhs_t[h] += lhs[h][t].T @ ds
+        dqp = np.hstack([x[:, d:] for x in dlhs])
+        return (np.hstack([x[:, :d] for x in dlhs]) * inv, np.hstack([x[:d].T for x in drhs_t]),
+                dqp * (-a * inv), np.hstack([x[d:].T for x in drhs_t]),
+                np.full(alpha.shape, -inv * float(np.sum(dqp * qp.data))), dG,
+                dz.reshape(N, heads, d).sum(axis=0))
 
     return _out(gate, "motion_gate", (qc, kc, qp, kp, alpha, G, b), bw)
 

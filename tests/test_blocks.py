@@ -1,9 +1,13 @@
 """Tracker block: tokenizer, preprocessing, motion-difference weights, and
 the gated linear attention, against hand oracles and forced cases."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from bevsot import blocks
 from bevsot import tensor as T
 from bevsot.blocks import (BlockParams, FramePair, block_forward, focus_attention,
                            imm_weights, preprocess, tokenize)
@@ -238,6 +242,63 @@ def test_attention_multi_head_concat(rng):
     assert out.shape == (16, 4)
 
 
+def _per_head_attention(xb_curr, xb_prev, bp):
+    """Per-head oracle of focus_attention: slice Q/K/V into heads, gate each
+    head with its own slice of the materialized motion maps and gate weights,
+    and concatenate the heads before the output projection."""
+    d = bp.d
+    split = lambda t: [T.slice_cols(t, i * d, (i + 1) * d) for i in range(bp.heads)]
+    qs, ks, vs = (split(T.matmul(xb_curr, w)) for w in (bp.wq, bp.wk, bp.wv))
+    wm = None if xb_prev is None else imm_weights(xb_prev, xb_curr, bp)
+    outs = []
+    for i in range(bp.heads):
+        core = T.matmul(T.silu(qs[i]), T.matmul(T.transpose(T.silu(ks[i])), vs[i]))
+        if wm is not None:
+            gate = T.sigmoid(T.add(T.matmul(T.take(wm, i), T.take(bp.gate_w, i)),
+                                   T.take(bp.gate_b, i)))
+            core = T.mul(core, gate)
+        outs.append(core)
+    return T.linear(T.concat(outs, axis=-1), bp.lo_w, bp.lo_b)
+
+
+def _value_and_grads(f, leaves, probe):
+    for t in leaves.values():
+        t.grad = None
+    with Tape() as tape:
+        out = f()
+        tape.backward(T.sum_all(T.mul(out, Tensor(probe))))
+    return out.data, {name: t.grad.copy() for name, t in leaves.items() if t.grad is not None}
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("what", ["ungated", "gated", "block"])
+def test_multi_head_matches_per_head_oracle(monkeypatch, heads, what):
+    # H=4, C=8: 16 tokens; d = 8, 4, 2
+    rng = np.random.default_rng(11)
+    bp = make_block(C=8, heads=heads, rng=rng, imm=what != "ungated")
+    leaves = {name: t for name, t in vars(bp).items()
+              if isinstance(t, Tensor) and t.requires_grad}
+    if what == "block":
+        pair = FramePair(*(leaf(rng.standard_normal((4, 4, 8))) for _ in range(2)))
+        leaves.update(prev=pair.prev, curr=pair.curr)
+        f = lambda: blocks.block_forward(pair, bp)
+    else:
+        xc = leaves["xc"] = leaf(rng.standard_normal((16, 8)))
+        xp = leaf(rng.standard_normal((16, 8))) if what == "gated" else None
+        if xp is not None:
+            leaves["xp"] = xp
+        f = lambda: blocks.focus_attention(xc, xp, bp)
+    probe = rng.standard_normal((16, 8))
+    got, got_grads = _value_and_grads(f, leaves, probe)
+    monkeypatch.setattr(blocks, "focus_attention", _per_head_attention)
+    want, want_grads = _value_and_grads(f, leaves, probe)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert got_grads[name].shape == g.shape, name
+        assert np.max(np.abs(got_grads[name] - g)) < 1e-12, name
+
+
 def test_attention_prev_frame_needs_motion_module(rng):
     bp = make_block(rng=rng, imm=False)
     x = Tensor(rng.standard_normal((16, 4)))
@@ -276,15 +337,11 @@ def _oracle_gates(lv, heads):
 
 def _fused_gates(lv, heads):
     C = lv["xc"].shape[1] // 2
-    d = C // heads
 
-    def qk(x, i):
-        return (T.slice_cols(x, i * d, (i + 1) * d),
-                T.slice_cols(x, C + i * d, C + (i + 1) * d))
+    def qk(x):
+        return T.slice_cols(x, 0, C), T.slice_cols(x, C, 2 * C)
 
-    return [T.motion_gate(*qk(lv["xc"], i), *qk(lv["xp"], i), lv["alpha"],
-                          T.take(lv["gate_w"], i), T.take(lv["gate_b"], i))
-            for i in range(heads)]
+    return [T.motion_gate(*qk(lv["xc"]), *qk(lv["xp"]), lv["alpha"], lv["gate_w"], lv["gate_b"])]
 
 
 def _run_gates(build, lv, heads, probe):
@@ -320,7 +377,7 @@ def test_motion_gate_gradcheck(monkeypatch):
     rng = np.random.default_rng(3)
     qc, kc, qp, kp = (leaf(rng.standard_normal((12, 3))) for _ in range(4))
     alpha = leaf(0.7)
-    G, b = leaf(rng.uniform(-0.5, 0.5, (12, 3))), leaf(rng.uniform(-0.5, 0.5, 3))
+    G, b = leaf(rng.uniform(-0.5, 0.5, (1, 12, 3))), leaf(rng.uniform(-0.5, 0.5, (1, 3)))
     probe = Tensor(rng.standard_normal((12, 3)))
 
     def f():
@@ -336,7 +393,7 @@ def test_motion_gate_gradcheck(monkeypatch):
 def test_motion_gate_overflow_raises_naming_op(rng):
     # S overflows to +inf and so does Z, whose sigmoid would be a finite 1
     q = Tensor(np.full((8, 2), 1e200))
-    G, b = Tensor(rng.uniform(0.1, 1.0, (8, 2))), Tensor(np.zeros(2))
+    G, b = Tensor(rng.uniform(0.1, 1.0, (1, 8, 2))), Tensor(np.zeros((1, 2)))
     with pytest.raises(NumericError, match="motion_gate"):
         T.motion_gate(q, q, q, q, Tensor(0.0), G, b)
 
@@ -410,3 +467,33 @@ def test_block_unshared_uses_prev_copies(rng):
     xp, xc = tokenize(pair, bp)
     # identical inputs now tokenize differently because weights differ
     assert np.any(xp.data != xc.data)
+
+
+def test_desk_training_step_tape_has_no_per_head_split(monkeypatch):
+    """One desk-preset training step (batch 4, one head) records no column
+    slice or head take from blocks.py: the heads stay an axis inside the ops."""
+    from collections import Counter
+    from dataclasses import replace
+
+    from bevsot import scene, train
+    from bevsot.config import RunConfig
+    from bevsot.model import TrackerModel
+
+    cfg = RunConfig()
+    assert (cfg.heads, cfg.batch) == (1, 4)
+    samples = train.make_training_samples([scene.generate(cfg.scene_config(seed=3))],
+                                          cfg.crop_spec())[:cfg.batch]
+    nodes = Counter()
+    original = T._out
+
+    def recording_out(data, op, inputs, backward_fn):
+        t = original(data, op, inputs, backward_fn)
+        if t.requires_grad:  # recorded on the tape; frame 2 called the op
+            nodes[op, os.path.basename(sys._getframe(2).f_code.co_filename)] += 1
+        return t
+
+    monkeypatch.setattr(T, "_out", recording_out)
+    train.train(TrackerModel(cfg.model_config(), seed=3), samples,
+                replace(cfg.train_settings(), epochs=1))
+    assert nodes["slice_cols", "blocks.py"] == nodes["take", "blocks.py"] == 0
+    assert sum(nodes.values()) == 712

@@ -210,6 +210,14 @@ def test_config_file_not_utf8_exit_code_1(tmp_path, capsys):
     _config_error(capsys, code, str(path), "UTF-8")
 
 
+@pytest.mark.parametrize("command", [["gen"], ["train"], ["track", "--checkpoint", "c.bin",
+                                                          "--data", "seqs"]])
+def test_config_file_missing_exit_code_1(tmp_path, capsys, command):
+    path = tmp_path / "missing.cfg"
+    code = run(command + ["--out", tmp_path / "o", "--config", path])
+    _config_error(capsys, code, str(path))
+
+
 def test_config_file_directory_exit_code_1(tmp_path, capsys):
     code = run(["gen", "--out", tmp_path / "g", "--config", tmp_path])
     _config_error(capsys, code, str(tmp_path), "directory")
@@ -361,6 +369,23 @@ def test_bench_command(tmp_path):
                 "--out", out]) == 0
     assert (out / "bench.csv").exists()
     assert "PASS" in (out / "scaling_report.txt").read_text()
+
+
+def test_bench_command_gate_slope_fail_exit_3(tmp_path, monkeypatch):
+    from bevsot import bench
+
+    def cubic_gate(Qc, Kc, Qp, Kp, alpha, G, b, counter=None):
+        if counter is not None:
+            counter.count += Qc.shape[0] ** 3
+        return np.zeros(G.shape)
+
+    monkeypatch.setattr(bench, "motion_gate_tiled", cubic_gate)
+    out = tmp_path / "b"
+    assert run(["bench", "--ns", "32,64,128,256", "--d", "4", "--repeats", "1",
+                "--out", out]) == 3
+    report = (out / "scaling_report.txt").read_text()
+    assert "slope check motion_gate_tiled: 3.0000 vs 2.0 +/- 0.15 -> FAIL" in report
+    assert report.count("FAIL") == 1
 
 
 def test_gradcheck_command_small():

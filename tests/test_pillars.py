@@ -82,9 +82,9 @@ def test_crop_spec_validation():
 
 
 def test_car_crop_cell_size():
-    spec = CropSpec()  # (-4.8, 4.8) at 128
+    spec = CropSpec()  # (-4.8, 4.8) at 32
     sx, sy = spec.cell_size
-    assert sx == pytest.approx(0.075) and sy == pytest.approx(0.075)
+    assert sx == pytest.approx(0.3) and sy == pytest.approx(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -206,4 +206,4 @@ def test_ratio_crop_spec_follows_box():
 def test_human_crop_preset():
     from bevsot.pillars import HUMAN_CROP
     assert HUMAN_CROP.x_range == (-1.92, 1.92)
-    assert HUMAN_CROP.grid == (128, 128)  # resolution-consistent with the car window
+    assert HUMAN_CROP.grid == CropSpec().grid == (32, 32)  # the car window's grid

@@ -108,6 +108,14 @@ def test_empty_crops_coast_and_flag():
         assert (b.x, b.y, b.z, b.theta) == (0.0, 0.0, 0.0, 0.0)
 
 
+def test_library_defaults_track_a_generated_sequence():
+    # the default crop window and the default model agree on the grid
+    seq = generate(SceneConfig(length=3, seed=6))
+    tr = track_sequence(seq.frames, seq.gt[0],
+                        tracker_motion_model(TrackerModel(ModelConfig()), CropSpec()))
+    assert len(tr.boxes) == 3 and not any(tr.coasted)
+
+
 def test_tracking_deterministic():
     cfg = SceneConfig(length=5, seed=42)
     seq = generate(cfg)
