@@ -147,7 +147,7 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
         Q, K, V, Qp, Kp = (rng.standard_normal((N, d)) / d ** 0.25 for _ in range(5))
         G = rng.standard_normal((N, d)) / math.sqrt(N)
         b = np.zeros(d)
-        wm = None
+        wm = motion_weight_map(Q, K, Qp, Kp, 0.5)
 
         def run_softmax():
             return softmax_attention(Q, K, V, counter=cnt)
@@ -158,11 +158,15 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
         def run_motion():
             return motion_weight_map(Q, K, Qp, Kp, 0.5, counter=cnt)
 
+        def run_gate_projection():
+            return gate_projection(wm, G, b, counter=cnt)
+
         def run_gate_tiled():
             return motion_gate_tiled(Q, K, Qp, Kp, 0.5, G, b, counter=cnt)
 
         timed = {"softmax": run_softmax, "linear_core": run_linear,
-                 "motion_map": run_motion, "motion_gate_tiled": run_gate_tiled}
+                 "motion_map": run_motion, "gate_projection": run_gate_projection,
+                 "motion_gate_tiled": run_gate_tiled}
         for name, fn in timed.items():
             cnt = MacCounter()
             fn()
@@ -171,18 +175,9 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
             for _ in range(repeats):
                 cnt = MacCounter()
                 t0 = time.perf_counter()
-                out = fn()
+                fn()
                 best = min(best, time.perf_counter() - t0)
-                if name == "motion_map":
-                    wm = out
             rec.seconds[name] = best
-
-        cnt = MacCounter()
-        gate_projection(wm, G, b, counter=cnt)
-        rec.counts["gate_projection"] = cnt.count
-        t0 = time.perf_counter()
-        gate_projection(wm, G, b)
-        rec.seconds["gate_projection"] = time.perf_counter() - t0
         records.append(rec)
 
     slopes = {}

@@ -178,13 +178,11 @@ def focus_attention(xb_curr: Tensor, xb_prev: Optional[Tensor], bp: BlockParams)
 def block_forward(pair: FramePair, bp: BlockParams) -> Tensor:
     """Full block: tokenize, preprocess, motion-gated attention, residual on
     the current-frame tokens, then pre-LN FFN with residual."""
-    if bp.imm:
-        x_prev, x_curr = tokenize(pair, bp)
-        xb_prev, xb_curr = preprocess(x_prev, x_curr, bp)
-    else:
-        x_curr = _tokenize_one(pair.curr, bp, False)
-        xb_curr = _preprocess_one(x_curr, bp, False)
-        xb_prev = None
+    # the previous frame is recorded first, so shared weights sum their
+    # gradient terms current-frame first, as the tape replays in reverse
+    xb_prev = _preprocess_one(_tokenize_one(pair.prev, bp, True), bp, True) if bp.imm else None
+    x_curr = _tokenize_one(pair.curr, bp, False)
+    xb_curr = _preprocess_one(x_curr, bp, False)
     fhat = T.add(focus_attention(xb_curr, xb_prev, bp), x_curr)
     hidden = T.silu(T.linear(T.layernorm(fhat, bp.ln2_g, bp.ln2_b), bp.ffn1_w, bp.ffn1_b))
     return T.add(T.linear(hidden, bp.ffn2_w, bp.ffn2_b), fhat)

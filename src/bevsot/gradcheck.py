@@ -34,7 +34,7 @@ def gradcheck_params(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor
     analytic gradient still comes from one full backward pass.
     """
     for _, p in params:
-        p.data = np.ascontiguousarray(p.data)
+        p.data = np.require(p.data, requirements="C")  # keeps 0-d arrays 0-d
     with Tape() as tape:
         out = f()
         if out.data.size != 1:

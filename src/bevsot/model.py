@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,6 @@ class ModelConfig:
     heads: int = 1
     stages: int = 3
     head_trunk: int = 256
-    head_widths: Optional[tuple[int, ...]] = None
     ffn_expand: int = 2
     lambda1: float = 1.0
     lambda2: float = 1.0
@@ -68,8 +66,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
-        if self.head_widths is not None and len(self.head_widths) != HEAD_CONVS:
-            raise ConfigError(f"head_widths needs {HEAD_CONVS} entries")
         h = self.final_grid
         for _ in range(HEAD_CONVS):
             h = _head_step(h)
@@ -93,8 +89,6 @@ class ModelConfig:
         return [(self.grid >> s, self.channels << s) for s in range(self.stages)]
 
     def head_channel_widths(self) -> tuple[int, ...]:
-        if self.head_widths is not None:
-            return tuple(self.head_widths)
         c = self.final_channels
         return tuple(min(HEAD_MAX_CHANNELS, c << (i + 1)) for i in range(HEAD_CONVS))
 
@@ -271,14 +265,11 @@ class TrackerModel:
         th = T.wrap_angle(T.linear(trunk, self.head.th_w, self.head.th_b))
         return T.reshape(T.concat([xy, z, th], axis=-1), (4,))
 
-    def forward_grids(self, prev_grid: Tensor, curr_grid: Tensor) -> Tensor:
-        return self.head_forward(self.backbone_forward(FramePair(prev_grid, curr_grid)))
-
     def forward_clouds(self, prev_cloud: PointCloud, curr_cloud: PointCloud,
                        spec: CropSpec) -> Tensor:
         curr_grid = self.encode(curr_cloud, spec)
         prev_grid = self.encode(prev_cloud, spec) if self.config.imm else curr_grid
-        return self.forward_grids(prev_grid, curr_grid)
+        return self.head_forward(self.backbone_forward(FramePair(prev_grid, curr_grid)))
 
 
 def motion_loss(pred4: Tensor, target: Motion4, config: ModelConfig) -> Tensor:

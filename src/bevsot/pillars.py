@@ -97,7 +97,9 @@ def decorate(cloud: PointCloud, spec: CropSpec) -> tuple[np.ndarray, np.ndarray]
 
     Features: x, y, z, signed offset to the pillar x-center, signed offset
     to the pillar y-center, and signed offset to the pillar point mean
-    (x, y, z). Intensity, when present, is ignored.
+    (x, y, z). The means are summed over the runs of ``T.cell_runs``, the
+    same grouping ``T.scatter_max`` pools over. Intensity, when present, is
+    ignored.
     """
     n = len(cloud)
     cells = assign_cells(cloud, spec)
@@ -112,17 +114,11 @@ def decorate(cloud: PointCloud, spec: CropSpec) -> tuple[np.ndarray, np.ndarray]
     cy = spec.y_range[0] + ((cells // W) + 0.5) * sy
     feats[:, 3] = p[:, 0] - cx
     feats[:, 4] = p[:, 1] - cy
-    order = np.argsort(cells, kind="stable")
-    sorted_cells = cells[order]
-    starts = np.concatenate(([0], np.nonzero(sorted_cells[1:] != sorted_cells[:-1])[0] + 1))
+    order, starts, run_of = T.cell_runs(cells)
     sums = np.add.reduceat(p[order], starts, axis=0)
-    counts = np.diff(np.concatenate((starts, [n])))
-    means = sums / counts[:, None]
-    group_of = np.zeros(n, dtype=np.int64)
-    group_of[starts[1:]] = 1
-    group_of = np.cumsum(group_of)
+    counts = np.diff(np.append(starts, n))
     mean_per_point = np.empty((n, 3))
-    mean_per_point[order] = means[group_of]
+    mean_per_point[order] = (sums / counts[:, None])[run_of]
     feats[:, 5:8] = p - mean_per_point
     return feats, cells
 

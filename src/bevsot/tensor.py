@@ -489,12 +489,25 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
 # scatter-max pooling (pillar aggregation)
 
 
+def cell_runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group points by cell index: the stable sort order by cell, the start
+    of each cell's run in that order, and the run index of each sorted
+    position. Within a run, points keep their original relative order."""
+    order = np.argsort(cells, kind="stable")
+    sorted_cells = cells[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = sorted_cells[1:] != sorted_cells[:-1]
+    return order, np.flatnonzero(first), np.cumsum(first) - 1
+
+
 def scatter_max(feats: Tensor, cell_index: np.ndarray, n_cells: int) -> Tensor:
     """Elementwise max of point features within each cell.
 
-    Empty cells are exactly zero. Backward routes gradient only to the
-    argmax contributor per (cell, channel); ties go to the lowest point
-    index, so point order never changes values and stays deterministic.
+    Points are grouped once by ``cell_runs`` and all channels are pooled
+    together over the runs. Empty cells are exactly zero. Backward routes
+    gradient only to the argmax contributor per (cell, channel); ties go to
+    the lowest point index, so point order never changes values and stays
+    deterministic. A NaN feature raises ``NumericError``.
     """
     idx = np.asarray(cell_index, dtype=np.int64)
     if feats.ndim != 2 or idx.shape != (feats.shape[0],):
@@ -506,16 +519,16 @@ def scatter_max(feats: Tensor, cell_index: np.ndarray, n_cells: int) -> Tensor:
     data = np.zeros((n_cells, C))
     arg = np.full((n_cells, C), -1, dtype=np.int64)
     if P:
-        order_tiebreak = np.arange(P)
-        for c in range(C):
-            vals = feats.data[:, c]
-            order = np.lexsort((order_tiebreak, -vals, idx))
-            sorted_cells = idx[order]
-            first = np.ones(P, dtype=bool)
-            first[1:] = sorted_cells[1:] != sorted_cells[:-1]
-            winners = order[first]
-            data[idx[winners], c] = vals[winners]
-            arg[idx[winners], c] = winners
+        order, starts, run_of = cell_runs(idx)
+        vals = feats.data[order]
+        best = np.maximum.reduceat(vals, starts, axis=0)
+        # NaN propagates into the max and then matches no point below
+        _ensure_finite(best, "scatter_max")
+        hits = np.where(vals == best[run_of], order[:, None], P)
+        winners = np.minimum.reduceat(hits, starts, axis=0)
+        cells = idx[order[starts]]
+        data[cells] = feats.data[winners, np.arange(C)]  # a tied 0.0/-0.0 keeps the winner's sign
+        arg[cells] = winners
 
     def bw(g):
         df = np.zeros((P, C))

@@ -11,6 +11,7 @@ from bevsot.exceptions import ConfigError, NumericError
 from bevsot.geometry import Motion4, PointCloud
 from bevsot.gradcheck import gradcheck_params
 from bevsot.model import ModelConfig, TrackerModel, motion_loss
+from bevsot.params import load_checkpoint, save_checkpoint
 from bevsot.pillars import CropSpec
 from bevsot.tensor import Tape, Tensor
 
@@ -181,6 +182,26 @@ def test_end_to_end_gradcheck_small(rng):
     errs = gradcheck_params(f, [(n, m.store[n]) for n in picks],
                             samples_per_param=3, rng=np.random.default_rng(2))
     assert max(errs.values()) < 1e-4, errs
+
+
+def test_gradcheck_keeps_alpha_shape_for_checkpoint(rng, tmp_path):
+    m = tiny_model()
+    spec = CropSpec(grid=(16, 16))
+    prev = PointCloud(rng.uniform(-4, 4, size=(40, 3)) * [1, 1, 0.3])
+    curr = PointCloud(rng.uniform(-4, 4, size=(40, 3)) * [1, 1, 0.3])
+    alphas = [(n, p) for n, p in m.store.items() if n.endswith("alpha")]
+    assert len(alphas) == m.config.stages
+
+    def f():
+        return motion_loss(m.forward_clouds(prev, curr, spec), Motion4(0.1, 0, 0, 0), m.config)
+
+    gradcheck_params(f, alphas)
+    assert [p.shape for _, p in alphas] == [()] * m.config.stages
+    path = str(tmp_path / "ck.bin")
+    save_checkpoint(m.store, path)
+    fresh = tiny_model(seed=1)
+    load_checkpoint(fresh.store, path)
+    assert fresh.alphas() == m.alphas()
 
 
 def test_every_param_receives_grad(rng):

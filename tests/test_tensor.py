@@ -279,6 +279,65 @@ def scatter_max_loop(feats, idx, n_cells):
     return out
 
 
+def scatter_max_lexsort(feats, idx, n_cells):
+    """Per-channel lexsort oracle: the pooling ``T.scatter_max`` replaced.
+    Returns the pooled values and the winning point per (cell, channel)."""
+    P, C = feats.shape
+    data = np.zeros((n_cells, C))
+    arg = np.full((n_cells, C), -1, dtype=np.int64)
+    for c in range(C):
+        vals = feats[:, c]
+        order = np.lexsort((np.arange(P), -vals, idx))
+        first = np.ones(P, dtype=bool)
+        first[1:] = idx[order][1:] != idx[order][:-1]
+        winners = order[first]
+        data[idx[winners], c] = vals[winners]
+        arg[idx[winners], c] = winners
+    return data, arg
+
+
+@pytest.mark.parametrize("P,C,cells,n_cells", [
+    (0, 3, [], 4),
+    (9, 1, [2] * 9, 4),  # a single cell
+    (30, 8, [7, 0, 63, 7, 2, 63, 0, 40, 7, 2] * 3, 64),  # unsorted, sparse
+    (200, 1, None, 50),
+    (200, 8, None, 50),
+])
+def test_scatter_max_matches_lexsort_oracle_with_ties(rng, P, C, cells, n_cells):
+    feats = rng.integers(-2, 3, size=(P, C)).astype(float)  # tie-heavy
+    idx = np.array(cells, dtype=np.int64) if cells is not None else rng.integers(0, n_cells, P)
+    want, arg = scatter_max_lexsort(feats, idx, n_cells)
+    g = rng.integers(1, 9, size=(n_cells, C)).astype(float)
+    x = leaf(feats)
+    with Tape() as tape:
+        out = T.scatter_max(x, idx, n_cells)
+        tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+    want_grad = np.zeros((P, C))
+    rows, cols = np.nonzero(arg >= 0)
+    want_grad[arg[rows, cols], cols] = g[rows, cols]
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(x.grad, want_grad)
+
+
+def test_scatter_max_tied_zeros_keep_the_lowest_index_sign():
+    feats = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    out = T.scatter_max(Tensor(feats), np.array([0, 0, 0]), 1).data
+    np.testing.assert_array_equal(np.signbit(out), [[True, False]])
+
+
+def test_scatter_max_nan_raises_naming_op():
+    feats = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 1.0]])
+    with pytest.raises(NumericError, match="scatter_max"):
+        T.scatter_max(Tensor(feats), np.array([0, 0, 1]), 2)
+
+
+def test_cell_runs_groups_stably():
+    order, starts, run_of = T.cell_runs(np.array([5, 2, 5, 0, 2, 5]))
+    np.testing.assert_array_equal(order, [3, 1, 4, 0, 2, 5])
+    np.testing.assert_array_equal(starts, [0, 1, 3])
+    np.testing.assert_array_equal(run_of, [0, 1, 1, 2, 2, 2])
+
+
 def test_scatter_max_no_points():
     out = T.scatter_max(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=int), 4)
     np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
