@@ -7,6 +7,14 @@ The head applies three 3x3 stride-2 convolutions (valid padding, falling
 back to same padding once the grid is smaller than the kernel), which
 must land exactly on 1x1, then a shared MLP trunk and three independent
 subtask heads for (dx, dy), dz, and dtheta.
+
+A head conv whose input is already 1x1 meets data only with the centre
+tap of its kernel (every other tap falls on padding), so it stores just
+that tap, w[1, 1] of shape (cin, cout), and runs as a linear layer on the
+(1, cin) row; its outputs and gradients equal the padded 3x3 conv's. At
+the desk preset this holds for head.conv2 and head.conv3, so the model has
+450,975 parameters (a 3.6 MB checkpoint) instead of 1,761,695; the full
+preset's head (16 -> 7 -> 3 -> 1, valid padding) has no such conv.
 """
 
 from __future__ import annotations
@@ -120,6 +128,11 @@ class HeadParams:
     th_b: Tensor
 
 
+def _row(x: Tensor) -> Tensor:
+    """A 1x1xC grid as its (1, C) row; a row as it is."""
+    return x if x.ndim == 2 else T.reshape(x, (1, x.shape[-1]))
+
+
 def _kaiming(rng, shape, fan_in):
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -190,8 +203,14 @@ class TrackerModel:
 
         cin = cfg.final_channels
         conv_w, conv_b, conv_ln = [], [], []
-        for i, cout in enumerate(cfg.head_channel_widths(), start=1):
-            conv_w.append(new(f"head.conv{i}.w", _kaiming(rng, (3, 3, cin, cout), 9 * cin)))
+        head_grids = [h for h, _, _ in cfg.shape_chain()[cfg.stages:-1]]
+        for i, (h, cout) in enumerate(zip(head_grids, cfg.head_channel_widths()), start=1):
+            # the full kernel is drawn either way, which keeps the RNG stream
+            w = _kaiming(rng, (3, 3, cin, cout), 9 * cin)
+            if h == 1:
+                self.store.centre_taps.add(f"head.conv{i}.w")
+                w = w[1, 1]  # create() copies, so the full draw is freed
+            conv_w.append(new(f"head.conv{i}.w", w))
             conv_b.append(new(f"head.conv{i}.b", np.zeros(cout)))
             conv_ln.append((new(f"head.conv{i}.ln.g", np.ones(cout)),
                             new(f"head.conv{i}.ln.b", np.zeros(cout))))
@@ -221,8 +240,13 @@ class TrackerModel:
             elif name.endswith("alpha"):
                 t.data = np.asarray(rng.uniform(0.3, 0.7))
             else:
-                fan = t.data.shape[0] if t.data.ndim else 1
-                t.data = rng.uniform(-0.3, 0.3, size=t.data.shape) / math.sqrt(fan)
+                # a centre tap is drawn as its whole 3x3 kernel (fan 3), so each
+                # value and the rest of the stream do not depend on the fold
+                tap = name in self.store.centre_taps
+                shape = (3, 3) + t.data.shape if tap else t.data.shape
+                fan = shape[0] if shape else 1
+                data = rng.uniform(-0.3, 0.3, size=shape) / math.sqrt(fan)
+                t.data = data[1, 1].copy() if tap else data
 
     def alphas(self) -> list[float]:
         return [bp.alpha.item() for bp in self.blocks if bp.alpha is not None]
@@ -256,9 +280,12 @@ class TrackerModel:
             raise ShapeError(f"head input {feat.shape} does not match {expected}")
         x = feat
         for w, b, (g, beta) in zip(self.head.conv_w, self.head.conv_b, self.head.conv_ln):
-            x = T.conv2d(x, w, b, stride=2, padding=_head_pad(x.shape[0]))
+            if w.ndim == 2:  # centre tap of a conv over a 1x1 grid
+                x = T.linear(_row(x), w, b)
+            else:
+                x = T.conv2d(x, w, b, stride=2, padding=_head_pad(x.shape[0]))
             x = T.silu(T.layernorm(x, g, beta))
-        x = T.reshape(x, (1, x.shape[2]))
+        x = _row(x)
         trunk = T.silu(T.linear(x, self.head.trunk_w, self.head.trunk_b))
         xy = T.linear(trunk, self.head.xy_w, self.head.xy_b)
         z = T.linear(trunk, self.head.z_w, self.head.z_b)

@@ -3,11 +3,15 @@ learning-rate schedule, and the binary checkpoint format.
 
 Checkpoint layout (little-endian): magic ``BSOT``, u32 version, u32 count,
 then per parameter: u16 name length + utf-8 name, u8 ndim, u32 dims,
-row-major float64 data.
+row-major float64 data. A checkpoint is written to a temporary file in
+its directory and moved into place, so an interrupted write leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from typing import Iterator
 
@@ -34,11 +38,17 @@ class ParamStore:
 
     Names are unique and shapes are immutable after creation; iteration
     order is creation order, which keeps optimizer updates deterministic.
+
+    ``centre_taps`` names the (cin, cout) parameters that stand for the
+    centre tap w[1, 1] of a 3x3 kernel: the only tap a padded 3x3 conv over
+    a 1x1 grid multiplies with data. A checkpoint holding the full
+    (3, 3, cin, cout) kernel for such a name loads as its centre tap.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._state: dict[str, _AdamState] = {}
+        self.centre_taps: set[str] = set()
 
     def create(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
@@ -79,6 +89,7 @@ class ParamStore:
             ot.m[...] = st.m
             ot.v[...] = st.v
             ot.step = st.step
+        other.centre_taps = set(self.centre_taps)
         return other
 
 
@@ -142,20 +153,30 @@ def lr_at_epoch(base_lr: float, epoch: int, decay_factor: float = 5.0,
 
 
 def save_checkpoint(store: ParamStore, path: str):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(store)))
-        for name, t in store.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", t.data.ndim))
-            fh.write(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    """Write every parameter to `path`, replacing it only once the write is whole."""
+    # same directory, so os.replace is a rename on one file system
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _VERSION, len(store)))
+            for name, t in store.items():
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", t.data.ndim))
+                fh.write(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(store: ParamStore, path: str):
-    """Load values into an existing store; every name and shape must match."""
+    """Load values into an existing store; every name and shape must match,
+    except that a full 3x3 kernel loads into a centre-tap parameter as w[1, 1]."""
     entries = read_checkpoint(path)
     missing = set(store.names()) - set(entries)
     extra = set(entries) - set(store.names())
@@ -164,6 +185,8 @@ def load_checkpoint(store: ParamStore, path: str):
             f"checkpoint/model mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
     for name, arr in entries.items():
         t = store[name]
+        if name in store.centre_taps and arr.shape == (3, 3) + t.data.shape:
+            arr = arr[1, 1].copy()
         if arr.shape != t.data.shape:
             raise ConfigError(
                 f"checkpoint shape mismatch for '{name}': {arr.shape} vs {t.data.shape}")

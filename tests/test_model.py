@@ -1,17 +1,21 @@
 """Backbone/head bookkeeping, the loss, and whole-model gradients."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bevsot import config as cfgmod
 from bevsot import tensor as T
 from bevsot.blocks import FramePair
 from bevsot.exceptions import ConfigError, NumericError
 from bevsot.geometry import Motion4, PointCloud
 from bevsot.gradcheck import gradcheck_params
 from bevsot.model import ModelConfig, TrackerModel, motion_loss
-from bevsot.params import load_checkpoint, save_checkpoint
+from bevsot.params import ParamStore, load_checkpoint, save_checkpoint
 from bevsot.pillars import CropSpec
 from bevsot.tensor import Tape, Tensor
 
@@ -109,6 +113,144 @@ def test_head_input_shape_checked(rng):
     m = tiny_model()
     with pytest.raises(Exception):
         m.head_forward(Tensor(rng.standard_normal((4, 4, 32))))
+
+
+# ---------------------------------------------------------------------------
+# head convs over a 1x1 grid, stored as their centre tap
+
+
+def full_kernels(m, rng):
+    """Each centre-tap parameter of m as a full 3x3 kernel: the tap at
+    [1, 1], random values at the taps that fall on padding."""
+    out = {}
+    for name in m.store.centre_taps:
+        tap = m.store[name].data
+        k = rng.standard_normal((3, 3) + tap.shape)
+        k[1, 1] = tap
+        out[name] = k
+    return out
+
+
+def test_desk_head_stores_centre_taps():
+    m = TrackerModel(ModelConfig(), seed=0)
+    assert m.store.centre_taps == {"head.conv2.w", "head.conv3.w"}
+    assert m.store["head.conv1.w"].shape == (3, 3, 64, 128)
+    assert m.store["head.conv2.w"].shape == (128, 256)
+    assert m.store["head.conv3.w"].shape == (256, 512)
+    assert m.store.num_values() == 450_975  # 1,761,695 with the full kernels
+    # copies, not views that would keep the whole 3x3 draw alive
+    assert all(m.store[n].data.base is None for n in m.store.centre_taps)
+
+
+def test_desk_init_takes_centre_of_full_kernel_draw():
+    """Initial values equal w[1, 1] of the full-kernel model's draw (seed 0),
+    and the parameters drawn after the head convs are unchanged too."""
+    m = TrackerModel(ModelConfig(), seed=0)
+    pins = {  # name: (w[0, 0], w.sum()) of the full-kernel model
+        "head.conv2.w": (0.032892802057941664, -2.004196243252241),
+        "head.conv3.w": (-0.050293358752470575, 12.249164558419215),
+        "head.trunk.w": (-0.04244051707210804, -3.187968105077962),
+    }
+    for name, (first, total) in pins.items():
+        w = m.store[name].data
+        assert w[0, 0] == first and w.sum() == pytest.approx(total, rel=1e-12), name
+
+
+def test_full_preset_parameters_unchanged():
+    """The full preset's head (16 -> 7 -> 3 -> 1, valid padding) has no 1x1
+    input, so its names and shapes are those of the full-kernel model."""
+    m = TrackerModel(cfgmod.from_items(cfgmod.FULL_SCALE_OVERRIDES).model_config())
+    assert m.store.centre_taps == set()
+    assert [m.store[f"head.conv{i}.w"].shape for i in (1, 2, 3)] == [
+        (3, 3, 128, 256), (3, 3, 256, 512), (3, 3, 512, 512)]
+    assert (len(m.store), m.store.num_values()) == (94, 5_216_055)
+    # sha256 of the "name shape" lines of the model with every kernel full
+    text = "".join(f"{n} {t.shape}\n" for n, t in m.store.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ccc428f7a0470d852f6b1ad9562617e8deaa6c3b806620802d2e5f55fb1aeb4")
+
+
+def test_centre_tap_head_matches_full_conv_head(rng):
+    """The head with its full 3x3 kernels runs every layer as a padded conv:
+    same outputs and gradients, and zero gradient on the padding taps."""
+    m = TrackerModel(ModelConfig(), seed=0)
+    m.randomize_all(np.random.default_rng(5))
+    feat = Tensor(rng.standard_normal((4, 4, 64)), requires_grad=True)
+    up = Tensor(rng.standard_normal(4))
+    kernels = {n: Tensor(k, requires_grad=True) for n, k in full_kernels(m, rng).items()}
+    conv_head = replace(m.head, conv_w=[kernels.get(f"head.conv{i}.w", w)
+                                        for i, w in enumerate(m.head.conv_w, start=1)])
+    runs = []
+    for head in (m.head, conv_head):
+        m.head = head
+        m.store.zero_grad()
+        feat.grad = None
+        with Tape() as tape:
+            out = m.head_forward(feat)
+            tape.backward(T.sum_all(T.mul(out, up)))
+        runs.append((out.data, feat.grad, {n: t.grad for n, t in m.store.items()}))
+    (out_f, dfeat_f, grads_f), (out_c, dfeat_c, grads_c) = runs
+    np.testing.assert_array_equal(out_f, out_c)
+    np.testing.assert_array_equal(dfeat_f, dfeat_c)
+    for name, g in grads_f.items():
+        if name in kernels:
+            dk = kernels[name].grad
+            np.testing.assert_array_equal(g, dk[1, 1])
+            dk[1, 1] = 0.0
+            assert not dk.any()
+        elif name.startswith("head."):
+            np.testing.assert_array_equal(g, grads_c[name])
+
+
+def test_randomize_all_draws_centre_taps_from_full_kernels():
+    """randomize_all draws a centre tap as its whole 3x3 kernel (fan = 3),
+    so every value equals the full-kernel model's draw or its centre tap."""
+    m = TrackerModel(ModelConfig(), seed=0)
+    oracle = TrackerModel(ModelConfig(), seed=0)
+    oracle.store = ParamStore()
+    for name, t in m.store.items():
+        shape = (3, 3) + t.shape if name in m.store.centre_taps else t.shape
+        oracle.store.create(name, np.zeros(shape))
+    m.randomize_all(np.random.default_rng(9))
+    oracle.randomize_all(np.random.default_rng(9))
+    for name, t in m.store.items():
+        want = oracle.store[name].data
+        np.testing.assert_array_equal(t.data, want[1, 1] if t.ndim < want.ndim else want)
+    assert all(m.store[n].data.base is None for n in m.store.centre_taps)
+
+
+def test_checkpoint_with_full_kernels_loads_as_centre_taps(rng, tmp_path):
+    """A checkpoint written by the full-kernel model (format v1, 3x3 kernels
+    for head.conv2/conv3) loads and predicts what its model predicted."""
+    m = TrackerModel(ModelConfig(), seed=0)
+    m.randomize_all(np.random.default_rng(4))
+    kernels = full_kernels(m, rng)
+    v1 = ParamStore()
+    for name, t in m.store.items():
+        v1.create(name, kernels.get(name, t.data))
+    path = str(tmp_path / "v1.bin")
+    save_checkpoint(v1, path)
+    fresh = TrackerModel(ModelConfig(), seed=1)
+    load_checkpoint(fresh.store, path)
+    for name, t in m.store.items():
+        np.testing.assert_array_equal(fresh.store[name].data, t.data)
+    spec = CropSpec()
+    prev = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
+    curr = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
+    np.testing.assert_array_equal(fresh.forward_clouds(prev, curr, spec).data,
+                                  m.forward_clouds(prev, curr, spec).data)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 128, 255), (2, 2, 128, 256), (1, 128, 256)])
+def test_checkpoint_kernel_of_wrong_shape_names_parameter(tmp_path, shape):
+    m = TrackerModel(ModelConfig(), seed=0)
+    bad = ParamStore()
+    for name, t in m.store.items():
+        bad.create(name, np.zeros(shape) if name == "head.conv2.w" else t.data)
+    path = str(tmp_path / "bad.bin")
+    save_checkpoint(bad, path)
+    with pytest.raises(ConfigError, match="shape mismatch for 'head.conv2.w'"):
+        load_checkpoint(m.store, path)
 
 
 # ---------------------------------------------------------------------------

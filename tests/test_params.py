@@ -151,6 +151,29 @@ def test_checkpoint_bytes_deterministic(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_write_that_fails_keeps_previous_file(tmp_path, rng):
+    s = ParamStore()
+    s.create("a.w", rng.standard_normal((3, 2)))
+    s.create("b.w", rng.standard_normal(4))
+    path = tmp_path / "ck.bin"
+    save_checkpoint(s, str(path))
+    before = path.read_bytes()
+    s["a.w"].data = s["a.w"].data + 1.0
+    s["b.w"].data = np.array(["not a number"] * 4)  # raises after a.w is written
+    with pytest.raises(ValueError):
+        save_checkpoint(s, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
+
+
+def test_checkpoint_write_that_fails_leaves_no_file(tmp_path):
+    s = store_with("w")
+    s["w"].data = np.array(["x"])
+    with pytest.raises(ValueError):
+        save_checkpoint(s, str(tmp_path / "ck.bin"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_shape_mismatch(tmp_path):
     s = store_with("w", np.zeros(3))
     path = tmp_path / "ck.bin"

@@ -189,6 +189,30 @@ def test_conv2d_input_grad_matches_add_at_scatter(rng, H, W, stride, padding, de
     assert np.abs(dx - want).max() <= 1e-12 * np.abs(want).max()
 
 
+# The model's head stores a conv over a 1x1 grid as the centre tap of its
+# kernel and applies it as a linear layer; the padded 3x3 conv is the oracle.
+@pytest.mark.parametrize("cin,cout", [(3, 5), (16, 32), (128, 256), (256, 512)])
+def test_centre_tap_linear_matches_padded_conv_on_1x1(rng, cin, cout):
+    x = leaf(rng.standard_normal((1, 1, cin)))
+    w = leaf(rng.standard_normal((3, 3, cin, cout)))
+    b = leaf(rng.standard_normal(cout))
+    row, tap, b2 = leaf(x.data.reshape(1, cin)), leaf(w.data[1, 1].copy()), leaf(b.data)
+    up = rng.standard_normal(cout)
+    conv_out = T.conv2d(x, w, b, stride=2, padding=1)
+    lin_out = T.linear(row, tap, b2)
+    np.testing.assert_array_equal(lin_out.data, conv_out.data.reshape(1, cout))
+    dx, dw, db = grad_of(lambda *t: T.sum_all(T.mul(
+        T.conv2d(*t, stride=2, padding=1), Tensor(up.reshape(1, 1, cout)))), x, w, b)
+    drow, dtap, db2 = grad_of(lambda *t: T.sum_all(T.mul(
+        T.linear(*t), Tensor(up.reshape(1, cout)))), row, tap, b2)
+    np.testing.assert_array_equal(drow, dx.reshape(1, cin))
+    np.testing.assert_array_equal(dtap, dw[1, 1])
+    np.testing.assert_array_equal(db2, db)
+    off_centre = np.ones((3, 3), dtype=bool)
+    off_centre[1, 1] = False
+    assert np.all(dw[off_centre] == 0.0)  # those taps never meet data
+
+
 # ---------------------------------------------------------------------------
 # layernorm
 
