@@ -140,6 +140,9 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
     """
     if len(Ns) < 4 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ConfigError(f"need >= 4 strictly increasing N values, got {Ns}")
+    for name, value in (("d", d), ("repeats", repeats)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     records = []
     for N in Ns:

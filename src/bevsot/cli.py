@@ -115,8 +115,8 @@ def cmd_train(args) -> int:
         seqs = [read_sequence(d) for d in list_sequence_dirs(args.data)]
     else:
         seqs = _generate_dataset(cfg, cfg.seed)
-    samples = make_training_samples(
-        seqs, per_sequence_spec=lambda s: cfg.crop_spec(s.gt[0]))
+    samples = [s for seq in seqs
+               for s in make_training_samples([seq], cfg.crop_spec(seq.gt[0]))]
     if not samples:
         raise DataFormatError("no training samples (are the sequences length >= 2?)")
     print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
@@ -186,7 +186,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ns = [int(v) for v in args.ns.split(",")]
+    try:
+        ns = [int(v) for v in args.ns.split(",")]
+    except ValueError:
+        raise ConfigError(f"--ns expects comma-separated integers, got '{args.ns}'") from None
     records, slopes, report = bench_attention(ns, d=args.d, repeats=args.repeats,
                                               seed=args.seed or 0)
     out = _run_dir(args.out, "bench")
@@ -199,6 +202,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     # default to the small verification config; flags/files still override
     tiny = cfgmod.from_items({"grid": "16", "channels": "4", "head_trunk": "64"})
     cfg = _build_config(args, base=tiny)

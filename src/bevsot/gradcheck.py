@@ -31,8 +31,11 @@ def gradcheck_params(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor
 
     With `samples_per_param`, only that many random coordinates per tensor
     are finite-differenced (needed to keep whole-model checks fast); the
-    analytic gradient still comes from one full backward pass.
+    analytic gradient still comes from one full backward pass. Fewer than
+    one sample would check nothing, so it raises ``ValueError``.
     """
+    if samples_per_param is not None and samples_per_param < 1:
+        raise ValueError(f"samples_per_param must be >= 1, got {samples_per_param}")
     for _, p in params:
         p.data = np.require(p.data, requirements="C")  # keeps 0-d arrays 0-d
     with Tape() as tape:

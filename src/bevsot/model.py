@@ -69,7 +69,7 @@ class ModelConfig:
             raise ConfigError("need at least one stage")
         if self.grid >> (self.stages - 1) < 1:
             raise ConfigError(f"grid {self.grid} too small for {self.stages} stages")
-        for name in ("heads", "ffn_expand"):
+        for name in ("channels", "heads", "head_trunk", "ffn_expand"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.channels % self.heads:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import NumericError, ShapeError
 
@@ -411,22 +410,6 @@ def _conv_geometry(H: int, W: int, stride: int, padding: int):
     return Ho, Wo
 
 
-def _col2im(dwin: np.ndarray, Hp: int, Wp: int, stride: int) -> np.ndarray:
-    """Sum window gradients (Ho, Wo, 3, 3, C) back onto the padded (Hp, Wp, C) grid.
-
-    One strided slice-add per kernel tap. Taps go in descending order, so
-    every cell adds its windows' terms in ascending window order, the same
-    order as a scatter over the windows.
-    """
-    Ho, Wo = dwin.shape[:2]
-    dxp = np.zeros((Hp, Wp, dwin.shape[-1]))
-    for i in reversed(range(_KSIZE)):
-        for j in reversed(range(_KSIZE)):
-            dxp[i:i + stride * (Ho - 1) + 1:stride,
-                j:j + stride * (Wo - 1) + 1:stride] += dwin[:, :, i, j]
-    return dxp
-
-
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
            depthwise: bool = False, padding: int = 1) -> Tensor:
     """3x3 convolution over an HxWxC grid.
@@ -434,6 +417,15 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     Default padding 1 gives output ceil(H/stride) x ceil(W/stride).
     Depthwise mode applies one 3x3 filter per channel (w: 3x3xC and
     output channels == input channels); dense mode takes w: 3x3xCinxCout.
+
+    The kernel runs as nine taps. Tap (i, j) pairs w[i, j] with the strided
+    slice of the padded input that starts at (i, j), which holds the cell
+    under that tap for every output cell. Forward adds slice @ w[i, j]
+    (dense) or slice * w[i, j] (depthwise) into a zeroed output, tap by
+    tap. Backward walks the taps in reverse: it slice-adds g @ w[i, j].T
+    (or g * w[i, j]) into the padded input gradient, so each cell sums its
+    windows' terms in ascending window order, and forms dw[i, j] from the
+    same slice.
     """
     if stride < 1:
         raise ShapeError(f"conv2d: non-positive stride {stride}")
@@ -451,34 +443,29 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     Ho, Wo = _conv_geometry(H, W, stride, padding)
 
     xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
-    Hp, Wp = xp.shape[0], xp.shape[1]
-    # windows: (Ho, Wo, C, 3, 3)
-    win = sliding_window_view(xp, (_KSIZE, _KSIZE), axis=(0, 1))[::stride, ::stride]
+    wd = w.data
+    taps = [((i, j), (slice(i, i + stride * (Ho - 1) + 1, stride),
+                      slice(j, j + stride * (Wo - 1) + 1, stride)))
+            for i in range(_KSIZE) for j in range(_KSIZE)]
 
-    if depthwise:
-        wd = w.data
-        data = np.einsum("xycij,ijc->xyc", win, wd)
-
-        def window_grads(g):
-            return g[:, :, None, None, :] * wd, np.einsum("xycij,xyc->ijc", win, g)
-
-    else:
-        patches = win.transpose(0, 1, 3, 4, 2).reshape(Ho * Wo, _KSIZE * _KSIZE * Cin)
-        w2d = w.data.reshape(_KSIZE * _KSIZE * Cin, Cout)
-        data = (patches @ w2d).reshape(Ho, Wo, Cout)
-
-        def window_grads(g):
-            g2d = g.reshape(Ho * Wo, Cout)
-            return ((g2d @ w2d.T).reshape(Ho, Wo, _KSIZE, _KSIZE, Cin),
-                    (patches.T @ g2d).reshape(w.data.shape))
-
+    data = np.zeros((Ho, Wo, Cout))
+    for ij, s in taps:
+        data += xp[s] * wd[ij] if depthwise else xp[s] @ wd[ij]
     if b is not None:
-        data = data + b.data
+        data += b.data
 
     def bw(g):
-        dwin, dw = window_grads(g)
-        dxp = _col2im(dwin, Hp, Wp, stride)
-        dx = dxp[padding:Hp - padding, padding:Wp - padding] if padding else dxp
+        dxp = np.zeros_like(xp)
+        dw = np.empty_like(wd)
+        g2d = g.reshape(Ho * Wo, Cout)
+        for ij, s in reversed(taps):
+            if depthwise:
+                dxp[s] += g * wd[ij]
+                dw[ij] = (xp[s] * g).sum(axis=(0, 1))
+            else:
+                dxp[s] += (g2d @ wd[ij].T).reshape(Ho, Wo, Cin)
+                dw[ij] = xp[s].reshape(Ho * Wo, Cin).T @ g2d
+        dx = dxp[padding:padding + H, padding:padding + W]
         return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 1)))
 
     inputs = (x, w) if b is None else (x, w, b)

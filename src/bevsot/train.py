@@ -39,24 +39,23 @@ class TrainSettings:
             raise ConfigError(f"decay_factor must be > 0, got {self.decay_factor}")
 
 
-def make_training_samples(sequences: list[LabeledSequence], spec: CropSpec = None,
-                          per_sequence_spec=None) -> list[TrainingSample]:
-    """Every consecutive frame pair of every sequence, cropped around the
-    previous gt box (mimicking inference, where the crop center carries
-    the previous prediction's error). `per_sequence_spec(seq)` supports
-    windows derived from each sequence's target size (ratio-crop mode)."""
+def make_training_samples(sequences: list[LabeledSequence],
+                          spec: CropSpec) -> list[TrainingSample]:
+    """Every consecutive frame pair of every sequence, cropped with `spec`
+    around the previous gt box (mimicking inference, where the crop center
+    carries the previous prediction's error). A window derived from each
+    sequence's target size (ratio-crop mode) takes one call per sequence."""
     samples = []
     for seq in sequences:
-        seq_spec = per_sequence_spec(seq) if per_sequence_spec else spec
         for t in range(1, len(seq.frames)):
             ref = seq.gt[t - 1]
             samples.append(TrainingSample(
-                prev_pts=crop(canonicalize(seq.frames[t - 1], ref), seq_spec),
-                curr_pts=crop(canonicalize(seq.frames[t], ref), seq_spec),
+                prev_pts=crop(canonicalize(seq.frames[t - 1], ref), spec),
+                curr_pts=crop(canonicalize(seq.frames[t], ref), spec),
                 box_prev=ref.with_pose(0.0, 0.0, 0.0, 0.0),
                 box_curr=box_in_frame(seq.gt[t], ref),
                 target=relative_motion(seq.gt[t - 1], seq.gt[t]),
-                spec=seq_spec))
+                spec=spec))
     return samples
 
 

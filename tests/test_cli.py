@@ -224,7 +224,7 @@ def test_config_file_directory_exit_code_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["batch", "heads", "ffn_expand", "decay_interval",
-                                 "decay_factor"])
+                                 "decay_factor", "channels", "head_trunk"])
 def test_zero_divisor_exit_code_1(tmp_path, capsys, key):
     code = run(["train", "--out", tmp_path / "r"] + FAST + ["--set", f"{key}=0"])
     _config_error(capsys, code, key)
@@ -386,6 +386,22 @@ def test_bench_command_gate_slope_fail_exit_3(tmp_path, monkeypatch):
     report = (out / "scaling_report.txt").read_text()
     assert "slope check motion_gate_tiled: 3.0000 vs 2.0 +/- 0.15 -> FAIL" in report
     assert report.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("args,name", [
+    pytest.param(["--ns", "1,a"], "--ns", id="ns-not-int"),
+    pytest.param(["--ns", ""], "--ns", id="ns-empty"),
+    pytest.param(["--d", "0"], "d must be", id="d-zero"),
+    pytest.param(["--repeats", "0"], "repeats must be", id="repeats-zero")])
+def test_bench_bad_input_exit_code_1(tmp_path, capsys, args, name):
+    out = tmp_path / "b"
+    _config_error(capsys, run(["bench", "--out", out] + args), name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_gradcheck_samples_below_one_exit_code_1(capsys, samples):
+    _config_error(capsys, run(["gradcheck", "--samples", samples]), "--samples")
 
 
 def test_gradcheck_command_small():

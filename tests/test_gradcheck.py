@@ -43,6 +43,13 @@ def test_gradcheck_params_sampled(rng):
     assert max(errs.values()) < 1e-6
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_gradcheck_params_rejects_fewer_than_one_sample(rng, samples):
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    with pytest.raises(ValueError, match="samples_per_param"):
+        gradcheck_params(lambda: T.sum_all(a), [("a", a)], samples_per_param=samples, rng=rng)
+
+
 def test_gradcheck_catches_wrong_gradient(rng):
     # a deliberately broken op: forward x^2 with backward claiming 3x
     from bevsot.tensor import _out

@@ -1,13 +1,19 @@
 """Tensor op forward oracles and finite-difference backward checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from bevsot import config as cfgmod
 from bevsot import tensor as T
+from bevsot.blocks import FramePair
 from bevsot.exceptions import NumericError, ShapeError
 from bevsot.gradcheck import gradcheck
+from bevsot.model import ModelConfig, TrackerModel, _head_pad
 from bevsot.tensor import Tape, Tensor
 
 
@@ -151,8 +157,8 @@ def test_conv2d_grad(rng, stride, padding, depthwise):
 
 
 def scatter_col2im(dwin, Hp, Wp, stride):
-    """The np.add.at scatter that _col2im replaced: one flat padded-grid
-    index per (window, tap), all window gradients added in one pass."""
+    """The np.add.at scatter that the slice-add backward replaced: one flat
+    padded-grid index per (window, tap), all window gradients added in one pass."""
     Ho, Wo, _, _, C = dwin.shape
     oi, oj = np.meshgrid(np.arange(Ho), np.arange(Wo), indexing="ij")
     base = (oi * stride)[..., None, None] * Wp + (oj * stride)[..., None, None]
@@ -160,6 +166,45 @@ def scatter_col2im(dwin, Hp, Wp, stride):
     out = np.zeros((Hp * Wp, C))
     np.add.at(out, (base + di * Wp + dj).reshape(-1), dwin.reshape(-1, C))
     return out.reshape(Hp, Wp, C)
+
+
+def conv2d_im2col(x, w, b, up, stride, padding, depthwise):
+    """The window-view conv that the nine-tap loop replaced, as a fast oracle:
+    sliding_window_view windows, einsums (depthwise) or an im2col patch
+    matmul (dense), and the add.at scatter of the window gradients.
+    Returns the output and the gradients (dx, dw, db) for upstream `up`."""
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    Hp, Wp, C = xp.shape
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))[::stride, ::stride]  # Ho, Wo, C, 3, 3
+    Ho, Wo = win.shape[:2]
+    if depthwise:
+        out = np.einsum("xycij,ijc->xyc", win, w)
+        dwin = up[:, :, None, None, :] * w
+        dw = np.einsum("xycij,xyc->ijc", win, up)
+    else:
+        patches = win.transpose(0, 1, 3, 4, 2).reshape(Ho * Wo, 9 * C)
+        w2d, up2d = w.reshape(9 * C, -1), up.reshape(Ho * Wo, -1)
+        out = (patches @ w2d).reshape(Ho, Wo, -1)
+        dwin = (up2d @ w2d.T).reshape(Ho, Wo, 3, 3, C)
+        dw = (patches.T @ up2d).reshape(w.shape)
+    dxp = scatter_col2im(dwin, Hp, Wp, stride)
+    return out + b, dxp[padding:Hp - padding, padding:Wp - padding], dw, up.sum(axis=(0, 1))
+
+
+def conv_grads(rng, x, w, b, stride, padding, depthwise):
+    """conv2d's output and (dx, dw, db) for a random upstream gradient."""
+    xs, ws, bs = leaf(x), leaf(w), leaf(b)
+    out = T.conv2d(xs, ws, bs, stride=stride, padding=padding, depthwise=depthwise)
+    up = rng.standard_normal(out.shape)
+    grads = grad_of(lambda *t: T.sum_all(T.mul(
+        T.conv2d(*t, stride=stride, padding=padding, depthwise=depthwise), Tensor(up))),
+        xs, ws, bs)
+    return out.data, up, grads
+
+
+def assert_rel_close(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 COL2IM_CASES = [(H, W, stride, padding) for H, W in [(5, 7), (4, 4), (1, 1), (3, 3)]
@@ -170,23 +215,67 @@ COL2IM_CASES = [(H, W, stride, padding) for H, W in [(5, 7), (4, 4), (1, 1), (3,
 @pytest.mark.parametrize("H,W,stride,padding", COL2IM_CASES)
 def test_conv2d_input_grad_matches_add_at_scatter(rng, H, W, stride, padding, depthwise):
     C = 3
-    x = leaf(rng.standard_normal((H, W, C)))
-    w = leaf(rng.standard_normal((3, 3, C) if depthwise else (3, 3, C, 2)))
-    out_shape = T.conv2d(x, w, stride=stride, padding=padding, depthwise=depthwise).shape
-    up = rng.standard_normal(out_shape)
-    (dx,) = grad_of(lambda t: T.sum_all(T.mul(
-        T.conv2d(t, w, stride=stride, padding=padding, depthwise=depthwise), Tensor(up))), x)
-    # the window gradients as the scatter backward formed them
-    Ho, Wo = out_shape[:2]
+    x = rng.standard_normal((H, W, C))
+    w = rng.standard_normal((3, 3, C) if depthwise else (3, 3, C, 2))
+    b = rng.standard_normal(C if depthwise else 2)
+    _, up, (dx, _, _) = conv_grads(rng, x, w, b, stride, padding, depthwise)
+    assert_rel_close(dx, conv2d_im2col(x, w, b, up, stride, padding, depthwise)[1])
+
+
+def preset_conv_calls(cfg):
+    """(H, Cin, Cout, stride, padding, depthwise) of each conv2d call of one
+    frame through the model: per stage the tokenizing conv, the depthwise
+    conv and the stride-2 downsampling conv, then every head conv whose
+    input grid is larger than 1x1 (the others are stored as centre taps)."""
+    calls = []
+    for res, C in cfg.stage_dims():
+        calls += [(res, C, C, 1, 1, False), (res, C, C, 1, 1, True),
+                  (res, C, 2 * C, 2, 1, False)]
+    chain = cfg.shape_chain()[cfg.stages:]
+    for (h, _, cin), (_, _, cout) in zip(chain, chain[1:]):
+        if h > 1:
+            calls.append((h, cin, cout, 2, _head_pad(h), False))
+    return calls
+
+
+PRESET_MODELS = {"desk": ModelConfig(),
+                 "full": cfgmod.from_items(cfgmod.FULL_SCALE_OVERRIDES).model_config()}
+PRESET_CONVS = [pytest.param(*call, id=f"{name}-{call[0]}x{call[1]}-{call[2]}"
+                             f"-s{call[3]}p{call[4]}{'-dw' if call[5] else ''}")
+                for name, cfg in PRESET_MODELS.items() for call in preset_conv_calls(cfg)]
+
+
+def test_preset_conv_calls_match_a_desk_forward(rng, monkeypatch):
+    cfg = replace(PRESET_MODELS["desk"], imm=False)
+    model = TrackerModel(cfg, seed=0)
+    seen, conv2d = [], T.conv2d
+
+    def spy(x, w, b=None, stride=1, depthwise=False, padding=1):
+        out = conv2d(x, w, b, stride=stride, depthwise=depthwise, padding=padding)
+        seen.append((x.shape[0], x.shape[2], out.shape[2], stride, padding, depthwise))
+        return out
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    grid = Tensor(rng.standard_normal((cfg.grid, cfg.grid, cfg.channels)))
+    model.head_forward(model.backbone_forward(FramePair(grid, grid)))
+    assert seen == preset_conv_calls(cfg)
+    assert [len(preset_conv_calls(c)) for c in PRESET_MODELS.values()] == [10, 12]
+
+
+@pytest.mark.parametrize("H,Cin,Cout,stride,padding,depthwise", PRESET_CONVS)
+def test_conv2d_matches_im2col_oracle_on_preset_shapes(rng, H, Cin, Cout, stride, padding,
+                                                       depthwise):
+    x = rng.standard_normal((H, H, Cin))
+    w = rng.standard_normal((3, 3, Cin) if depthwise else (3, 3, Cin, Cout))
+    b = rng.standard_normal(Cout)
+    out, up, grads = conv_grads(rng, x, w, b, stride, padding, depthwise)
+    want = conv2d_im2col(x, w, b, up, stride, padding, depthwise)
     if depthwise:
-        dwin = (up[..., None, None] * w.data.transpose(2, 0, 1)).transpose(0, 1, 3, 4, 2)
-    else:
-        dwin = up.reshape(Ho * Wo, -1) @ w.data.reshape(9 * C, -1).T
-    Hp, Wp = H + 2 * padding, W + 2 * padding
-    dxp = scatter_col2im(dwin.reshape(Ho, Wo, 3, 3, C), Hp, Wp, stride)
-    want = dxp[padding:Hp - padding, padding:Wp - padding]
-    assert dx.shape == want.shape
-    assert np.abs(dx - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_array_equal(out, want[0])
+    else:  # the taps are summed one after another, im2col sums them in one matmul
+        assert_rel_close(out, want[0])
+    for got, ref in zip(grads, want[1:]):
+        assert_rel_close(got, ref)
 
 
 # The model's head stores a conv over a 1x1 grid as the centre tap of its
