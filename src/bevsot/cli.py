@@ -25,7 +25,7 @@ from .scene import generate
 from .seqio import (list_sequence_dirs, read_sequence, read_tracklet,
                     write_sequence, write_tracklet)
 from .track import Tracklet, track_sequence, tracker_motion_model
-from .train import make_training_samples, train
+from .train import make_training_samples, save_train_log, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,16 +121,8 @@ def cmd_train(args) -> int:
         raise DataFormatError("no training samples (are the sequences length >= 2?)")
     print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
 
-    log_path = os.path.join(out, "train_log.csv")
-    n_alpha = len(model.alphas())
-    with open(log_path, "w") as fh:
-        cols = ["epoch", "lr", "loss"] + [f"alpha{s + 1}" for s in range(n_alpha)]
-        fh.write(",".join(cols) + "\n")
-        history = train(model, samples, settings, log=print)
-        for st in history:
-            row = [str(st.epoch), repr(st.lr), repr(st.mean_loss)]
-            row += [f"{a:.6f}" for a in st.alphas]
-            fh.write(",".join(row) + "\n")
+    history = train(model, samples, settings, log=print)
+    save_train_log(history, len(model.alphas()), os.path.join(out, "train_log.csv"))
     ckpt = os.path.join(out, "checkpoint.bin")
     save_checkpoint(model.store, ckpt)
     print(f"checkpoint: {ckpt}")

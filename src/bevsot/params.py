@@ -10,13 +10,12 @@ previous file as it was.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import struct
 from typing import Iterator
 
 import numpy as np
 
+from .atomic import atomic_write
 from .exceptions import ConfigError, DataFormatError
 from .tensor import Tensor
 
@@ -154,24 +153,16 @@ def lr_at_epoch(base_lr: float, epoch: int, decay_factor: float = 5.0,
 
 def save_checkpoint(store: ParamStore, path: str):
     """Write every parameter to `path`, replacing it only once the write is whole."""
-    # same directory, so os.replace is a rename on one file system
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _VERSION, len(store)))
-            for name, t in store.items():
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", t.data.ndim))
-                fh.write(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
-                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<II", _VERSION, len(store)))
+        for name, t in store.items():
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", t.data.ndim))
+            fh.write(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(store: ParamStore, path: str):

@@ -11,7 +11,8 @@ Layout of a sequence directory::
 
 Tracklets are written twice: a plain text file with one ``t x y z w h l
 theta`` line per frame, and a jsonl variant matching the label schema with
-an added ``coasted`` flag.
+an added ``coasted`` flag. Each tracklet file is written whole or not at
+all: an interrupted write leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 
 import numpy as np
 
+from .atomic import atomic_write
 from .exceptions import DataFormatError
 from .geometry import Box3D, PointCloud
 from .scene import LabeledSequence
@@ -110,12 +112,12 @@ def list_sequence_dirs(root: str) -> list[str]:
 
 def write_tracklet(boxes: list[Box3D], coasted: list[bool], path_txt: str,
                    path_jsonl: str | None = None):
-    with open(path_txt, "w") as fh:
+    with atomic_write(path_txt) as fh:
         for t, b in enumerate(boxes, start=1):
             vals = " ".join(f"{v:.17g}" for v in (b.x, b.y, b.z, b.w, b.h, b.l, b.theta))
             fh.write(f"{t} {vals}\n")
     if path_jsonl:
-        with open(path_jsonl, "w") as fh:
+        with atomic_write(path_jsonl) as fh:
             for t, (b, c) in enumerate(zip(boxes, coasted), start=1):
                 fh.write(json.dumps({"frame": t, "center": [b.x, b.y, b.z],
                                      "size": [b.w, b.h, b.l], "yaw": b.theta,

@@ -300,14 +300,17 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return add(out, b) if b is not None else out
 
 
-# element budget of one motion_gate tile: rows per tile = max(1, budget // N),
-# so 64 rows at N = 1024 and the whole map once N <= 256
+# element budget of one motion_gate tile: rows per tile = budget // N, at
+# least MOTION_GATE_MIN_ROWS and at most N. That is 64 rows at N = 1024, the
+# whole map once N <= 256, and 16 rows from N = 4096 up: each tile streams
+# the whole (N, 2d) key operand, so thinner tiles re-read it more often.
 MOTION_GATE_TILE_ELEMS = 1 << 16
+MOTION_GATE_MIN_ROWS = 16
 
 
 def motion_gate_rows(N: int) -> int:
     """Query rows per motion_gate tile for N tokens."""
-    return min(N, max(1, MOTION_GATE_TILE_ELEMS // N))
+    return min(N, max(MOTION_GATE_MIN_ROWS, MOTION_GATE_TILE_ELEMS // N))
 
 
 def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_write
 from .exceptions import ConfigError, NumericError
 from .geometry import box_in_frame, relative_motion
 from .model import TrackerModel, motion_loss
@@ -68,6 +69,18 @@ class EpochStats:
     steps: int
 
 
+def save_train_log(history: list[EpochStats], n_alpha: int, path: str):
+    """Write the per-epoch CSV (epoch, lr, loss, alpha1..alphaS), replacing
+    `path` only once the write is whole."""
+    with atomic_write(path) as fh:
+        cols = ["epoch", "lr", "loss"] + [f"alpha{s + 1}" for s in range(n_alpha)]
+        fh.write(",".join(cols) + "\n")
+        for st in history:
+            row = [str(st.epoch), repr(st.lr), repr(st.mean_loss)]
+            row += [f"{a:.6f}" for a in st.alphas]
+            fh.write(",".join(row) + "\n")
+
+
 def evaluate_mean_loss(model: TrackerModel,
                        samples: list[TrainingSample]) -> float:
     """Mean (unaugmented) loss over a sample list, no gradients."""
@@ -78,10 +91,31 @@ def evaluate_mean_loss(model: TrackerModel,
     return total / max(1, len(samples))
 
 
+def _backward_sample(model: TrackerModel, s: TrainingSample, weight: float) -> float:
+    """Forward one sample on its own tape, add the gradient of `weight` times
+    its loss into the parameters' .grad, and return the unweighted loss. The
+    tape dies with this frame, so a step holds one sample's graph at a time."""
+    with Tape() as tape:
+        term = motion_loss(model.forward_clouds(s.prev_pts, s.curr_pts, s.spec),
+                           s.target, model.config)
+        seed = T.scale(term, weight)
+    tape.backward(seed)
+    return term.item()
+
+
 def train(model: TrackerModel, samples: list[TrainingSample],
           settings: TrainSettings, log=None) -> list[EpochStats]:
     """Shuffled mini-batch AdamW training; logs per-epoch mean loss and the
-    per-stage motion-difference scale parameters."""
+    per-stage motion-difference scale parameters.
+
+    A step minimises the batch mean of the per-sample losses. Its
+    augmentations are drawn first, in batch order; then each sample, last
+    first, runs forward and backward on its own tape with seed 1/B, and that
+    tape is dropped before the next sample starts. Step memory is therefore
+    one sample's graph whatever the batch size. Last-first makes every
+    parameter add its gradient terms in the order a single batch-wide tape
+    replays them, so gradients and updates are bit-identical to it. A step
+    that raises `NumericError` clears every .grad before re-raising."""
     rng = np.random.default_rng(settings.seed)
     history = []
     steps_done = 0
@@ -94,23 +128,24 @@ def train(model: TrackerModel, samples: list[TrainingSample],
             if settings.max_steps and steps_done >= settings.max_steps:
                 break
             batch = [samples[i] for i in order[start:start + settings.batch]]
+            weight = 1.0 / len(batch)
             try:
-                with Tape() as tape:
-                    acc = None
-                    for s in batch:
-                        if settings.augment:
-                            s = augment(s, rng, settings.flip_axis, settings.max_rot_deg)
-                        pred = model.forward_clouds(s.prev_pts, s.curr_pts, s.spec)
-                        term = motion_loss(pred, s.target, model.config)
-                        acc = term if acc is None else T.add(acc, term)
-                    loss = T.scale(acc, 1.0 / len(batch))
-                tape.backward(loss)
+                if settings.augment:
+                    batch = [augment(s, rng, settings.flip_axis, settings.max_rot_deg)
+                             for s in batch]
+                terms = [_backward_sample(model, s, weight) for s in reversed(batch)][::-1]
             except NumericError as exc:
+                model.store.zero_grad()
                 raise NumericError(
                     f"epoch {epoch} step {steps_done}: {exc}") from exc
+            # plain adds in batch order: sum() compensates from Python 3.12,
+            # which would round the step loss differently
+            loss = terms[0]
+            for t in terms[1:]:
+                loss += t
             adamw_step(model.store, lr, settings.weight_decay, settings.betas)
             model.store.zero_grad()
-            losses.append(loss.item())
+            losses.append(loss * weight)
             steps_done += 1
         stats = EpochStats(epoch=epoch, lr=lr,
                            mean_loss=float(np.mean(losses)) if losses else float("nan"),

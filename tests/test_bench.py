@@ -58,6 +58,7 @@ def test_counts_match_closed_forms_exactly(rng, N, d):
 def test_motion_gate_tiled_count_and_values(rng, monkeypatch, N, d, rows):
     if rows is not None:  # None keeps the default tile budget
         monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * N)
+        monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
     Qc, Kc, Qp, Kp, G = (rng.standard_normal((N, d)) for _ in range(5))
     b = rng.standard_normal(d)
     c = MacCounter()

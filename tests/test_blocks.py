@@ -361,6 +361,7 @@ def _run_gates(build, lv, heads, probe):
 def test_motion_gate_matches_materialized_oracle(monkeypatch, heads, alpha, rows):
     # 16 tokens in tiles of 1 row, 5 rows (not a divisor), the whole map, more
     monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * 16)
+    monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
     rng = np.random.default_rng(7)
     lv = _gate_leaves(rng, heads=heads, alpha=alpha)
     probe = rng.standard_normal((16, 4))
@@ -374,6 +375,7 @@ def test_motion_gate_matches_materialized_oracle(monkeypatch, heads, alpha, rows
 
 def test_motion_gate_gradcheck(monkeypatch):
     monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", 5 * 12)  # 5-row tiles of 12
+    monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
     rng = np.random.default_rng(3)
     qc, kc, qp, kp = (leaf(rng.standard_normal((12, 3))) for _ in range(4))
     alpha = leaf(0.7)
@@ -387,6 +389,13 @@ def test_motion_gate_gradcheck(monkeypatch):
               ("G", G), ("b", b)]
     errs = gradcheck_params(f, params)
     assert max(errs.values()) < 1e-7, errs
+
+
+@pytest.mark.parametrize("N,rows", [(64, 64), (256, 256), (1024, 64), (4096, 16),
+                                    (16384, 16)])
+def test_motion_gate_rows_keep_a_floor_of_16(N, rows):
+    # desk stages keep their tiles; full-preset stage 1 (N = 16384) gets the floor
+    assert T.motion_gate_rows(N) == rows
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -220,6 +221,41 @@ def test_tracklet_round_trip(tmp_path):
                (b.x, b.y, b.z, b.w, b.h, b.l, b.theta)
     rec = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
     assert rec["frame"] == 1 and rec["coasted"] is False
+
+
+def _write_tracklet_pair(tmp_path, boxes):
+    write_tracklet(boxes, [False] * len(boxes), str(tmp_path / "t.txt"),
+                   str(tmp_path / "t.jsonl"))
+
+
+def test_tracklet_write_that_fails_keeps_previous_files(tmp_path):
+    good = [Box3D(0.1, -0.2, 0.3, 1, 1, 4, 0.5), Box3D(1, 2, 3, 1, 1, 4, -3.1)]
+    _write_tracklet_pair(tmp_path, good)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the second box's x cannot be formatted, so the text file fails midway
+    moved = [Box3D(5, 5, 5, 1, 1, 4, 0.0), Box3D("x", 2, 3, 1, 1, 4, 0.0)]
+    with pytest.raises(ValueError):
+        _write_tracklet_pair(tmp_path, moved)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_tracklet_jsonl_write_that_fails_keeps_previous_jsonl(tmp_path):
+    good = [Box3D(0.1, -0.2, 0.3, 1, 1, 4, 0.5), Box3D(1, 2, 3, 1, 1, 4, -3.1)]
+    _write_tracklet_pair(tmp_path, good)
+    before = (tmp_path / "t.jsonl").read_bytes()
+    # a Decimal formats as text but is not JSON: the jsonl fails midway
+    moved = [Box3D(5, 5, 5, 1, 1, 4, 0.0), Box3D(Decimal("2.5"), 2, 3, 1, 1, 4, 0.0)]
+    with pytest.raises(TypeError):
+        _write_tracklet_pair(tmp_path, moved)
+    assert (tmp_path / "t.jsonl").read_bytes() == before
+    assert read_tracklet(str(tmp_path / "t.txt"))[0].x == 5.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl", "t.txt"]
+
+
+def test_tracklet_write_that_fails_leaves_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        _write_tracklet_pair(tmp_path, [Box3D("x", 2, 3, 1, 1, 4, 0.0)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tracklet_bad_field_count(tmp_path):
