@@ -1,6 +1,6 @@
-"""The tracker block: shared CNN tokenizer, pre-LN token preprocessing,
-inter-frame motion-difference weights, gated linear attention, and the
-residual FFN tail.
+"""The tracker block: a siamese ``FrameEncoder`` (CNN tokenizer, then
+pre-LN token preprocessing) over both frames, inter-frame motion-difference
+weights, gated linear attention, and the residual FFN tail.
 
 The motion weights Wm = SiLU(sim(curr) - alpha * sim(prev)) compare
 query-key similarity maps of the two frames; a sigmoid of a learned
@@ -43,16 +43,28 @@ class FramePair:
 
 
 @dataclass
+class FrameEncoder:
+    """One frame's token weights: 3x3 CNN tokenizer, depthwise conv, linear."""
+
+    cnn_w: Tensor
+    cnn_b: Tensor
+    dwc_w: Optional[Tensor] = None
+    lin_w: Optional[Tensor] = None
+    lin_b: Optional[Tensor] = None
+
+
+@dataclass
 class BlockParams:
     """Parameter bundle for one stage. Tensors live in a ParamStore; fields
-    that are None are disabled by an ablation toggle."""
+    that are None are disabled by an ablation toggle. The previous frame's
+    ``enc_prev`` is ``enc`` itself except in the unshared ablation."""
 
     H: int
     W: int
     C: int
     heads: int
-    cnn_w: Tensor
-    cnn_b: Tensor
+    enc: FrameEncoder
+    enc_prev: FrameEncoder
     pos: Tensor
     ln1_g: Tensor
     ln1_b: Tensor
@@ -67,18 +79,9 @@ class BlockParams:
     ffn1_b: Tensor
     ffn2_w: Tensor
     ffn2_b: Tensor
-    dwc_w: Optional[Tensor] = None
-    lin_w: Optional[Tensor] = None
-    lin_b: Optional[Tensor] = None
     alpha: Optional[Tensor] = None
     gate_w: Optional[Tensor] = None
     gate_b: Optional[Tensor] = None
-    # separate previous-frame copies, present only in the unshared ablation
-    cnn_prev_w: Optional[Tensor] = None
-    cnn_prev_b: Optional[Tensor] = None
-    dwc_prev_w: Optional[Tensor] = None
-    lin_prev_w: Optional[Tensor] = None
-    lin_prev_b: Optional[Tensor] = None
 
     @property
     def N(self) -> int:
@@ -93,39 +96,32 @@ class BlockParams:
         return self.alpha is not None
 
 
-def _tokenize_one(grid: Tensor, bp: BlockParams, prev_frame: bool) -> Tensor:
+def _tokenize_one(grid: Tensor, bp: BlockParams, enc: FrameEncoder) -> Tensor:
     if grid.shape != (bp.H, bp.W, bp.C):
         raise ShapeError(f"grid {grid.shape} does not match block {(bp.H, bp.W, bp.C)}")
-    w, b = bp.cnn_w, bp.cnn_b
-    if prev_frame and bp.cnn_prev_w is not None:
-        w, b = bp.cnn_prev_w, bp.cnn_prev_b
-    x = T.conv2d(grid, w, b, stride=1)
+    x = T.conv2d(grid, enc.cnn_w, enc.cnn_b, stride=1)
     return T.add(T.reshape(x, (bp.N, bp.C)), bp.pos)
 
 
 def tokenize(pair: FramePair, bp: BlockParams) -> tuple[Tensor, Tensor]:
-    """Shared 3x3 CNN, row-major flatten, positional embedding on both frames."""
-    return _tokenize_one(pair.prev, bp, True), _tokenize_one(pair.curr, bp, False)
+    """3x3 CNN, row-major flatten, positional embedding on both frames."""
+    return _tokenize_one(pair.prev, bp, bp.enc_prev), _tokenize_one(pair.curr, bp, bp.enc)
 
 
-def _preprocess_one(x: Tensor, bp: BlockParams, prev_frame: bool) -> Tensor:
+def _preprocess_one(x: Tensor, bp: BlockParams, enc: FrameEncoder) -> Tensor:
     out = T.layernorm(x, bp.ln1_g, bp.ln1_b)
-    dwc = bp.dwc_prev_w if (prev_frame and bp.dwc_prev_w is not None) else bp.dwc_w
-    if dwc is not None:
+    if enc.dwc_w is not None:
         out = T.reshape(out, (bp.H, bp.W, bp.C))
-        out = T.conv2d(out, dwc, stride=1, depthwise=True)
+        out = T.conv2d(out, enc.dwc_w, stride=1, depthwise=True)
         out = T.reshape(out, (bp.N, bp.C))
-    lw, lb = bp.lin_w, bp.lin_b
-    if prev_frame and bp.lin_prev_w is not None:
-        lw, lb = bp.lin_prev_w, bp.lin_prev_b
-    if lw is not None:
-        out = T.linear(out, lw, lb)
+    if enc.lin_w is not None:
+        out = T.linear(out, enc.lin_w, enc.lin_b)
     return out
 
 
 def preprocess(x_prev: Tensor, x_curr: Tensor, bp: BlockParams) -> tuple[Tensor, Tensor]:
-    """Pre-LN, shared depthwise conv over the re-gridded tokens, shared linear."""
-    return _preprocess_one(x_prev, bp, True), _preprocess_one(x_curr, bp, False)
+    """Pre-LN, depthwise conv over the re-gridded tokens, linear layer."""
+    return _preprocess_one(x_prev, bp, bp.enc_prev), _preprocess_one(x_curr, bp, bp.enc)
 
 
 def imm_weights(xb_prev: Tensor, xb_curr: Tensor, bp: BlockParams) -> Tensor:
@@ -180,9 +176,10 @@ def block_forward(pair: FramePair, bp: BlockParams) -> Tensor:
     the current-frame tokens, then pre-LN FFN with residual."""
     # the previous frame is recorded first, so shared weights sum their
     # gradient terms current-frame first, as the tape replays in reverse
-    xb_prev = _preprocess_one(_tokenize_one(pair.prev, bp, True), bp, True) if bp.imm else None
-    x_curr = _tokenize_one(pair.curr, bp, False)
-    xb_curr = _preprocess_one(x_curr, bp, False)
+    xb_prev = (_preprocess_one(_tokenize_one(pair.prev, bp, bp.enc_prev), bp, bp.enc_prev)
+               if bp.imm else None)
+    x_curr = _tokenize_one(pair.curr, bp, bp.enc)
+    xb_curr = _preprocess_one(x_curr, bp, bp.enc)
     fhat = T.add(focus_attention(xb_curr, xb_prev, bp), x_curr)
     hidden = T.silu(T.linear(T.layernorm(fhat, bp.ln2_g, bp.ln2_b), bp.ffn1_w, bp.ffn1_b))
     return T.add(T.linear(hidden, bp.ffn2_w, bp.ffn2_b), fhat)

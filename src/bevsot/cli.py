@@ -49,7 +49,13 @@ def _add_config_args(p: argparse.ArgumentParser):
     p.add_argument("--no-linear", action="store_true",
                    help="drop the shared linear layer from preprocessing")
     p.add_argument("--unshared", action="store_true",
-                   help="separate previous-frame copies of CNN/linear/DWC weights")
+                   help="separate previous-frame copies of CNN/linear/DWC weights "
+                        "(needs the motion module)")
+
+
+def _check_seed(seed: int):
+    if seed < 0:  # np.random.default_rng rejects negative seeds
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _build_config(args, base: cfgmod.RunConfig | None = None) -> cfgmod.RunConfig:
@@ -75,6 +81,7 @@ def _build_config(args, base: cfgmod.RunConfig | None = None) -> cfgmod.RunConfi
         cfg.linear = False
     if args.unshared:
         cfg.shared = False
+    _check_seed(cfg.seed)
     return cfg
 
 
@@ -178,12 +185,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_seed(args.seed)
     try:
         ns = [int(v) for v in args.ns.split(",")]
     except ValueError:
         raise ConfigError(f"--ns expects comma-separated integers, got '{args.ns}'") from None
     records, slopes, report = bench_attention(ns, d=args.d, repeats=args.repeats,
-                                              seed=args.seed or 0)
+                                              seed=args.seed)
     out = _run_dir(args.out, "bench")
     with open(os.path.join(out, "bench.csv"), "w") as fh:
         fh.write(bench_csv(records))

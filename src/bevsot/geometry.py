@@ -9,7 +9,6 @@ center at the origin and zero yaw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -75,19 +74,14 @@ class Motion4:
 
 @dataclass
 class PointCloud:
-    """Unordered (N, 3) points in meters, optional per-point intensity."""
+    """Unordered (N, 3) points in meters."""
 
     xyz: np.ndarray
-    intensity: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
         if not np.isfinite(self.xyz).all():
             raise ShapeError("point cloud contains non-finite coordinates")
-        if self.intensity is not None:
-            self.intensity = np.asarray(self.intensity, dtype=np.float64).reshape(-1)
-            if self.intensity.shape[0] != self.xyz.shape[0]:
-                raise ShapeError("intensity length does not match point count")
 
     def __len__(self) -> int:
         return self.xyz.shape[0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import BlockParams, FramePair, block_forward
+from .blocks import BlockParams, FrameEncoder, FramePair, block_forward
 from .exceptions import ConfigError, NumericError, ShapeError
 from .geometry import Motion4, PointCloud
 from .params import ParamStore
@@ -72,6 +72,8 @@ class ModelConfig:
         for name in ("channels", "heads", "head_trunk", "ffn_expand"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (self.shared or self.imm):  # the previous frame is only encoded for the gate
+            raise ConfigError("shared=false needs the motion module (imm=true)")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         h = self.final_grid
@@ -157,11 +159,22 @@ class TrackerModel:
         self.downs: list[tuple[Tensor, Tensor]] = []
         for s, (H, C) in enumerate(cfg.stage_dims(), start=1):
             p = f"stage{s}."
-            N, d = H * H, C // cfg.heads
+            N, d, F = H * H, C // cfg.heads, cfg.ffn_expand * C
+            cnn = lambda tag: FrameEncoder(
+                new(f"{p}cnn{tag}.w", _kaiming(rng, (3, 3, C, C), 9 * C)),
+                new(f"{p}cnn{tag}.b", np.zeros(C)))
+
+            def layers(enc, tag=""):  # preprocessing's dwc and linear, unless ablated
+                if cfg.dwc:
+                    enc.dwc_w = new(f"{p}dwc{tag}.w", _kaiming(rng, (3, 3, C), 9))
+                if cfg.linear:
+                    enc.lin_w = new(f"{p}lin{tag}.w", _kaiming(rng, (C, C), C))
+                    enc.lin_b = new(f"{p}lin{tag}.b", np.zeros(C))
+                return enc
+
+            enc = cnn("")
             bp = BlockParams(
-                H=H, W=H, C=C, heads=cfg.heads,
-                cnn_w=new(p + "cnn.w", _kaiming(rng, (3, 3, C, C), 9 * C)),
-                cnn_b=new(p + "cnn.b", np.zeros(C)),
+                H=H, W=H, C=C, heads=cfg.heads, enc=enc, enc_prev=enc,
                 pos=new(p + "pos", rng.uniform(-0.02, 0.02, size=(N, C))),
                 ln1_g=new(p + "ln1.g", np.ones(C)),
                 ln1_b=new(p + "ln1.b", np.zeros(C)),
@@ -172,29 +185,18 @@ class TrackerModel:
                 lo_b=new(p + "lo.b", np.zeros(C)),
                 ln2_g=new(p + "ln2.g", np.ones(C)),
                 ln2_b=new(p + "ln2.b", np.zeros(C)),
-                ffn1_w=new(p + "ffn1.w", _kaiming(rng, (C, cfg.ffn_expand * C), C)),
-                ffn1_b=new(p + "ffn1.b", np.zeros(cfg.ffn_expand * C)),
-                ffn2_w=new(p + "ffn2.w", _kaiming(rng, (cfg.ffn_expand * C, C),
-                                                  cfg.ffn_expand * C)),
+                ffn1_w=new(p + "ffn1.w", _kaiming(rng, (C, F), C)),
+                ffn1_b=new(p + "ffn1.b", np.zeros(F)),
+                ffn2_w=new(p + "ffn2.w", _kaiming(rng, (F, C), F)),
                 ffn2_b=new(p + "ffn2.b", np.zeros(C)),
             )
-            if cfg.dwc:
-                bp.dwc_w = new(p + "dwc.w", _kaiming(rng, (3, 3, C), 9))
-            if cfg.linear:
-                bp.lin_w = new(p + "lin.w", _kaiming(rng, (C, C), C))
-                bp.lin_b = new(p + "lin.b", np.zeros(C))
+            layers(enc)
             if cfg.imm:
                 bp.alpha = new(p + "alpha", np.asarray(0.5))
                 bp.gate_w = new(p + "gate.w", _kaiming(rng, (cfg.heads, N, d), N))
                 bp.gate_b = new(p + "gate.b", np.zeros((cfg.heads, d)))
             if not cfg.shared:
-                bp.cnn_prev_w = new(p + "cnn_prev.w", _kaiming(rng, (3, 3, C, C), 9 * C))
-                bp.cnn_prev_b = new(p + "cnn_prev.b", np.zeros(C))
-                if cfg.dwc:
-                    bp.dwc_prev_w = new(p + "dwc_prev.w", _kaiming(rng, (3, 3, C), 9))
-                if cfg.linear:
-                    bp.lin_prev_w = new(p + "lin_prev.w", _kaiming(rng, (C, C), C))
-                    bp.lin_prev_b = new(p + "lin_prev.b", np.zeros(C))
+                bp.enc_prev = layers(cnn("_prev"), "_prev")
             self.blocks.append(bp)
             self.downs.append((
                 new(f"down{s}.w", _kaiming(rng, (3, 3, C, 2 * C), 9 * C)),

@@ -98,8 +98,7 @@ def decorate(cloud: PointCloud, spec: CropSpec) -> tuple[np.ndarray, np.ndarray]
     Features: x, y, z, signed offset to the pillar x-center, signed offset
     to the pillar y-center, and signed offset to the pillar point mean
     (x, y, z). The means are summed over the runs of ``T.cell_runs``, the
-    same grouping ``T.scatter_max`` pools over. Intensity, when present, is
-    ignored.
+    same grouping ``T.scatter_max`` pools over.
     """
     n = len(cloud)
     cells = assign_cells(cloud, spec)

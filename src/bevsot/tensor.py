@@ -63,12 +63,15 @@ class _Node:
 class Tape:
     """Ordered record of executed ops. Replaying the record in reverse
     populates ``.grad`` on every tensor that requires grad. One tape per
-    forward+backward pass; passes are single-threaded by contract."""
+    forward+backward pass; passes are single-threaded by contract. A tape
+    replays once: a second ``backward`` would add every gradient onto the
+    first pass's, so it raises ``RuntimeError`` instead."""
 
     _stack: list["Tape"] = []
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -83,11 +86,15 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor):
-        """Seed d(loss)/d(loss) = 1 and replay recorded ops in reverse."""
+        """Seed d(loss)/d(loss) = 1 and replay recorded ops in reverse, once."""
+        if self._replayed:
+            raise RuntimeError("backward() already ran on this tape; record the "
+                               "pass again on a new Tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
             raise ValueError("loss was not recorded on this tape (no grad path)")
+        self._replayed = True
         loss.grad = np.ones_like(loss.data)
         # A backward closure may hand one array to several inputs (add gives
         # its g to both) or return its own out_grad, so a first contribution

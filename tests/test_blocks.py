@@ -9,8 +9,8 @@ import pytest
 
 from bevsot import blocks
 from bevsot import tensor as T
-from bevsot.blocks import (BlockParams, FramePair, block_forward, focus_attention,
-                           imm_weights, preprocess, tokenize)
+from bevsot.blocks import (BlockParams, FrameEncoder, FramePair, block_forward,
+                           focus_attention, imm_weights, preprocess, tokenize)
 from bevsot.exceptions import NumericError, ShapeError
 from bevsot.gradcheck import gradcheck_params
 from bevsot.tensor import Tape, Tensor
@@ -26,29 +26,39 @@ def make_block(H=4, C=4, heads=1, rng=None, imm=True, dwc=True, linear=True,
     N = H * H
     d = C // heads
     u = lambda *s: leaf(rng.uniform(-0.5, 0.5, size=s))
+    enc = FrameEncoder(u(3, 3, C, C), u(C))
     bp = BlockParams(
-        H=H, W=H, C=C, heads=heads,
-        cnn_w=u(3, 3, C, C), cnn_b=u(C), pos=u(N, C),
+        H=H, W=H, C=C, heads=heads, enc=enc, enc_prev=enc, pos=u(N, C),
         ln1_g=leaf(np.ones(C)), ln1_b=leaf(np.zeros(C)),
         wq=u(C, C), wk=u(C, C), wv=u(C, C),
         lo_w=u(C, C), lo_b=u(C),
         ln2_g=leaf(np.ones(C)), ln2_b=leaf(np.zeros(C)),
         ffn1_w=u(C, 2 * C), ffn1_b=u(2 * C), ffn2_w=u(2 * C, C), ffn2_b=u(C),
     )
-    if dwc:
-        bp.dwc_w = u(3, 3, C)
-    if linear:
-        bp.lin_w, bp.lin_b = u(C, C), u(C)
+
+    def layers(enc):
+        if dwc:
+            enc.dwc_w = u(3, 3, C)
+        if linear:
+            enc.lin_w, enc.lin_b = u(C, C), u(C)
+        return enc
+
+    layers(enc)
     if imm:
         bp.alpha = leaf(0.5)
         bp.gate_w, bp.gate_b = u(heads, N, d), u(heads, d)
     if unshared:
-        bp.cnn_prev_w, bp.cnn_prev_b = u(3, 3, C, C), u(C)
-        if dwc:
-            bp.dwc_prev_w = u(3, 3, C)
-        if linear:
-            bp.lin_prev_w, bp.lin_prev_b = u(C, C), u(C)
+        bp.enc_prev = layers(FrameEncoder(u(3, 3, C, C), u(C)))
     return bp
+
+
+def block_leaves(bp):
+    """Every trainable tensor of a block by name, its encoders' included; an
+    encoder that both frames share is collected once."""
+    named = list(vars(bp).items()) + [(f"enc.{n}", t) for n, t in vars(bp.enc).items()]
+    if bp.enc_prev is not bp.enc:
+        named += [(f"enc_prev.{n}", t) for n, t in vars(bp.enc_prev).items()]
+    return {name: t for name, t in named if isinstance(t, Tensor) and t.requires_grad}
 
 
 def grids(rng, H=4, C=4, identical=False):
@@ -69,7 +79,7 @@ def test_tokenize_identical_frames_identical_tokens(rng):
 
 def test_tokenize_zero_everything_zero_tokens(rng):
     bp = make_block(rng=rng)
-    bp.cnn_b = Tensor(np.zeros(4))
+    bp.enc.cnn_b = Tensor(np.zeros(4))
     bp.pos = Tensor(np.zeros((16, 4)))
     xp, xc = tokenize(FramePair(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((4, 4, 4)))), bp)
     np.testing.assert_array_equal(xp.data, np.zeros((16, 4)))
@@ -80,7 +90,7 @@ def test_tokenize_matches_conv_flatten_oracle(rng):
     from tests.test_tensor import conv2d_loop
     bp = make_block(rng=rng)
     pair = grids(rng)
-    want = (conv2d_loop(pair.curr.data, bp.cnn_w.data, bp.cnn_b.data)
+    want = (conv2d_loop(pair.curr.data, bp.enc.cnn_w.data, bp.enc.cnn_b.data)
             .reshape(16, 4) + bp.pos.data)
     _, xc = tokenize(pair, bp)
     np.testing.assert_allclose(xc.data, want, atol=1e-12)
@@ -124,7 +134,7 @@ def test_preprocess_gradcheck(rng):
         _, out = preprocess(x, x, bp)
         return T.sum_all(T.mul(out, probe))
 
-    params = [("ln1_g", bp.ln1_g), ("dwc", bp.dwc_w), ("lin", bp.lin_w)]
+    params = [("ln1_g", bp.ln1_g), ("dwc", bp.enc.dwc_w), ("lin", bp.enc.lin_w)]
     errs = gradcheck_params(f, params, samples_per_param=8, rng=rng)
     assert max(errs.values()) < 1e-4
 
@@ -276,8 +286,7 @@ def test_multi_head_matches_per_head_oracle(monkeypatch, heads, what):
     # H=4, C=8: 16 tokens; d = 8, 4, 2
     rng = np.random.default_rng(11)
     bp = make_block(C=8, heads=heads, rng=rng, imm=what != "ungated")
-    leaves = {name: t for name, t in vars(bp).items()
-              if isinstance(t, Tensor) and t.requires_grad}
+    leaves = block_leaves(bp)
     if what == "block":
         pair = FramePair(*(leaf(rng.standard_normal((4, 4, 8))) for _ in range(2)))
         leaves.update(prev=pair.prev, curr=pair.curr)
@@ -325,7 +334,7 @@ def _oracle_gates(lv, heads):
     leaf gradients are exactly the fused op's q/k input gradients."""
     C = lv["xc"].shape[1] // 2
     eye, zero = np.eye(C), np.zeros((C, C))
-    bp = BlockParams(H=1, W=C, C=C, heads=heads, cnn_w=None, cnn_b=None, pos=None,
+    bp = BlockParams(H=1, W=C, C=C, heads=heads, enc=None, enc_prev=None, pos=None,
                      ln1_g=None, ln1_b=None, wq=Tensor(np.vstack([eye, zero])),
                      wk=Tensor(np.vstack([zero, eye])), wv=None, lo_w=None, lo_b=None,
                      ln2_g=None, ln2_b=None, ffn1_w=None, ffn1_b=None, ffn2_w=None,
@@ -430,9 +439,9 @@ def test_block_no_imm_matches_ungated_bit_for_bit(rng):
     # same weights, motion module absent
     ungated = BlockParams(**{
         f: getattr(gated, f) for f in (
-            "H", "W", "C", "heads", "cnn_w", "cnn_b", "pos", "ln1_g", "ln1_b",
+            "H", "W", "C", "heads", "enc", "enc_prev", "pos", "ln1_g", "ln1_b",
             "wq", "wk", "wv", "lo_w", "lo_b", "ln2_g", "ln2_b",
-            "ffn1_w", "ffn1_b", "ffn2_w", "ffn2_b", "dwc_w", "lin_w", "lin_b")})
+            "ffn1_w", "ffn1_b", "ffn2_w", "ffn2_b")})
     out_off = block_forward(pair, ungated)
     # reference: attention with gate forced to exactly 1 via direct compute
     x_curr = tokenize(pair, gated)[1]
@@ -463,8 +472,7 @@ def test_block_gradcheck_all_params(rng, kwargs):
     def f():
         return T.sum_all(T.mul(block_forward(pair, bp), probe))
 
-    params = [(name, t) for name, t in vars(bp).items()
-              if isinstance(t, Tensor) and t.requires_grad]
+    params = list(block_leaves(bp).items())
     errs = gradcheck_params(f, params, samples_per_param=4,
                             rng=np.random.default_rng(1))
     assert max(errs.values()) < 1e-4, errs

@@ -230,6 +230,27 @@ def test_zero_divisor_exit_code_1(tmp_path, capsys, key):
     _config_error(capsys, code, key)
 
 
+@pytest.mark.parametrize("command", [
+    pytest.param(["gen", "--seed", "-1"], id="gen-seed"),
+    pytest.param(["gen", "--set", "seed=-1"], id="gen-set-seed"),
+    pytest.param(["train", "--set", "seed=-1"], id="train-set-seed"),
+    pytest.param(["train", "--seed", "-1"], id="train-seed"),
+    pytest.param(["track", "--checkpoint", "c.bin", "--data", "seqs", "--seed", "-1"],
+                 id="track-seed"),
+    pytest.param(["gradcheck", "--seed", "-1"], id="gradcheck-seed"),
+    pytest.param(["bench", "--seed", "-1"], id="bench-seed")])
+def test_negative_seed_exit_code_1(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    extra = [] if command[0] == "gradcheck" else ["--out", out]
+    _config_error(capsys, run(command + extra), "seed must be >= 0", "-1")
+    assert not out.exists()
+
+
+def test_unshared_without_motion_module_exit_code_1(tmp_path, capsys):
+    code = run(["train", "--out", tmp_path / "r", "--no-imm", "--unshared"] + FAST)
+    _config_error(capsys, code, "shared=false", "imm=true")
+
+
 def test_missing_data_exit_code_2(tmp_path):
     ck = tmp_path / "none.bin"
     ck.write_bytes(b"JUNKJUNKJUNK")

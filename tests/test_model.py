@@ -1,6 +1,7 @@
 """Backbone/head bookkeeping, the loss, and whole-model gradients."""
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -368,6 +369,39 @@ def test_unshared_doubles_cnn_linear_dwc_params():
     assert path_params > 0
     diff = unshared.store.num_values() - shared.store.num_values()
     assert diff == path_params
+
+
+ABLATIONS = [dict(zip(("imm", "dwc", "linear", "shared"), flags))
+             for flags in itertools.product((True, False), repeat=4)]
+
+
+@pytest.fixture(scope="module")
+def one_sample():
+    from bevsot.scene import SceneConfig, generate
+    from bevsot.train import make_training_samples
+    return make_training_samples([generate(SceneConfig(length=2, seed=1))],
+                                 CropSpec(grid=(16, 16)))
+
+
+@pytest.mark.parametrize("flags", ABLATIONS, ids=lambda f: "-".join(
+    k if on else f"no_{k}" for k, on in f.items()))
+def test_ablation_matrix_trains_one_step_or_is_rejected(one_sample, flags):
+    from bevsot.train import TrainSettings, train
+    from tests.test_blocks import block_leaves
+    cfg = replace(TINY, **flags)
+    if not (flags["imm"] or flags["shared"]):
+        # the previous frame is only encoded for the motion gate, so its own
+        # weights would never get a gradient
+        with pytest.raises(ConfigError, match="shared=false needs the motion module"):
+            TrackerModel(cfg)
+        return
+    m = TrackerModel(cfg, seed=0)
+    for s, bp in enumerate(m.blocks, start=1):  # the leaves the block tests collect
+        stage = {id(t) for n, t in m.store.items() if n.startswith(f"stage{s}.")}
+        assert {id(t) for t in block_leaves(bp).values()} == stage
+    assert (m.blocks[0].enc_prev is m.blocks[0].enc) == flags["shared"]
+    history = train(m, one_sample, TrainSettings(batch=1, epochs=1, augment=False))
+    assert history[-1].steps == 1 and np.isfinite(history[-1].mean_loss)
 
 
 def test_no_imm_removes_motion_params():

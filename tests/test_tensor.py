@@ -567,6 +567,19 @@ def test_backward_without_graph():
         tape.backward(Tensor(1.0))
 
 
+def test_second_backward_on_one_tape_raises():
+    # replaying again would add the pass onto its own gradients: 4x here
+    w = leaf(np.array([1.5, -0.5]))
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(T.mul(w, w), T.mul(w, w)))
+    tape.backward(loss)
+    once = w.grad.copy()
+    np.testing.assert_allclose(once, 4.0 * w.data ** 3)
+    with pytest.raises(RuntimeError, match="already ran on this tape"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(w.grad, once)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_op_output_raises():
     big = Tensor(np.array([1e308]))
