@@ -114,10 +114,11 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
+    model_cfg, settings = cfg.model_config(), cfg.train_settings()
+    model_cfg.validate()  # before the run directory, so a config error leaves no files
     out = _run_dir(args.out, "train")
     cfgmod.save_config(cfg, os.path.join(out, "config.echo.cfg"))
-    model = TrackerModel(cfg.model_config(), seed=cfg.seed)
-    settings = cfg.train_settings()
+    model = TrackerModel(model_cfg, seed=cfg.seed)
     if args.data:
         seqs = [read_sequence(d) for d in list_sequence_dirs(args.data)]
     else:
@@ -138,9 +139,11 @@ def cmd_train(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _build_config(args)
+    model_cfg = cfg.model_config()
+    model_cfg.validate()  # before the run directory, so a config error leaves no files
     out = _run_dir(args.out, "track")
     cfgmod.save_config(cfg, os.path.join(out, "config.echo.cfg"))
-    model = TrackerModel(cfg.model_config(), seed=cfg.seed)
+    model = TrackerModel(model_cfg, seed=cfg.seed)
     load_checkpoint(model.store, args.checkpoint)
     for seq_dir in list_sequence_dirs(args.data):
         seq = read_sequence(seq_dir)

@@ -65,7 +65,9 @@ class Tape:
     populates ``.grad`` on every tensor that requires grad. One tape per
     forward+backward pass; passes are single-threaded by contract. A tape
     replays once: a second ``backward`` would add every gradient onto the
-    first pass's, so it raises ``RuntimeError`` instead."""
+    first pass's, so it raises ``RuntimeError`` instead. ``backward``
+    consumes the tape: each node is dropped once replayed, so the tape is
+    empty afterwards and only leaves keep their ``.grad``."""
 
     _stack: list["Tape"] = []
 
@@ -100,9 +102,16 @@ class Tape:
         # its g to both) or return its own out_grad, so a first contribution
         # is aliased, never written. The second allocates inp.grad + g, which
         # this pass then owns; only owned buffers take later ones with +=.
+        # Keying on id() stays safe while nodes are freed below: every tensor
+        # recorded on the tape was alive when backward started, so no two
+        # share an id, and backward creates no tensors that could reuse one.
         owned: set[int] = set()
-        for node in reversed(self._nodes):
-            out_grad = node.out.grad
+        nodes = self._nodes
+        while nodes:
+            # drop each node, its closure and its output's gradient once
+            # replayed, so backward's peak is not the whole graph plus grads
+            node = nodes.pop()
+            out_grad, node.out.grad = node.out.grad, None
             if out_grad is None:
                 continue
             grads = node.backward_fn(out_grad)
@@ -244,11 +253,17 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 # nonlinearities
 
 
-def _sigmoid_value(x: np.ndarray) -> np.ndarray:
-    # exp may overflow to inf for very negative x; 1/(1+inf) is exactly 0,
-    # so the result is correct for every finite input
+def _sigmoid_value(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed into `out` (a fresh array when None).
+    exp may overflow to inf for very negative x; 1/(1+inf) is exactly 0, so
+    the result is correct for every finite input."""
+    if out is None:
+        out = np.empty(np.shape(x))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -327,9 +342,12 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     kc_h^T - alpha (qp_h/sqrt(d)) kp_h^T; G is (heads, N, d), b (heads, d).
 
     No N x N map is held whole: each head's query rows are processed in
-    tiles, one BLAS product [qc_h/sqrt(d), -alpha qp_h/sqrt(d)] @ [kc_h,
-    kp_h]^T of inner dimension 2d per tile, and backward recomputes the
-    tiles instead of storing them, so live memory is O(rows * N + N * C).
+    tiles of r rows, one BLAS product [qc_h/sqrt(d), -alpha qp_h/sqrt(d)] @
+    [kc_h, kp_h]^T of inner dimension 2d per tile, and backward recomputes
+    the tiles instead of storing them. Every tile step writes with ``out=``
+    into (r, N) buffers allocated once per call: two in forward and three
+    in backward, each freed when its pass ends, so live memory is a fixed
+    set of (r, N) buffers plus O(N * C).
     The gradients of kc, kp, G, b and the scalar alpha are summed across tiles.
     """
     N, C = qc.shape
@@ -350,14 +368,19 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     tiles = [(h, c, slice(lo, min(lo + rows, N)))
              for h, c in enumerate(cols) for lo in range(0, N, rows)]
 
-    def silu_tile(h, t):  # S, sigmoid(S) and SiLU(S) of head h's row tile t
-        s = lhs[h][t] @ rhs_t[h]
-        sig = _sigmoid_value(s)
-        return s, sig, s * sig
+    def silu_tile(h, t, s, sig):
+        """SiLU(S) into s and sigmoid(S) into sig for head h's row tile t;
+        returns their first len(t) rows."""
+        n = t.stop - t.start
+        s, sig = s[:n], sig[:n]
+        np.matmul(lhs[h][t], rhs_t[h], out=s)
+        _sigmoid_value(s, out=sig)
+        return np.multiply(s, sig, out=s), sig
 
     gate = np.empty((N, C))
+    bufs = np.empty((2, rows, N))  # bw allocates its own: a tape must not hold these
     for h, c, t in tiles:
-        z = silu_tile(h, t)[2] @ G.data[h] + b.data[h]
+        z = silu_tile(h, t, *bufs)[0] @ G.data[h] + b.data[h]
         _ensure_finite(z, "motion_gate")
         gate[t, c] = _sigmoid_value(z)
 
@@ -366,12 +389,17 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
         dlhs = [np.empty((N, 2 * d)) for _ in cols]
         drhs_t = [np.zeros((2 * d, N)) for _ in cols]
         dG = np.zeros_like(G.data)
+        s_buf, sig_buf, tmp_buf = np.empty((3, rows, N))
         for h, c, t in tiles:
-            s, sig, m = silu_tile(h, t)
+            m, sig = silu_tile(h, t, s_buf, sig_buf)
             dG[h] += m.T @ dz[t, c]
-            # SiLU'(S) = sig + SiLU(S) (1 - sig)
-            ds = (dz[t, c] @ G.data[h].T) * (sig + m * (1.0 - sig))
-            dlhs[h][t] = ds @ rhs_t[h].T
+            # SiLU'(S) = sig + SiLU(S) (1 - sig), built in sig's buffer
+            tmp = tmp_buf[:len(sig)]
+            np.subtract(1.0, sig, out=tmp)
+            np.multiply(m, tmp, out=tmp)
+            np.add(sig, tmp, out=sig)
+            ds = np.multiply(np.matmul(dz[t, c], G.data[h].T, out=tmp), sig, out=tmp)
+            np.matmul(ds, rhs_t[h].T, out=dlhs[h][t])
             drhs_t[h] += lhs[h][t].T @ ds
         dqp = np.hstack([x[:, d:] for x in dlhs])
         return (np.hstack([x[:, :d] for x in dlhs]) * inv, np.hstack([x[:d].T for x in drhs_t]),
@@ -452,15 +480,18 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
         Cout = w.shape[3]
     Ho, Wo = _conv_geometry(H, W, stride, padding)
 
-    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
+    xp = np.zeros((H + 2 * padding, W + 2 * padding, Cin))
+    xp[padding:padding + H, padding:padding + W] = x.data
     wd = w.data
     taps = [((i, j), (slice(i, i + stride * (Ho - 1) + 1, stride),
                       slice(j, j + stride * (Wo - 1) + 1, stride)))
             for i in range(_KSIZE) for j in range(_KSIZE)]
 
     data = np.zeros((Ho, Wo, Cout))
+    term = np.empty_like(data)  # one tap's contribution, rewritten per tap
     for ij, s in taps:
-        data += xp[s] * wd[ij] if depthwise else xp[s] @ wd[ij]
+        (np.multiply if depthwise else np.matmul)(xp[s], wd[ij], out=term)
+        data += term
     if b is not None:
         data += b.data
 

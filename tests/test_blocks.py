@@ -400,6 +400,89 @@ def test_motion_gate_gradcheck(monkeypatch):
     assert max(errs.values()) < 1e-7, errs
 
 
+def _sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def unbuffered_motion_gate(qc, kc, qp, kp, alpha, G, b):
+    """T.motion_gate as it ran before its tiles wrote into preallocated
+    buffers: fresh S, sigmoid(S) and SiLU(S) arrays per tile, in forward and
+    again in backward's recompute. Same tiles, same expression order, so the
+    buffered op must match it bit for bit."""
+    N, C = qc.shape
+    heads = G.shape[0]
+    d = C // heads
+    inv = 1.0 / np.sqrt(d)
+    a = alpha.item()
+    cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
+    lhs = [np.concatenate([qc.data[:, c] * inv, qp.data[:, c] * (-a * inv)], axis=1)
+           for c in cols]
+    rhs_t = [np.concatenate([kc.data[:, c], kp.data[:, c]], axis=1).T for c in cols]
+    rows = T.motion_gate_rows(N)
+    tiles = [(h, c, slice(lo, min(lo + rows, N)))
+             for h, c in enumerate(cols) for lo in range(0, N, rows)]
+
+    def silu_tile(h, t):
+        s = lhs[h][t] @ rhs_t[h]
+        sig = _sigmoid(s)
+        return s, sig, s * sig
+
+    gate = np.empty((N, C))
+    for h, c, t in tiles:
+        gate[t, c] = _sigmoid(silu_tile(h, t)[2] @ G.data[h] + b.data[h])
+
+    def bw(g):
+        dz = g * gate * (1.0 - gate)
+        dlhs = [np.empty((N, 2 * d)) for _ in cols]
+        drhs_t = [np.zeros((2 * d, N)) for _ in cols]
+        dG = np.zeros_like(G.data)
+        for h, c, t in tiles:
+            s, sig, m = silu_tile(h, t)
+            dG[h] += m.T @ dz[t, c]
+            ds = (dz[t, c] @ G.data[h].T) * (sig + m * (1.0 - sig))
+            dlhs[h][t] = ds @ rhs_t[h].T
+            drhs_t[h] += lhs[h][t].T @ ds
+        dqp = np.hstack([x[:, d:] for x in dlhs])
+        return (np.hstack([x[:, :d] for x in dlhs]) * inv, np.hstack([x[:d].T for x in drhs_t]),
+                dqp * (-a * inv), np.hstack([x[d:].T for x in drhs_t]),
+                np.full(alpha.shape, -inv * float(np.sum(dqp * qp.data))), dG,
+                dz.reshape(N, heads, d).sum(axis=0))
+
+    return T._out(gate, "motion_gate", (qc, kc, qp, kp, alpha, G, b), bw)
+
+
+@pytest.mark.parametrize("N,d,heads,rows", [(1024, 8, 1, None), (256, 16, 1, None),
+                                            (1024, 4, 2, None), (12, 3, 2, 5)])
+def test_motion_gate_is_bit_identical_to_unbuffered_oracle(monkeypatch, N, d, heads, rows):
+    # desk stages 1 and 2 at today's tile rule, two heads, and two heads in
+    # 5-row tiles that do not divide N (the last tile uses part of each buffer)
+    if rows is not None:
+        monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * N)
+        monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
+    rng = np.random.default_rng(N + d + heads)
+    C = heads * d
+    qc, kc, qp, kp = (leaf(rng.standard_normal((N, C))) for _ in range(4))
+    leaves = [qc, kc, qp, kp, leaf(0.7), leaf(rng.uniform(-0.5, 0.5, (heads, N, d))),
+              leaf(rng.uniform(-0.5, 0.5, (heads, d)))]
+    probe = Tensor(rng.standard_normal((N, C)))
+
+    def run(op):
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            out = op(*leaves)
+            tape.backward(T.sum_all(T.mul(out, probe)))
+        return out.data, [t.grad for t in leaves]
+
+    want, want_grads = run(unbuffered_motion_gate)
+    got, got_grads = run(T.motion_gate)
+    np.testing.assert_array_equal(got, want)
+    assert len(got_grads) == 7
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g, w)
+
+
 @pytest.mark.parametrize("N,rows", [(64, 64), (256, 256), (1024, 64), (4096, 16),
                                     (16384, 16)])
 def test_motion_gate_rows_keep_a_floor_of_16(N, rows):

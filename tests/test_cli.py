@@ -251,6 +251,18 @@ def test_unshared_without_motion_module_exit_code_1(tmp_path, capsys):
     _config_error(capsys, code, "shared=false", "imm=true")
 
 
+@pytest.mark.parametrize("command,names", [
+    pytest.param(["train", "--set", "grid=12"], ["grid", "12"], id="train-grid"),
+    pytest.param(["train", "--no-imm", "--unshared"], ["shared=false"], id="train-unshared"),
+    pytest.param(["train", "--set", "batch=0"], ["batch"], id="train-batch"),
+    pytest.param(["track", "--checkpoint", "c.bin", "--data", "seqs", "--set", "grid=12"],
+                 ["grid", "12"], id="track-grid")])
+def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
+    out = tmp_path / "o"
+    _config_error(capsys, run(command + ["--out", out]), *names)
+    assert not out.exists()
+
+
 def test_missing_data_exit_code_2(tmp_path):
     ck = tmp_path / "none.bin"
     ck.write_bytes(b"JUNKJUNKJUNK")

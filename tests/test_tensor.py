@@ -1,5 +1,6 @@
 """Tensor op forward oracles and finite-difference backward checks."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +192,33 @@ def conv2d_im2col(x, w, b, up, stride, padding, depthwise):
     return out + b, dxp[padding:Hp - padding, padding:Wp - padding], dw, up.sum(axis=(0, 1))
 
 
+def conv2d_padded_taps(x, w, b, up, stride, padding, depthwise):
+    """The nine-tap conv as it ran on an np.pad copy of the input, before
+    conv2d zeroed a buffer and assigned the input into it. Same taps in the
+    same order, so conv2d must match it bit for bit. Returns the output and
+    the gradients (dx, dw, db) for upstream `up`."""
+    H, W, Cin = x.shape
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    Ho, Wo = up.shape[:2]
+    taps = [((i, j), (slice(i, i + stride * (Ho - 1) + 1, stride),
+                      slice(j, j + stride * (Wo - 1) + 1, stride)))
+            for i in range(3) for j in range(3)]
+    out = np.zeros(up.shape)
+    for ij, s in taps:
+        out += xp[s] * w[ij] if depthwise else xp[s] @ w[ij]
+    out += b
+    dxp, dw = np.zeros_like(xp), np.empty_like(w)
+    up2d = up.reshape(Ho * Wo, -1)
+    for ij, s in reversed(taps):
+        if depthwise:
+            dxp[s] += up * w[ij]
+            dw[ij] = (xp[s] * up).sum(axis=(0, 1))
+        else:
+            dxp[s] += (up2d @ w[ij].T).reshape(Ho, Wo, Cin)
+            dw[ij] = xp[s].reshape(Ho * Wo, Cin).T @ up2d
+    return out, dxp[padding:padding + H, padding:padding + W], dw, up.sum(axis=(0, 1))
+
+
 def conv_grads(rng, x, w, b, stride, padding, depthwise):
     """conv2d's output and (dx, dw, db) for a random upstream gradient."""
     xs, ws, bs = leaf(x), leaf(w), leaf(b)
@@ -278,6 +306,18 @@ def test_conv2d_matches_im2col_oracle_on_preset_shapes(rng, H, Cin, Cout, stride
         assert_rel_close(got, ref)
 
 
+@pytest.mark.parametrize("H,Cin,Cout,stride,padding,depthwise", PRESET_CONVS)
+def test_conv2d_is_bit_identical_to_padded_taps_on_preset_shapes(rng, H, Cin, Cout, stride,
+                                                                  padding, depthwise):
+    x = rng.standard_normal((H, H, Cin))
+    w = rng.standard_normal((3, 3, Cin) if depthwise else (3, 3, Cin, Cout))
+    b = rng.standard_normal(Cout)
+    out, up, grads = conv_grads(rng, x, w, b, stride, padding, depthwise)
+    want = conv2d_padded_taps(x, w, b, up, stride, padding, depthwise)
+    for got, ref in zip((out, *grads), want):
+        np.testing.assert_array_equal(got, ref)
+
+
 # The model's head stores a conv over a 1x1 grid as the centre tap of its
 # kernel and applies it as a linear layer; the padded 3x3 conv is the oracle.
 @pytest.mark.parametrize("cin,cout", [(3, 5), (16, 32), (128, 256), (256, 512)])
@@ -346,6 +386,22 @@ def test_silu_and_sigmoid_values():
     s = 1.0 / (1.0 + np.exp(-x))
     np.testing.assert_allclose(T.silu(Tensor(x)).data, x * s, rtol=1e-15)
     np.testing.assert_allclose(T.sigmoid(Tensor(x)).data, s, rtol=1e-15)
+
+
+def test_sigmoid_value_into_buffer_is_bit_identical(rng):
+    x = np.concatenate([[-800.0, 800.0, -40.0, 40.0, 0.0, -0.0],
+                        30.0 * rng.standard_normal(1000)])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+    buf = np.full_like(x, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = T._sigmoid_value(x, out=buf)
+        fresh = T._sigmoid_value(x)
+    assert got is buf
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(fresh, want)
+    assert want[0] == 0.0 and want[1] == 1.0
 
 
 def test_silu_extreme_inputs_stay_finite():
