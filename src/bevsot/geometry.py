@@ -35,10 +35,6 @@ class Box3D:
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    @property
-    def size(self) -> tuple[float, float, float]:
-        return (self.w, self.h, self.l)
-
     def with_pose(self, x, y, z, theta) -> "Box3D":
         return Box3D(float(x), float(y), float(z), self.w, self.h, self.l,
                      wrap_angle_value(theta))

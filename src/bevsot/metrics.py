@@ -3,8 +3,9 @@ distance, and Success/Precision areas under the threshold-sweep curves.
 
 The success curve f(tau) = fraction of frames with IoU above tau is a step
 function; its exact area over tau in [0, 1] equals the mean clipped IoU,
-which is what ``success_auc`` computes (and likewise precision over the
-distance range [0, 2 m]). Sampled 201-point curves are kept for reports.
+which is what ``success_auc`` computes. Likewise ``precision_auc`` is the
+exact area under the center-distance curve over [0, 2 m], normalized: the
+mean of clip(1 - dist / 2 m, 0, 1). The curves themselves are not sampled.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .track import Tracklet
 
 CLIP_EPS = 1e-9  # collinearity tolerance in the polygon clipper
 PRECISION_RANGE = 2.0  # meters
-CURVE_POINTS = 201
 
 
 def _polygon_area(poly: np.ndarray) -> float:
@@ -85,16 +85,6 @@ class OpeResult:
     dists: list[float]
     success_auc: float
     precision_auc: float
-
-    def success_curve(self, n: int = CURVE_POINTS):
-        taus = np.linspace(0.0, 1.0, n)
-        ious = np.asarray(self.ious)
-        return taus, np.array([(ious > t).mean() for t in taus])
-
-    def precision_curve(self, n: int = CURVE_POINTS):
-        deltas = np.linspace(0.0, PRECISION_RANGE, n)
-        dists = np.asarray(self.dists)
-        return deltas, np.array([(dists < d).mean() for d in deltas])
 
 
 def ope(pred: Tracklet, gt: list[Box3D]) -> OpeResult:

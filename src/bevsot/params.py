@@ -60,9 +60,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -79,17 +76,6 @@ class ParamStore:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
-
-    def clone(self) -> "ParamStore":
-        other = ParamStore()
-        for name, t in self._params.items():
-            other.create(name, t.data.copy())
-            st, ot = self._state[name], other._state[name]
-            ot.m[...] = st.m
-            ot.v[...] = st.v
-            ot.step = st.step
-        other.centre_taps = set(self.centre_taps)
-        return other
 
 
 # elements per adamw_step chunk: 16K float64 values, so a chunk of p, g, m, v

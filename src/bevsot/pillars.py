@@ -52,10 +52,6 @@ class CropSpec:
                 (self.y_range[1] - self.y_range[0]) / H)
 
 
-# human preset from the same source as the default car window above
-HUMAN_CROP = CropSpec(x_range=(-1.92, 1.92), y_range=(-1.92, 1.92))
-
-
 def ratio_crop_spec(box: Box3D, ratio: float, grid: tuple[int, int] = CropSpec.grid,
                     z_range: tuple[float, float] = CropSpec.z_range) -> CropSpec:
     """Alternative crop: a window with the target's footprint aspect ratio,

@@ -10,7 +10,7 @@ noise, and per-frame dropout stands in for occlusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,10 @@ class SceneConfig:
 class LabeledSequence:
     frames: list[PointCloud]
     gt: list[Box3D]
-    motions: list[Motion4] = field(default_factory=list)  # derived, length T-1
 
     def __post_init__(self):
         if len(self.frames) != len(self.gt):
             raise ConfigError(f"{len(self.frames)} frames vs {len(self.gt)} labels")
-        if not self.motions:
-            self.motions = [relative_motion(a, b) for a, b in zip(self.gt, self.gt[1:])]
 
 
 def _sample_faces(box: Box3D, cfg: SceneConfig, rng) -> np.ndarray:

@@ -44,9 +44,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -180,10 +177,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _out(data, "mul", (a, b),
                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
                            _unbroadcast(g * a.data, b.data.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _out(-a.data, "neg", (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:

@@ -22,9 +22,6 @@ class Tracklet:
     boxes: list[Box3D]
     coasted: list[bool]  # frame 1 is given, never coasted
 
-    def __len__(self):
-        return len(self.boxes)
-
 
 def tracker_motion_model(model: TrackerModel, spec: CropSpec) -> MotionModel:
     """Wrap a trained model: canonicalize + crop both frames around the

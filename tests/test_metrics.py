@@ -183,8 +183,10 @@ def test_curves_and_csv():
     gt = [Box3D(float(i), 0, 0, 2, 2, 3, 0.0) for i in range(4)]
     pred = [gt[0]] + [b.with_pose(b.x + 1.0, b.y, b.z, b.theta) for b in gt[1:]]
     res = ope(Tracklet("s", pred, [False] * 4), gt)
-    taus, curve = res.success_curve()
-    assert len(taus) == 201 and curve[0] == 1.0 and curve[-1] == 0.0
+    # each scored box is shifted 1 m along its 3 m length: IoU 2/4, distance
+    # 1 m, so the areas under both curves are exactly 1/2
+    assert res.ious == [0.5] * 3 and res.dists == [1.0] * 3
+    assert res.success_auc == res.precision_auc == 0.5
     csv = ope_csv(res)
     assert csv.startswith("frame,iou,center_dist") and "summary," in csv
 

@@ -236,16 +236,3 @@ def test_checkpoint_repeated_name(tmp_path):
         read_checkpoint(str(path))
     assert str(exc.value).startswith(f"{path}: byte 31:")
 
-
-def test_clone_is_independent(rng):
-    s = ParamStore()
-    p = s.create("w", rng.standard_normal(4))
-    p.grad = np.ones(4)
-    adamw_step(s, lr=0.1)
-    c = s.clone()
-    np.testing.assert_array_equal(c["w"].data, s["w"].data)
-    assert c._state["w"].step == 1
-    c["w"].data = c["w"].data + 5.0
-    c._state["w"].m[...] = 99.0
-    assert not np.array_equal(c["w"].data, s["w"].data)
-    assert not np.array_equal(c._state["w"].m, s._state["w"].m)

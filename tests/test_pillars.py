@@ -202,8 +202,3 @@ def test_ratio_crop_spec_follows_box():
     assert spec.y_range == (-1.8, 1.8)
     assert spec.grid == (32, 32)
 
-
-def test_human_crop_preset():
-    from bevsot.pillars import HUMAN_CROP
-    assert HUMAN_CROP.x_range == (-1.92, 1.92)
-    assert HUMAN_CROP.grid == CropSpec().grid == (32, 32)  # the car window's grid

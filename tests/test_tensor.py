@@ -582,7 +582,6 @@ def test_structural_ops_grads(rng):
         lambda t: T.sum_all(T.mul(T.reshape(t, (6, 4)), Tensor(w.data.reshape(6, 4)))),
         lambda t: T.sum_all(T.mul(T.transpose(t), Tensor(w.data.T.copy()))),
         lambda t: T.sum_all(T.mul(T.slice_cols(t, 1, 4), Tensor(w.data[:, 1:4].copy()))),
-        lambda t: T.sum_all(T.mul(T.neg(t), w)),
         lambda t: T.sum_all(T.scale(t, -2.5)),
         lambda t: T.sum_all(T.mul(T.concat([t, t], axis=-1),
                                   Tensor(np.concatenate([w.data, 2 * w.data], axis=1)))),

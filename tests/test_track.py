@@ -41,7 +41,7 @@ def test_zero_yaw_reduces_to_plain_addition():
 
 def test_size_preserved():
     out = compose_pose(box(0, 0, 0, 1.0), Motion4(1, 1, 0, 0.3))
-    assert out.size == (1.8, 1.6, 4.2)
+    assert (out.w, out.h, out.l) == (1.8, 1.6, 4.2)
 
 
 @given(angles, small, small, small, angles, small, small, small, angles)
@@ -88,7 +88,7 @@ def test_output_length_and_sizes(rng):
     frames = clouds(7, rng)
     tr = track_sequence(frames, box(0, 0, 0), lambda p, c, b: Motion4(0.1, 0, 0, 0.01))
     assert len(tr.boxes) == 7  # given first box plus T-1 predictions
-    assert all(b.size == (1.8, 1.6, 4.2) for b in tr.boxes)
+    assert all((b.w, b.h, b.l) == (1.8, 1.6, 4.2) for b in tr.boxes)
 
 
 def test_too_few_frames_rejected(rng):
