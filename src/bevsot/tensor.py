@@ -315,17 +315,17 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return add(out, b) if b is not None else out
 
 
-# element budget of one motion_gate tile: rows per tile = budget // N, at
-# least MOTION_GATE_MIN_ROWS and at most N. That is 64 rows at N = 1024, the
-# whole map once N <= 256, and 16 rows from N = 4096 up: each tile streams
-# the whole (N, 2d) key operand, so thinner tiles re-read it more often.
-MOTION_GATE_TILE_ELEMS = 1 << 16
-MOTION_GATE_MIN_ROWS = 16
+# query rows per motion_gate tile. In the sweep of BENCH_motion_gate_tiles.json
+# 64 rows is at or near the fastest forward + backward for every N from 1024
+# to 16384 (e.g. N = 16384, d = 16: 9385 ms at 16 rows, 7468 ms at 64); each
+# tile streams the whole (N, 2d) key operand, so thinner tiles re-read it
+# more often. N <= 64 is a single tile.
+MOTION_GATE_ROWS = 64
 
 
 def motion_gate_rows(N: int) -> int:
     """Query rows per motion_gate tile for N tokens."""
-    return min(N, max(MOTION_GATE_MIN_ROWS, MOTION_GATE_TILE_ELEMS // N))
+    return min(N, MOTION_GATE_ROWS)
 
 
 def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,

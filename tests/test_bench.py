@@ -56,9 +56,8 @@ def test_counts_match_closed_forms_exactly(rng, N, d):
 @pytest.mark.parametrize("N,d", [(8, 4), (32, 8), (64, 16)])
 @pytest.mark.parametrize("rows", [1, 3, 64, None])
 def test_motion_gate_tiled_count_and_values(rng, monkeypatch, N, d, rows):
-    if rows is not None:  # None keeps the default tile budget
-        monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * N)
-        monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
+    if rows is not None:  # None keeps the default tile height
+        monkeypatch.setattr(T, "MOTION_GATE_ROWS", rows)
     Qc, Kc, Qp, Kp, G = (rng.standard_normal((N, d)) for _ in range(5))
     b = rng.standard_normal(d)
     c = MacCounter()
@@ -66,6 +65,21 @@ def test_motion_gate_tiled_count_and_values(rng, monkeypatch, N, d, rows):
     assert c.count == motion_gate_tiled_macs(N, d)
     want = gate_projection(motion_weight_map(Qc, Kc, Qp, Kp, 0.7), G, b)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("N,d,rows", [(1024, 8, None), (256, 16, None), (12, 3, 5)])
+def test_motion_gate_tiled_is_the_ops_forward(rng, monkeypatch, N, d, rows):
+    # bevsot bench reports motion_gate_tiled as the model's fused gate: desk
+    # stages 1 and 2 in the default tiles, and 5-row tiles that do not divide N
+    if rows is not None:
+        monkeypatch.setattr(T, "MOTION_GATE_ROWS", rows)
+    Qc, Kc, Qp, Kp = (rng.standard_normal((N, d)) for _ in range(4))
+    G = rng.standard_normal((N, d)) / np.sqrt(N)  # keeps the gate off saturation
+    b = rng.uniform(-0.5, 0.5, d)
+    got = motion_gate_tiled(Qc, Kc, Qp, Kp, 0.7, G, b)
+    want = T.motion_gate(*(T.Tensor(x) for x in (Qc, Kc, Qp, Kp)), T.Tensor(0.7),
+                         T.Tensor(G[None]), T.Tensor(b[None]))
+    np.testing.assert_array_equal(got, want.data)
 
 
 def test_doubling_ratios_exact():

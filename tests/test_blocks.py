@@ -369,8 +369,7 @@ def _run_gates(build, lv, heads, probe):
 @pytest.mark.parametrize("rows", [1, 5, 16, 40])
 def test_motion_gate_matches_materialized_oracle(monkeypatch, heads, alpha, rows):
     # 16 tokens in tiles of 1 row, 5 rows (not a divisor), the whole map, more
-    monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * 16)
-    monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
+    monkeypatch.setattr(T, "MOTION_GATE_ROWS", rows)
     rng = np.random.default_rng(7)
     lv = _gate_leaves(rng, heads=heads, alpha=alpha)
     probe = rng.standard_normal((16, 4))
@@ -383,8 +382,7 @@ def test_motion_gate_matches_materialized_oracle(monkeypatch, heads, alpha, rows
 
 
 def test_motion_gate_gradcheck(monkeypatch):
-    monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", 5 * 12)  # 5-row tiles of 12
-    monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
+    monkeypatch.setattr(T, "MOTION_GATE_ROWS", 5)  # 5-row tiles of 12
     rng = np.random.default_rng(3)
     qc, kc, qp, kp = (leaf(rng.standard_normal((12, 3))) for _ in range(4))
     alpha = leaf(0.7)
@@ -455,11 +453,10 @@ def unbuffered_motion_gate(qc, kc, qp, kp, alpha, G, b):
 @pytest.mark.parametrize("N,d,heads,rows", [(1024, 8, 1, None), (256, 16, 1, None),
                                             (1024, 4, 2, None), (12, 3, 2, 5)])
 def test_motion_gate_is_bit_identical_to_unbuffered_oracle(monkeypatch, N, d, heads, rows):
-    # desk stages 1 and 2 at today's tile rule, two heads, and two heads in
-    # 5-row tiles that do not divide N (the last tile uses part of each buffer)
+    # desk stages 1 and 2 in the default 64-row tiles, two heads, and two heads
+    # in 5-row tiles that do not divide N (the last tile uses part of each buffer)
     if rows is not None:
-        monkeypatch.setattr(T, "MOTION_GATE_TILE_ELEMS", rows * N)
-        monkeypatch.setattr(T, "MOTION_GATE_MIN_ROWS", 1)
+        monkeypatch.setattr(T, "MOTION_GATE_ROWS", rows)
     rng = np.random.default_rng(N + d + heads)
     C = heads * d
     qc, kc, qp, kp = (leaf(rng.standard_normal((N, C))) for _ in range(4))
@@ -483,11 +480,38 @@ def test_motion_gate_is_bit_identical_to_unbuffered_oracle(monkeypatch, N, d, he
         np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("N,rows", [(64, 64), (256, 256), (1024, 64), (4096, 16),
-                                    (16384, 16)])
-def test_motion_gate_rows_keep_a_floor_of_16(N, rows):
-    # desk stages keep their tiles; full-preset stage 1 (N = 16384) gets the floor
+@pytest.mark.parametrize("N,rows", [(12, 12), (64, 64), (256, 64), (1024, 64),
+                                    (16384, 64)])
+def test_motion_gate_rows_are_64_or_all_of_n(N, rows):
+    # the desk's stage 3 (N = 64) and anything smaller is one tile
     assert T.motion_gate_rows(N) == rows
+
+
+def test_motion_gate_row_tiles_change_only_cross_tile_sums(monkeypatch):
+    # desk stage 2 (N = 256, d = 16) in 64-row tiles against one 256-row tile:
+    # every output row is computed alone, so the forward is bit-identical;
+    # the gradients summed across tiles (kc, kp, G, alpha) are reordered sums
+    rng = np.random.default_rng(256)
+    N, d = 256, 16
+    leaves = [leaf(rng.standard_normal((N, d))) for _ in range(4)]
+    leaves += [leaf(0.7), leaf(rng.uniform(-0.5, 0.5, (1, N, d))),
+               leaf(rng.uniform(-0.5, 0.5, (1, d)))]
+    probe = Tensor(rng.standard_normal((N, d)))
+
+    def run(rows):
+        monkeypatch.setattr(T, "MOTION_GATE_ROWS", rows)
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            out = T.motion_gate(*leaves)
+            tape.backward(T.sum_all(T.mul(out, probe)))
+        return out.data, [t.grad for t in leaves]
+
+    want, want_grads = run(256)
+    got, got_grads = run(64)
+    np.testing.assert_array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
