@@ -176,6 +176,9 @@ def cmd_eval(args) -> int:
     for tfile, seq_dir in pairs:
         boxes = read_tracklet(tfile)
         seq = read_sequence(seq_dir)
+        if len(boxes) != len(seq.gt):
+            raise DataFormatError(f"{tfile}: {len(boxes)} boxes but the sequence "
+                                  f"{seq_dir} has {len(seq.gt)} frames")
         name = os.path.basename(os.path.normpath(seq_dir))
         result = ope(Tracklet(name, boxes, [False] * len(boxes)), seq.gt)
         with open(os.path.join(out, f"ope_{name}.csv"), "w") as fh:

@@ -18,6 +18,7 @@ all: an interrupted write leaves the previous file as it was.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -61,6 +62,16 @@ def read_points_bin(path: str) -> PointCloud:
     return PointCloud(xyz)
 
 
+def _checked_box(path: str, lineno: int, vals: tuple[float, ...]) -> Box3D:
+    """Box3D from the (x, y, z, w, h, l, theta) read at line `lineno` of
+    `path`; a non-finite value or a size <= 0 is a DataFormatError."""
+    if not all(math.isfinite(v) for v in vals):
+        raise DataFormatError(f"{path}: line {lineno}: non-finite box value in {vals}")
+    if min(vals[3:6]) <= 0:
+        raise DataFormatError(f"{path}: line {lineno}: box size {vals[3:6]} is not positive")
+    return Box3D(*vals)
+
+
 def read_labels(path: str) -> list[Box3D]:
     boxes: list[tuple[int, Box3D]] = []
     with open(path) as fh:
@@ -72,10 +83,10 @@ def read_labels(path: str) -> list[Box3D]:
                 frame = int(rec["frame"])
                 cx, cy, cz = (float(v) for v in rec["center"])
                 w, h, l = (float(v) for v in rec["size"])
-                box = Box3D(cx, cy, cz, w, h, l, float(rec["yaw"]))
+                vals = (cx, cy, cz, w, h, l, float(rec["yaw"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: line {lineno}: bad label ({exc})") from exc
-            boxes.append((frame, box))
+            boxes.append((frame, _checked_box(path, lineno, vals)))
     boxes.sort(key=lambda fb: fb[0])
     if [f for f, _ in boxes] != list(range(1, len(boxes) + 1)):
         raise DataFormatError(f"{path}: frame indices are not 1..{len(boxes)}")
@@ -136,10 +147,10 @@ def read_tracklet(path: str) -> list[Box3D]:
                     f"{path}: line {lineno}: expected 8 fields, got {len(parts)}")
             try:
                 t = int(parts[0])
-                x, y, z, w, h, l, theta = (float(v) for v in parts[1:])
+                vals = tuple(float(v) for v in parts[1:])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
             if t != len(boxes) + 1:
                 raise DataFormatError(f"{path}: line {lineno}: frame index {t} out of order")
-            boxes.append(Box3D(x, y, z, w, h, l, theta))
+            boxes.append(_checked_box(path, lineno, vals))
     return boxes

@@ -396,6 +396,35 @@ def test_eval_perfect_oracle_stub_scores_one(tmp_path):
     assert float(prec) == pytest.approx(1.0, abs=1e-9)
 
 
+def _set_field(line, i, value):
+    parts = line.split()
+    parts[i] = value
+    return " ".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("target,lineno,edit,named", [
+    pytest.param("pred", 4, lambda line: "", "3 boxes", id="tracklet-short"),
+    pytest.param("pred", 2, lambda line: _set_field(line, 4, "0"), "line 2", id="tracklet-size-0"),
+    pytest.param("pred", 2, lambda line: _set_field(line, 1, "nan"), "line 2", id="tracklet-nan"),
+    pytest.param("gt", 3, lambda line: json.dumps({**json.loads(line), "yaw": float("nan")}) + "\n",
+                 "line 3", id="labels-nan")])
+def test_eval_malformed_input_exit_code_2(tmp_path, capsys, target, lineno, edit, named):
+    seq = generate(SceneConfig(length=4, seed=3))
+    write_sequence(seq, str(tmp_path / "gt" / "seq_000"))
+    os.makedirs(tmp_path / "pred" / "seq_000")
+    write_tracklet(seq.gt, [False] * 4, str(tmp_path / "pred" / "seq_000" / "tracklet.txt"))
+    bad = tmp_path / target / "seq_000" / ("tracklet.txt" if target == "pred" else "labels.jsonl")
+    lines = bad.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    bad.write_text("".join(lines))
+    code = run(["eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                "--out", tmp_path / "ev"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {bad}: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "b"
     assert run(["bench", "--ns", "32,64,128,256", "--d", "4", "--repeats", "1",
