@@ -87,8 +87,10 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
                betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
     """One decoupled-weight-decay Adam update over every parameter.
 
-    Requires grads populated for all parameters; increments per-parameter
-    step counts. Grads are left in place (call ``store.zero_grad()``).
+    Requires grads populated for all parameters, checked before any update,
+    so a missing one raises with the store unchanged. Increments
+    per-parameter step counts. Grads are left in place (call
+    ``store.zero_grad()``).
 
     Each parameter and its moments are updated in place, ``ADAMW_CHUNK``
     elements at a time through two scratch buffers, with the operations of
@@ -96,11 +98,12 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
         p = p - lr (mhat / (sqrt(vhat) + eps) + wd p)
     in this order, so the result is bit-identical to the whole-array form.
     """
-    b1, b2 = betas
-    t1, t2 = np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK)
     for name, p in store.items():
         if p.grad is None:
             raise ValueError(f"adamw_step: parameter '{name}' has no gradient")
+    b1, b2 = betas
+    t1, t2 = np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK)
+    for name, p in store.items():
         st = store._state[name]
         st.step += 1
         c1, c2 = 1.0 - b1 ** st.step, 1.0 - b2 ** st.step

@@ -36,6 +36,19 @@ def test_missing_grad_raises():
         adamw_step(s, lr=0.1)
 
 
+def test_missing_later_grad_leaves_earlier_params_untouched():
+    s = ParamStore()
+    a, b = s.create("a", np.array([1.0])), s.create("b", np.array([2.0]))
+    a.grad = np.array([0.5])
+    with pytest.raises(ValueError, match="'b' has no gradient"):
+        adamw_step(s, lr=0.1)
+    np.testing.assert_array_equal(a.data, [1.0])
+    np.testing.assert_array_equal(b.data, [2.0])
+    for name in "ab":
+        st = s._state[name]
+        assert st.step == 0 and not st.m.any() and not st.v.any()
+
+
 def test_adamw_single_step_hand_computed():
     # one step from zero moments: m = (1-b1) g, v = (1-b2) g^2, and the
     # bias corrections cancel those same factors exactly
