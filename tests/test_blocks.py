@@ -481,7 +481,7 @@ def test_motion_gate_is_bit_identical_to_unbuffered_oracle(monkeypatch, N, d, he
 
 
 @pytest.mark.parametrize("N,rows", [(12, 12), (64, 64), (256, 64), (1024, 64),
-                                    (16384, 64)])
+                                    (4096, 64), (16384, 64)])
 def test_motion_gate_rows_are_64_or_all_of_n(N, rows):
     # the desk's stage 3 (N = 64) and anything smaller is one tile
     assert T.motion_gate_rows(N) == rows
