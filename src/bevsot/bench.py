@@ -138,8 +138,8 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
     Returns the per-N records, the fitted log-log count slopes, and a text
     report that lists each of ``slope_checks`` as PASS or FAIL.
     """
-    if len(Ns) < 4 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ConfigError(f"need >= 4 strictly increasing N values, got {Ns}")
+    if len(Ns) < 4 or Ns[0] < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ConfigError(f"need >= 4 strictly increasing N values >= 1, got {Ns}")
     for name, value in (("d", d), ("repeats", repeats)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")

@@ -1,8 +1,9 @@
 """Command-line operator surface: gen, train, track, eval, bench, gradcheck.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure. Every command is deterministic under a fixed seed, and every run
-echoes its resolved configuration next to its outputs.
+failure. Every command is deterministic under a fixed seed; gen, train and
+track echo their resolved configuration next to their outputs. A config or
+input error is found before the run directory is made, and leaves none.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 import numpy as np
 
 from . import config as cfgmod
+from .atomic import atomic_write
 from .bench import bench_attention, bench_csv, slope_checks
 from .exceptions import ConfigError, DataFormatError, NumericError
 from .gradcheck import gradcheck_params
@@ -22,7 +24,7 @@ from .metrics import ope, ope_csv
 from .model import TrackerModel, motion_loss
 from .params import load_checkpoint, save_checkpoint
 from .scene import generate
-from .seqio import (list_sequence_dirs, read_sequence, read_tracklet,
+from .seqio import (list_sequence_dirs, read_labels, read_sequence, read_tracklet,
                     write_sequence, write_tracklet)
 from .track import Tracklet, track_sequence, tracker_motion_model
 from .train import make_training_samples, save_train_log, train
@@ -53,11 +55,6 @@ def _add_config_args(p: argparse.ArgumentParser):
                         "(needs the motion module)")
 
 
-def _check_seed(seed: int):
-    if seed < 0:  # np.random.default_rng rejects negative seeds
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
 def _build_config(args, base: cfgmod.RunConfig | None = None) -> cfgmod.RunConfig:
     cfg = base or cfgmod.RunConfig()
     if args.preset == "full":
@@ -81,13 +78,18 @@ def _build_config(args, base: cfgmod.RunConfig | None = None) -> cfgmod.RunConfi
         cfg.linear = False
     if args.unshared:
         cfg.shared = False
-    _check_seed(cfg.seed)
+    cfg.validate()
     return cfg
 
 
-def _run_dir(argout, tag) -> str:
-    out = argout or os.path.join("runs", f"{tag}-{time.strftime('%Y%m%d-%H%M%S')}")
+def _run_dir(args, tag: str, files: dict[str, str]) -> str:
+    """Make the run directory (`--out`, else a timestamped one under runs/),
+    once config and inputs are checked, and write `files` (name: text) whole."""
+    out = args.out or os.path.join("runs", f"{tag}-{time.strftime('%Y%m%d-%H%M%S')}")
     os.makedirs(out, exist_ok=True)
+    for name, text in files.items():
+        with atomic_write(os.path.join(out, name)) as fh:
+            fh.write(text)
     return out
 
 
@@ -102,8 +104,7 @@ def _generate_dataset(cfg: cfgmod.RunConfig, base_seed: int):
 
 def cmd_gen(args) -> int:
     cfg = _build_config(args)
-    out = _run_dir(args.out, "gen")
-    cfgmod.save_config(cfg, os.path.join(out, "config.echo.cfg"))
+    out = _run_dir(args, "gen", {"config.echo.cfg": cfgmod.config_text(cfg)})
     seqs = _generate_dataset(cfg, cfg.seed)
     for i, seq in enumerate(seqs):
         write_sequence(seq, os.path.join(out, f"seq_{i:03d}"),
@@ -114,11 +115,6 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
-    model_cfg, settings = cfg.model_config(), cfg.train_settings()
-    model_cfg.validate()  # before the run directory, so a config error leaves no files
-    out = _run_dir(args.out, "train")
-    cfgmod.save_config(cfg, os.path.join(out, "config.echo.cfg"))
-    model = TrackerModel(model_cfg, seed=cfg.seed)
     if args.data:
         seqs = [read_sequence(d) for d in list_sequence_dirs(args.data)]
     else:
@@ -127,9 +123,11 @@ def cmd_train(args) -> int:
                for s in make_training_samples([seq], cfg.crop_spec(seq.gt[0]))]
     if not samples:
         raise DataFormatError("no training samples (are the sequences length >= 2?)")
+    out = _run_dir(args, "train", {"config.echo.cfg": cfgmod.config_text(cfg)})
+    model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
 
-    history = train(model, samples, settings, log=print)
+    history = train(model, samples, cfg.train_settings(), log=print)
     save_train_log(history, len(model.alphas()), os.path.join(out, "train_log.csv"))
     ckpt = os.path.join(out, "checkpoint.bin")
     save_checkpoint(model.store, ckpt)
@@ -139,13 +137,14 @@ def cmd_train(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _build_config(args)
-    model_cfg = cfg.model_config()
-    model_cfg.validate()  # before the run directory, so a config error leaves no files
-    out = _run_dir(args.out, "track")
-    cfgmod.save_config(cfg, os.path.join(out, "config.echo.cfg"))
-    model = TrackerModel(model_cfg, seed=cfg.seed)
+    model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     load_checkpoint(model.store, args.checkpoint)
-    for seq_dir in list_sequence_dirs(args.data):
+    seq_dirs = list_sequence_dirs(args.data)
+    for seq_dir in seq_dirs:  # labels are small; frames are read one sequence at a time
+        if (n := len(read_labels(os.path.join(seq_dir, "labels.jsonl")))) < 2:
+            raise DataFormatError(f"{seq_dir}: tracking needs at least 2 frames, got {n}")
+    out = _run_dir(args, "track", {"config.echo.cfg": cfgmod.config_text(cfg)})
+    for seq_dir in seq_dirs:
         seq = read_sequence(seq_dir)
         name = os.path.basename(os.path.normpath(seq_dir))
         motion_model = tracker_motion_model(model, cfg.crop_spec(seq.gt[0]))
@@ -171,8 +170,7 @@ def cmd_eval(args) -> int:
             if not os.path.isfile(tfile):
                 raise DataFormatError(f"no tracklet for sequence '{name}' under {args.pred}")
             pairs.append((tfile, seq_dir))
-    out = _run_dir(args.out, "eval")
-    successes, precisions = [], []
+    results = {}
     for tfile, seq_dir in pairs:
         boxes = read_tracklet(tfile)
         seq = read_sequence(seq_dir)
@@ -180,29 +178,25 @@ def cmd_eval(args) -> int:
             raise DataFormatError(f"{tfile}: {len(boxes)} boxes but the sequence "
                                   f"{seq_dir} has {len(seq.gt)} frames")
         name = os.path.basename(os.path.normpath(seq_dir))
-        result = ope(Tracklet(name, boxes, [False] * len(boxes)), seq.gt)
-        with open(os.path.join(out, f"ope_{name}.csv"), "w") as fh:
-            fh.write(ope_csv(result))
-        successes.append(result.success_auc)
-        precisions.append(result.precision_auc)
-        print(f"{name}: success {result.success_auc:.4f} precision {result.precision_auc:.4f}")
-    print(f"mean: success {np.mean(successes):.4f} precision {np.mean(precisions):.4f}")
+        results[name] = ope(Tracklet(name, boxes, [False] * len(boxes)), seq.gt)
+    _run_dir(args, "eval", {f"ope_{name}.csv": ope_csv(r) for name, r in results.items()})
+    for name, r in results.items():
+        print(f"{name}: success {r.success_auc:.4f} precision {r.precision_auc:.4f}")
+    print(f"mean: success {np.mean([r.success_auc for r in results.values()]):.4f} "
+          f"precision {np.mean([r.precision_auc for r in results.values()]):.4f}")
     return 0
 
 
 def cmd_bench(args) -> int:
-    _check_seed(args.seed)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     try:
         ns = [int(v) for v in args.ns.split(",")]
     except ValueError:
         raise ConfigError(f"--ns expects comma-separated integers, got '{args.ns}'") from None
     records, slopes, report = bench_attention(ns, d=args.d, repeats=args.repeats,
                                               seed=args.seed)
-    out = _run_dir(args.out, "bench")
-    with open(os.path.join(out, "bench.csv"), "w") as fh:
-        fh.write(bench_csv(records))
-    with open(os.path.join(out, "scaling_report.txt"), "w") as fh:
-        fh.write(report)
+    _run_dir(args, "bench", {"bench.csv": bench_csv(records), "scaling_report.txt": report})
     print(report, end="")
     return 0 if all(ok for _, _, ok in slope_checks(slopes)) else 3
 
@@ -291,15 +285,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataFormatError as exc:
+    except (DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -71,6 +71,19 @@ class RunConfig:
     # general
     seed: int = TrainSettings.seed
 
+    def validate(self):
+        """Check every key and view once; a ConfigError names the key."""
+        if self.seed < 0:  # np.random.default_rng rejects negative seeds
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        self.model_config().validate()
+        for name in ("crop_ratio" if self.crop_mode == "ratio" else "crop_xy", "crop_z"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.crop_mode != "ratio":
+            self.crop_spec()  # rejects an unknown mode
+        self.train_settings()
+        self.scene_config(seed=0)
+
     # -- derived views ------------------------------------------------------
 
     def _view(self, cls, **given):
@@ -171,11 +184,6 @@ def config_text(cfg: RunConfig) -> str:
             v = "true" if v else "false"
         lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"
-
-
-def save_config(cfg: RunConfig, path: str):
-    with open(path, "w") as fh:
-        fh.write(config_text(cfg))
 
 
 FULL_SCALE_OVERRIDES = {

@@ -42,7 +42,8 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.length < 2:
-            raise ConfigError("sequence length must be >= 2")
+            raise ConfigError(f"length must be >= 2 (config key scene_length), "
+                              f"got {self.length}")
         for name in ("points_per_m2", "clutter_density", "occlusion_dropout",
                      "surface_noise", "size_jitter"):
             if getattr(self, name) < 0:

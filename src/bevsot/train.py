@@ -38,6 +38,10 @@ class TrainSettings:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.decay_factor > 0:
             raise ConfigError(f"decay_factor must be > 0, got {self.decay_factor}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0 (0 = no cap), got {self.max_steps}")
+        if self.flip_axis not in ("x", "y"):
+            raise ConfigError(f"flip_axis must be 'x' or 'y', got '{self.flip_axis}'")
 
 
 def make_training_samples(sequences: list[LabeledSequence],

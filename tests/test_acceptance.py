@@ -16,7 +16,7 @@ from bevsot import tensor as T
 from bevsot.bench import bench_attention, linear_attention_quadratic
 from bevsot.blocks import FramePair, block_forward, imm_weights, preprocess, tokenize
 from bevsot.config import RunConfig
-from bevsot.geometry import Box3D, Motion4, PointCloud, rot2d
+from bevsot.geometry import Box3D, PointCloud, rot2d
 from bevsot.gradcheck import gradcheck_params
 from bevsot.metrics import iou3d, ope
 from bevsot.model import ModelConfig, TrackerModel, motion_loss
@@ -25,8 +25,9 @@ from bevsot.pillars import CropSpec
 from bevsot.scene import SceneConfig, generate
 from bevsot.tensor import Tensor
 from bevsot.track import track_sequence, tracker_motion_model
-from bevsot.train import evaluate_mean_loss, make_training_samples, train
+from bevsot.train import make_training_samples, train
 
+from scripts.pilot_thresholds import run_pilot
 from tests.test_metrics import mc_iou, sweep_oracle_success
 
 
@@ -147,40 +148,19 @@ def test_criterion_6_iou_against_monte_carlo():
 
 @pytest.fixture(scope="module")
 def trained_desk():
-    """The pilot configuration of record (docs/pilot_run.md): 200 AdamW
-    steps at the desk preset with fixed seeds."""
-    cfg = RunConfig()  # desk preset
-    cfg.max_steps = 200
-    cfg.epochs = 100  # the step cap governs
-    spec = cfg.crop_spec()
-    train_seqs = [generate(cfg.scene_config(seed=1000 + i, static=i < 12))
-                  for i in range(48)]
-    val_seqs = [generate(cfg.scene_config(seed=9000 + i, static=i < 4))
-                for i in range(20)]
-    samples = make_training_samples(train_seqs, spec)
-    model = TrackerModel(cfg.model_config(), seed=cfg.seed)
-    eval_sub = samples[::4]
-    loss0 = evaluate_mean_loss(model, eval_sub)
-    history = train(model, samples, cfg.train_settings())
-    loss1 = evaluate_mean_loss(model, eval_sub)
-    return dict(model=model, cfg=cfg, spec=spec, val_seqs=val_seqs,
-                loss0=loss0, loss1=loss1, steps=history[-1].steps)
+    """The pilot configuration of record (docs/pilot_run.md), trained and
+    scored by scripts/pilot_thresholds.py."""
+    return run_pilot()
 
 
 def test_criterion_7_desk_scale_learning(trained_desk):
     t = trained_desk
-    motion_model = tracker_motion_model(t["model"], t["spec"])
-    coast = lambda p, c, b: Motion4(0, 0, 0, 0)
-    s_model = np.mean([ope(track_sequence(s.frames, s.gt[0], motion_model), s.gt)
-                       .success_auc for s in t["val_seqs"]])
-    s_coast = np.mean([ope(track_sequence(s.frames, s.gt[0], coast), s.gt)
-                       .success_auc for s in t["val_seqs"]])
     ratio = t["loss1"] / t["loss0"]
-    gap = s_model - s_coast
+    gap = t["s_model"] - t["s_coast"]
     ok = t["steps"] == 200 and ratio <= 0.5 and gap >= 0.10
     report(7, ok, f"{t['steps']} steps: loss {t['loss0']:.5f} -> {t['loss1']:.5f} "
-                  f"(ratio {ratio:.3f} <= 0.5); success {s_model:.4f} vs coast "
-                  f"{s_coast:.4f} (gap {gap:+.4f} >= 0.10)")
+                  f"(ratio {ratio:.3f} <= 0.5); success {t['s_model']:.4f} vs coast "
+                  f"{t['s_coast']:.4f} (gap {gap:+.4f} >= 0.10)")
 
 
 def test_static_target_center_error_below_cell_size(trained_desk):

@@ -8,6 +8,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from bevsot import cli
+from bevsot.atomic import atomic_write
 from bevsot.cli import main
 from bevsot.config import RunConfig, config_text, from_items, load_config
 from bevsot.exceptions import ConfigError
@@ -15,7 +17,7 @@ from bevsot.geometry import relative_motion
 from bevsot.metrics import ope
 from bevsot.model import ModelConfig, TrackerModel
 from bevsot.params import read_checkpoint, save_checkpoint
-from bevsot.scene import SceneConfig, generate
+from bevsot.scene import LabeledSequence, SceneConfig, generate
 from bevsot.seqio import write_sequence, write_tracklet
 from bevsot.track import Tracklet, track_sequence
 from bevsot.train import TrainSettings
@@ -140,6 +142,8 @@ def test_every_field_reaches_its_view():
         default = getattr(RunConfig, f.name)
         if isinstance(default, bool):
             values[f.name] = not default
+        elif f.name == "flip_axis":
+            values[f.name] = "y"  # the one other valid axis
         elif isinstance(default, int):
             values[f.name] = 100 + i
         elif isinstance(default, float):
@@ -251,12 +255,24 @@ def test_unshared_without_motion_module_exit_code_1(tmp_path, capsys):
     _config_error(capsys, code, "shared=false", "imm=true")
 
 
+TRACK = ["track", "--checkpoint", "c.bin", "--data", "seqs"]
+BAD_CROP = [
+    (["--set", "crop_mode=bogus"], ["crop_mode", "'bogus'"], "crop-mode"),
+    (["--set", "crop_xy=0"], ["crop_xy", "> 0"], "crop-xy"),
+    (["--set", "crop_mode=ratio", "--set", "crop_ratio=0"], ["crop_ratio", "> 0"], "crop-ratio")]
+
+
 @pytest.mark.parametrize("command,names", [
     pytest.param(["train", "--set", "grid=12"], ["grid", "12"], id="train-grid"),
     pytest.param(["train", "--no-imm", "--unshared"], ["shared=false"], id="train-unshared"),
     pytest.param(["train", "--set", "batch=0"], ["batch"], id="train-batch"),
-    pytest.param(["track", "--checkpoint", "c.bin", "--data", "seqs", "--set", "grid=12"],
-                 ["grid", "12"], id="track-grid")])
+    pytest.param(TRACK + ["--set", "grid=12"], ["grid", "12"], id="track-grid"),
+    *[pytest.param(cmd + bad, names, id=f"{cmd[0]}-{tag}")
+      for cmd in (["train"], TRACK) for bad, names, tag in BAD_CROP],
+    *[pytest.param([cmd, "--set", "scene_length=1"], ["scene_length", "got 1"],
+                   id=f"{cmd}-scene-length") for cmd in ("gen", "train")],
+    pytest.param(["train", "--set", "flip_axis=z"], ["flip_axis", "'z'"], id="train-flip-axis"),
+    pytest.param(["train", "--set", "max_steps=-1"], ["max_steps", "-1"], id="train-max-steps")])
 def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
     out = tmp_path / "o"
     _config_error(capsys, run(command + ["--out", out]), *names)
@@ -370,6 +386,22 @@ def test_track_checkpoint_shape_mismatch_exit_1(tmp_path):
                 "--out", tmp_path / "t", "--seed", 2] + FAST[:-4]
                + ["--set", "channels=8"])
     assert code == 1
+    assert not (tmp_path / "t").exists()
+
+
+def test_track_short_sequence_exit_code_2(tmp_path, capsys):
+    data, ck = data_and_checkpoint(tmp_path)
+    seq = generate(SceneConfig(length=2, seed=4))
+    short = data / "seq_short"
+    write_sequence(LabeledSequence(frames=seq.frames[:1], gt=seq.gt[:1]), str(short))
+    capsys.readouterr()
+    out = tmp_path / "t"
+    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {short}: ") and "at least 2 frames, got 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_perfect_oracle_stub_scores_one(tmp_path):
@@ -423,6 +455,28 @@ def test_eval_malformed_input_exit_code_2(tmp_path, capsys, target, lineno, edit
     assert code == 2
     assert err.startswith(f"data error: {bad}: ") and named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_small_outputs_are_written_whole(tmp_path, monkeypatch):
+    """The config echo and the eval CSVs go through atomic_write, which
+    leaves no temporary file behind."""
+    written = []
+
+    def spy(path, mode="w"):
+        written.append(os.path.relpath(path, tmp_path))
+        return atomic_write(path, mode)
+
+    monkeypatch.setattr(cli, "atomic_write", spy)
+    seq = generate(SceneConfig(length=4, seed=3))
+    write_sequence(seq, str(tmp_path / "gt"))
+    write_tracklet(seq.gt, [False] * 4, str(tmp_path / "tracklet.txt"))
+    assert run(["gen", "--out", tmp_path / "g", "--set", "sequences=0"]) == 0
+    assert run(["eval", "--pred", tmp_path / "tracklet.txt", "--gt", tmp_path / "gt",
+                "--out", tmp_path / "ev"]) == 0
+    assert written == [os.path.join("g", "config.echo.cfg"), os.path.join("ev", "ope_gt.csv")]
+    assert (tmp_path / "ev" / "ope_gt.csv").read_text().startswith("frame,iou,center_dist\n")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_bench_command(tmp_path):
@@ -453,6 +507,7 @@ def test_bench_command_gate_slope_fail_exit_3(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args,name", [
     pytest.param(["--ns", "1,a"], "--ns", id="ns-not-int"),
     pytest.param(["--ns", ""], "--ns", id="ns-empty"),
+    pytest.param(["--ns", "0,1,2,3"], "values >= 1", id="ns-zero"),
     pytest.param(["--d", "0"], "d must be", id="d-zero"),
     pytest.param(["--repeats", "0"], "repeats must be", id="repeats-zero")])
 def test_bench_bad_input_exit_code_1(tmp_path, capsys, args, name):
