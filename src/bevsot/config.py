@@ -75,6 +75,10 @@ class RunConfig:
         """Check every key and view once; a ConfigError names the key."""
         if self.seed < 0:  # np.random.default_rng rejects negative seeds
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.sequences < 1:
+            raise ConfigError(f"sequences must be >= 1, got {self.sequences}")
+        if not 0.0 <= self.static_fraction <= 1.0:
+            raise ConfigError(f"static_fraction must be in [0, 1], got {self.static_fraction}")
         self.model_config().validate()
         for name in ("crop_ratio" if self.crop_mode == "ratio" else "crop_xy", "crop_z"):
             if not getattr(self, name) > 0:

@@ -14,7 +14,10 @@ that tap, w[1, 1] of shape (cin, cout), and runs as a linear layer on the
 (1, cin) row; its outputs and gradients equal the padded 3x3 conv's. At
 the desk preset this holds for head.conv2 and head.conv3, so the model has
 450,975 parameters (a 3.6 MB checkpoint) instead of 1,761,695; the full
-preset's head (16 -> 7 -> 3 -> 1, valid padding) has no such conv.
+preset's head (16 -> 7 -> 3 -> 1, valid padding) has no such conv. Such a
+kernel is drawn one (cin, cout) tap at a time, in the C order of the whole
+kernel, and only the centre tap is kept: the values and the RNG stream
+are those of the whole draw, which is never held.
 """
 
 from __future__ import annotations
@@ -140,6 +143,16 @@ def _kaiming(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _centre_tap(draw, shape):
+    """w[1, 1] of the (3, 3) + shape kernel that `draw` would fill whole,
+    drawn as nine `shape` taps in C order; the other eight are dropped."""
+    for k in range(9):
+        tap = draw(shape)
+        if k == 4:
+            centre = tap
+    return centre
+
+
 class TrackerModel:
     """Owns the ParamStore and wires pillar encoder, blocks, and head."""
 
@@ -207,11 +220,11 @@ class TrackerModel:
         conv_w, conv_b, conv_ln = [], [], []
         head_grids = [h for h, _, _ in cfg.shape_chain()[cfg.stages:-1]]
         for i, (h, cout) in enumerate(zip(head_grids, cfg.head_channel_widths()), start=1):
-            # the full kernel is drawn either way, which keeps the RNG stream
-            w = _kaiming(rng, (3, 3, cin, cout), 9 * cin)
             if h == 1:
                 self.store.centre_taps.add(f"head.conv{i}.w")
-                w = w[1, 1]  # create() copies, so the full draw is freed
+                w = _centre_tap(lambda shape: _kaiming(rng, shape, 9 * cin), (cin, cout))
+            else:
+                w = _kaiming(rng, (3, 3, cin, cout), 9 * cin)
             conv_w.append(new(f"head.conv{i}.w", w))
             conv_b.append(new(f"head.conv{i}.b", np.zeros(cout)))
             conv_ln.append((new(f"head.conv{i}.ln.g", np.ones(cout)),
@@ -242,13 +255,14 @@ class TrackerModel:
             elif name.endswith("alpha"):
                 t.data = np.asarray(rng.uniform(0.3, 0.7))
             else:
-                # a centre tap is drawn as its whole 3x3 kernel (fan 3), so each
-                # value and the rest of the stream do not depend on the fold
-                tap = name in self.store.centre_taps
-                shape = (3, 3) + t.data.shape if tap else t.data.shape
-                fan = shape[0] if shape else 1
-                data = rng.uniform(-0.3, 0.3, size=shape) / math.sqrt(fan)
-                t.data = data[1, 1].copy() if tap else data
+                # a centre tap takes its values and the RNG stream from its whole
+                # 3x3 kernel's draw (fan 3), so neither depends on the fold
+                draw = lambda shape: rng.uniform(-0.3, 0.3, size=shape)
+                if name in self.store.centre_taps:
+                    t.data = _centre_tap(draw, t.data.shape) / math.sqrt(3)
+                else:
+                    shape = t.data.shape
+                    t.data = draw(shape) / math.sqrt(shape[0] if shape else 1)
 
     def alphas(self) -> list[float]:
         return [bp.alpha.item() for bp in self.blocks if bp.alpha is not None]
@@ -266,13 +280,13 @@ class TrackerModel:
     def backbone_forward(self, pair: FramePair) -> Tensor:
         cfg = self.config
         prev, curr = pair.prev, pair.curr
-        for bp, (dw, db) in zip(self.blocks, self.downs):
+        for s, (bp, (dw, db)) in enumerate(zip(self.blocks, self.downs), start=1):
             tokens = block_forward(FramePair(prev, curr), bp)
             curr = T.conv2d(T.reshape(tokens, (bp.H, bp.W, bp.C)), dw, db, stride=2)
             # the previous-frame stream advances through the same stride-2
             # conv so the next stage sees a pair at matching resolution;
-            # with the motion module off it is never read
-            prev = T.conv2d(prev, dw, db, stride=2) if cfg.imm else curr
+            # after the last stage, or with the motion module off, it is never read
+            prev = T.conv2d(prev, dw, db, stride=2) if cfg.imm and s < cfg.stages else curr
         return curr
 
     def head_forward(self, feat: Tensor) -> Tensor:

@@ -24,6 +24,8 @@ _VERSION = 1
 
 
 class _AdamState:
+    """AdamW moments and step count of one parameter, made on its first update."""
+
     __slots__ = ("m", "v", "step")
 
     def __init__(self, shape):
@@ -33,10 +35,12 @@ class _AdamState:
 
 
 class ParamStore:
-    """Insertion-ordered map name -> trainable Tensor plus optimizer state.
+    """Insertion-ordered map name -> trainable Tensor.
 
     Names are unique and shapes are immutable after creation; iteration
     order is creation order, which keeps optimizer updates deterministic.
+    ``_state`` holds a parameter's AdamW moments once ``adamw_step`` has
+    updated it, so a model that only runs inference holds none.
 
     ``centre_taps`` names the (cin, cout) parameters that stand for the
     centre tap w[1, 1] of a 3x3 kernel: the only tap a padded 3x3 conv over
@@ -54,7 +58,6 @@ class ParamStore:
             raise ConfigError(f"duplicate parameter name '{name}'")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
         self._params[name] = t
-        self._state[name] = _AdamState(t.data.shape)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -88,9 +91,9 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
     """One decoupled-weight-decay Adam update over every parameter.
 
     Requires grads populated for all parameters, checked before any update,
-    so a missing one raises with the store unchanged. Increments
-    per-parameter step counts. Grads are left in place (call
-    ``store.zero_grad()``).
+    so a missing one raises with the store unchanged. A parameter's zero
+    moments are created on its first update. Increments per-parameter step
+    counts. Grads are left in place (call ``store.zero_grad()``).
 
     Each parameter and its moments are updated in place, ``ADAMW_CHUNK``
     elements at a time through two scratch buffers, with the operations of
@@ -104,7 +107,9 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
     b1, b2 = betas
     t1, t2 = np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK)
     for name, p in store.items():
-        st = store._state[name]
+        st = store._state.get(name)
+        if st is None:
+            st = store._state[name] = _AdamState(p.data.shape)
         st.step += 1
         c1, c2 = 1.0 - b1 ** st.step, 1.0 - b2 ** st.step
         # the update is written through reshape(-1) views: a strided p.data

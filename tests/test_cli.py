@@ -118,9 +118,9 @@ FULL_TEXT = (DESK_TEXT.replace("grid=32", "grid=128").replace("channels=8", "cha
 def test_config_text_matches_golden(tmp_path):
     assert config_text(RunConfig()) == DESK_TEXT
     out = tmp_path / "g"
-    assert run(["gen", "--preset", "full", "--set", "sequences=0", "--out", out]) == 0
+    assert run(["gen", "--preset", "full", "--set", "sequences=1", "--out", out]) == 0
     echo = (out / "config.echo.cfg").read_text()
-    assert echo == FULL_TEXT.replace("sequences=48", "sequences=0")
+    assert echo == FULL_TEXT.replace("sequences=48", "sequences=1")
 
 
 def test_views_of_default_config_are_library_defaults():
@@ -272,7 +272,12 @@ BAD_CROP = [
     *[pytest.param([cmd, "--set", "scene_length=1"], ["scene_length", "got 1"],
                    id=f"{cmd}-scene-length") for cmd in ("gen", "train")],
     pytest.param(["train", "--set", "flip_axis=z"], ["flip_axis", "'z'"], id="train-flip-axis"),
-    pytest.param(["train", "--set", "max_steps=-1"], ["max_steps", "-1"], id="train-max-steps")])
+    pytest.param(["train", "--set", "max_steps=-1"], ["max_steps", "-1"], id="train-max-steps"),
+    *[pytest.param([cmd, "--set", f"sequences={n}"], ["sequences", f"got {n}"],
+                   id=f"{cmd}-sequences-{n}") for cmd in ("gen", "train") for n in (0, -2)],
+    *[pytest.param([cmd, "--set", f"static_fraction={f}"], ["static_fraction", f"got {f}"],
+                   id=f"{cmd}-static-fraction-{f}") for cmd in ("gen", "train")
+      for f in ("7.0", "-0.5", "nan")]])
 def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
     out = tmp_path / "o"
     _config_error(capsys, run(command + ["--out", out]), *names)
@@ -471,7 +476,8 @@ def test_small_outputs_are_written_whole(tmp_path, monkeypatch):
     seq = generate(SceneConfig(length=4, seed=3))
     write_sequence(seq, str(tmp_path / "gt"))
     write_tracklet(seq.gt, [False] * 4, str(tmp_path / "tracklet.txt"))
-    assert run(["gen", "--out", tmp_path / "g", "--set", "sequences=0"]) == 0
+    assert run(["gen", "--out", tmp_path / "g", "--set", "sequences=1",
+                "--set", "scene_length=2"]) == 0
     assert run(["eval", "--pred", tmp_path / "tracklet.txt", "--gt", tmp_path / "gt",
                 "--out", tmp_path / "ev"]) == 0
     assert written == [os.path.join("g", "config.echo.cfg"), os.path.join("ev", "ope_gt.csv")]

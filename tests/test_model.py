@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,12 @@ from bevsot.blocks import FramePair
 from bevsot.exceptions import ConfigError, NumericError
 from bevsot.geometry import Motion4, PointCloud
 from bevsot.gradcheck import gradcheck_params
-from bevsot.model import ModelConfig, TrackerModel, motion_loss
-from bevsot.params import ParamStore, load_checkpoint, save_checkpoint
+from bevsot.model import ModelConfig, TrackerModel, _centre_tap, _kaiming, motion_loss
+from bevsot.params import ParamStore, adamw_step, load_checkpoint, save_checkpoint
 from bevsot.pillars import CropSpec
+from bevsot.scene import SceneConfig, generate
 from bevsot.tensor import Tape, Tensor
+from bevsot.track import track_sequence, tracker_motion_model
 
 TINY = ModelConfig(grid=16, channels=4, head_trunk=32)
 
@@ -201,6 +204,72 @@ def test_centre_tap_head_matches_full_conv_head(rng):
             assert not dk.any()
         elif name.startswith("head."):
             np.testing.assert_array_equal(g, grads_c[name])
+
+
+@pytest.mark.parametrize("cin,cout", [(1, 1), (128, 256), (256, 512), (5, 3)])
+def test_centre_tap_draw_equals_full_kernel_draw(cin, cout):
+    """Nine (cin, cout) draws keep the values of the whole kernel's w[1, 1]
+    and leave the generator where the whole draw leaves it."""
+    taps, whole = np.random.default_rng(17), np.random.default_rng(17)
+    got = _centre_tap(lambda shape: _kaiming(taps, shape, 9 * cin), (cin, cout))
+    want = _kaiming(whole, (3, 3, cin, cout), 9 * cin)[1, 1]  # the full-draw oracle
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == (cin, cout) and got.base is None
+    assert taps.bit_generator.state == whole.bit_generator.state
+
+
+def test_desk_build_peak_memory_follows_parameters():
+    """Building the desk model holds no whole 3x3 draw of a centre tap and
+    no optimizer state: traced memory peaks below 2.5x the parameter bytes
+    (6.1x with both)."""
+    tracemalloc.start()
+    try:
+        m = TrackerModel(ModelConfig(), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * m.store.num_values()
+
+
+def test_inference_makes_no_optimizer_state(rng):
+    """Forwards outside a tape and tracking leave the store without AdamW
+    state; the first update makes it for every parameter, at step 1."""
+    m = TrackerModel(ModelConfig(), seed=0)
+    spec = CropSpec()
+    prev = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
+    curr = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
+    m.forward_clouds(prev, curr, spec)
+    seq = generate(SceneConfig(length=3, seed=6))
+    track_sequence(seq.frames, seq.gt[0], tracker_motion_model(m, spec))
+    assert m.store._state == {}
+    with Tape() as tape:
+        tape.backward(motion_loss(m.forward_clouds(prev, curr, spec),
+                                  Motion4(0.2, -0.1, 0.0, 0.05), m.config))
+    adamw_step(m.store, lr=1e-3)
+    assert list(m.store._state) == m.store.names()
+    for name, t in m.store.items():
+        st = m.store._state[name]
+        assert st.step == 1 and st.m.shape == st.v.shape == t.shape, name
+
+
+def test_desk_forward_conv_count(monkeypatch, rng):
+    """A desk pair runs 18 conv2d calls: per stage the cnn, dwc and down
+    convs of both frames, less the previous frame's down conv after the
+    last stage, which nothing reads, plus head.conv1."""
+    calls = []
+    conv2d = T.conv2d
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(T, "conv2d", counted)
+    m = TrackerModel(ModelConfig(), seed=0)
+    prev = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
+    curr = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
+    m.forward_clouds(prev, curr, CropSpec())
+    assert len(calls) == 18
+    assert calls.count(m.store["down3.w"].shape) == 1
 
 
 def test_randomize_all_draws_centre_taps_from_full_kernels():

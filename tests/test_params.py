@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bevsot.exceptions import ConfigError, DataFormatError
-from bevsot.params import (ADAMW_CHUNK, ParamStore, adamw_step, load_checkpoint,
-                           lr_at_epoch, read_checkpoint, save_checkpoint)
+from bevsot.params import (ADAMW_CHUNK, ParamStore, _AdamState, adamw_step,
+                           load_checkpoint, lr_at_epoch, read_checkpoint, save_checkpoint)
 
 
 def store_with(name="p", value=1.0):
@@ -44,9 +44,7 @@ def test_missing_later_grad_leaves_earlier_params_untouched():
         adamw_step(s, lr=0.1)
     np.testing.assert_array_equal(a.data, [1.0])
     np.testing.assert_array_equal(b.data, [2.0])
-    for name in "ab":
-        st = s._state[name]
-        assert st.step == 0 and not st.m.any() and not st.v.any()
+    assert s._state == {}  # no moments made, not even for a's
 
 
 def test_adamw_single_step_hand_computed():
@@ -82,7 +80,9 @@ def adamw_whole_array(store, lr, weight_decay, betas, eps):
     """AdamW as whole-array expressions, the form the chunked update replaced."""
     b1, b2 = betas
     for name, p in store.items():
-        st = store._state[name]
+        st = store._state.get(name)
+        if st is None:
+            st = store._state[name] = _AdamState(p.data.shape)
         st.step += 1
         st.m = b1 * st.m + (1.0 - b1) * p.grad
         st.v = b2 * st.v + (1.0 - b2) * (p.grad * p.grad)
@@ -131,8 +131,31 @@ def test_lr_schedule_paper_values():
 def test_optimizer_state_shapes_mirror_params(rng):
     s = ParamStore()
     p = s.create("w", rng.standard_normal((3, 4)))
+    p.grad = rng.standard_normal((3, 4))
+    adamw_step(s, lr=0.1)
     st = s._state["w"]
     assert st.m.shape == p.data.shape and st.v.shape == p.data.shape
+
+
+def test_optimizer_state_made_on_first_update(rng):
+    """create() makes no moments; the first step starts them from zero, so
+    m = (1 - b1) g and v = (1 - b2) g^2 exactly, and sets step 1."""
+    s = ParamStore()
+    p = s.create("w", rng.standard_normal((3, 4)))
+    q = s.create("alpha", np.asarray(0.5))
+    assert s._state == {}
+    g, h = rng.standard_normal((3, 4)), np.asarray(0.25)
+    p.grad, q.grad = g, h
+    b1, b2 = 0.8, 0.99
+    adamw_step(s, lr=0.1, betas=(b1, b2))
+    assert list(s._state) == ["w", "alpha"]
+    for name, grad in (("w", g), ("alpha", h)):
+        st = s._state[name]
+        assert st.step == 1 and st.m.shape == st.v.shape == grad.shape
+        np.testing.assert_array_equal(st.m, (1.0 - b1) * grad)
+        np.testing.assert_array_equal(st.v, (1.0 - b2) * (grad * grad))
+    adamw_step(s, lr=0.1, betas=(b1, b2))
+    assert [st.step for st in s._state.values()] == [2, 2]
 
 
 # ---------------------------------------------------------------------------
