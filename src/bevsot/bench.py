@@ -151,46 +151,34 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
         G = rng.standard_normal((N, d)) / math.sqrt(N)
         b = np.zeros(d)
         wm = motion_weight_map(Q, K, Qp, Kp, 0.5)
-
-        def run_softmax():
-            return softmax_attention(Q, K, V, counter=cnt)
-
-        def run_linear():
-            return linear_attention_core(Q, K, V, counter=cnt)
-
-        def run_motion():
-            return motion_weight_map(Q, K, Qp, Kp, 0.5, counter=cnt)
-
-        def run_gate_projection():
-            return gate_projection(wm, G, b, counter=cnt)
-
-        def run_gate_tiled():
-            return motion_gate_tiled(Q, K, Qp, Kp, 0.5, G, b, counter=cnt)
-
-        timed = {"softmax": run_softmax, "linear_core": run_linear,
-                 "motion_map": run_motion, "gate_projection": run_gate_projection,
-                 "motion_gate_tiled": run_gate_tiled}
-        for name, fn in timed.items():
+        # kernels are looked up as module globals at call time, in _VARIANTS order
+        kernels = {
+            "softmax": lambda c: softmax_attention(Q, K, V, counter=c),
+            "linear_core": lambda c: linear_attention_core(Q, K, V, counter=c),
+            "motion_map": lambda c: motion_weight_map(Q, K, Qp, Kp, 0.5, counter=c),
+            "gate_projection": lambda c: gate_projection(wm, G, b, counter=c),
+            "motion_gate_tiled": lambda c: motion_gate_tiled(Q, K, Qp, Kp, 0.5, G, b,
+                                                             counter=c)}
+        for name, kernel in kernels.items():
             cnt = MacCounter()
-            fn()
+            kernel(cnt)
             rec.counts[name] = cnt.count
             best = math.inf
             for _ in range(repeats):
-                cnt = MacCounter()
                 t0 = time.perf_counter()
-                fn()
+                kernel(cnt)  # the count is already taken
                 best = min(best, time.perf_counter() - t0)
             rec.seconds[name] = best
         records.append(rec)
 
-    slopes = {}
     logn = np.log([r.N for r in records])
-    for name in _VARIANTS:
-        slopes[name] = float(np.polyfit(logn, np.log([r.counts[name] for r in records]), 1)[0])
-    time_slopes = {}
-    for name in _VARIANTS:
-        secs = np.array([max(r.seconds[name], 1e-9) for r in records])
-        time_slopes[name] = float(np.polyfit(logn, np.log(secs), 1)[0])
+
+    def fit(values):  # log-log slope over the sweep
+        return float(np.polyfit(logn, np.log(values), 1)[0])
+
+    slopes = {name: fit([r.counts[name] for r in records]) for name in _VARIANTS}
+    time_slopes = {name: fit([max(r.seconds[name], 1e-9) for r in records])
+                   for name in _VARIANTS}
 
     lines = [f"attention scaling over N = {Ns}, d = {d}",
              f"{'variant':<18}{'count slope':>12}{'time slope':>12}  counts"]

@@ -204,6 +204,8 @@ def cmd_bench(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if not args.tol > 0:  # also NaN
+        raise ConfigError(f"--tol must be > 0, got {args.tol}")
     # default to the small verification config; flags/files still override
     tiny = cfgmod.from_items({"grid": "16", "channels": "4", "head_trunk": "64"})
     cfg = _build_config(args, base=tiny)

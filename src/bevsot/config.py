@@ -6,6 +6,7 @@ directory and reproduces the run bit-identically together with the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .exceptions import ConfigError
@@ -140,9 +141,12 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigError(f"key '{key}': expected a boolean, got '{raw}'")
     try:
-        return _PARSERS[ftype](raw.strip())
+        value = _PARSERS[ftype](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"key '{key}': {exc}") from exc
+    if ftype == "float" and not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite, got {value}")
+    return value
 
 
 def from_items(items: dict[str, str], base: RunConfig | None = None) -> RunConfig:

@@ -75,6 +75,8 @@ class ModelConfig:
         for name in ("channels", "heads", "head_trunk", "ffn_expand"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.huber_delta > 0:  # at 0 every loss is 0; below 0 the loss rewards error
+            raise ConfigError(f"huber_delta must be > 0, got {self.huber_delta}")
         if not (self.shared or self.imm):  # the previous frame is only encoded for the gate
             raise ConfigError("shared=false needs the motion module (imm=true)")
         if self.channels % self.heads:
@@ -125,12 +127,7 @@ class HeadParams:
     conv_ln: list[tuple[Tensor, Tensor]]
     trunk_w: Tensor
     trunk_b: Tensor
-    xy_w: Tensor
-    xy_b: Tensor
-    z_w: Tensor
-    z_b: Tensor
-    th_w: Tensor
-    th_b: Tensor
+    subtasks: list[tuple[Tensor, Tensor]]  # (w, b) for (dx, dy), dz, dtheta
 
 
 def _row(x: Tensor) -> Tensor:
@@ -237,13 +234,8 @@ class TrackerModel:
             trunk_b=new("head.trunk.b", np.zeros(trunk)),
             # subtask outputs start at zero so the untrained model predicts
             # exactly zero motion
-            xy_w=new("head.xy.w", np.zeros((trunk, 2))),
-            xy_b=new("head.xy.b", np.zeros(2)),
-            z_w=new("head.z.w", np.zeros((trunk, 1))),
-            z_b=new("head.z.b", np.zeros(1)),
-            th_w=new("head.th.w", np.zeros((trunk, 1))),
-            th_b=new("head.th.b", np.zeros(1)),
-        )
+            subtasks=[(new(f"head.{t}.w", np.zeros((trunk, k))), new(f"head.{t}.b", np.zeros(k)))
+                      for t, k in (("xy", 2), ("z", 1), ("th", 1))])
 
     def randomize_all(self, rng):
         """Re-draw every parameter with nonzero values (gradient checking
@@ -303,10 +295,8 @@ class TrackerModel:
             x = T.silu(T.layernorm(x, g, beta))
         x = _row(x)
         trunk = T.silu(T.linear(x, self.head.trunk_w, self.head.trunk_b))
-        xy = T.linear(trunk, self.head.xy_w, self.head.xy_b)
-        z = T.linear(trunk, self.head.z_w, self.head.z_b)
-        th = T.wrap_angle(T.linear(trunk, self.head.th_w, self.head.th_b))
-        return T.reshape(T.concat([xy, z, th], axis=-1), (4,))
+        xy, z, th = (T.linear(trunk, w, b) for w, b in self.head.subtasks)
+        return T.reshape(T.concat([xy, z, T.wrap_angle(th)], axis=-1), (4,))
 
     def forward_clouds(self, prev_cloud: PointCloud, curr_cloud: PointCloud,
                        spec: CropSpec) -> Tensor:

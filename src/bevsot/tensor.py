@@ -310,9 +310,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 lambda g: (g @ bd.T, ad.T @ g))
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    out = matmul(x, w)
-    return add(out, b) if b is not None else out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(x, w), b)
 
 
 # query rows per motion_gate tile. In the sweep of BENCH_motion_gate_tiles.json
@@ -538,7 +537,6 @@ def scatter_max(feats: Tensor, cell_index: np.ndarray, n_cells: int) -> Tensor:
         raise ShapeError(f"scatter_max: cell index outside [0, {n_cells})")
 
     data = np.zeros((n_cells, C))
-    arg = np.full((n_cells, C), -1, dtype=np.int64)
     if P:
         order, starts, run_of = cell_runs(idx)
         vals = feats.data[order]
@@ -549,14 +547,11 @@ def scatter_max(feats: Tensor, cell_index: np.ndarray, n_cells: int) -> Tensor:
         winners = np.minimum.reduceat(hits, starts, axis=0)
         cells = idx[order[starts]]
         data[cells] = feats.data[winners, np.arange(C)]  # a tied 0.0/-0.0 keeps the winner's sign
-        arg[cells] = winners
 
     def bw(g):
         df = np.zeros((P, C))
-        occ = arg >= 0
-        if occ.any():
-            rows, cols = np.nonzero(occ)
-            df[arg[rows, cols], cols] = g[rows, cols]
+        if P:  # each point lies in one cell, so no two winners share a (point, channel) slot
+            df[winners, np.arange(C)] = g[cells]
         return (df,)
 
     return _out(data, "scatter_max", (feats,), bw)

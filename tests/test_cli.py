@@ -277,7 +277,14 @@ BAD_CROP = [
                    id=f"{cmd}-sequences-{n}") for cmd in ("gen", "train") for n in (0, -2)],
     *[pytest.param([cmd, "--set", f"static_fraction={f}"], ["static_fraction", f"got {f}"],
                    id=f"{cmd}-static-fraction-{f}") for cmd in ("gen", "train")
-      for f in ("7.0", "-0.5", "nan")]])
+      for f in ("7.0", "-0.5", "nan")],
+    *[pytest.param(["train", "--set", f"{f.name}={v}"], [f"'{f.name}'", f"finite, got {v}"],
+                   id=f"train-{f.name}-{v}")
+      for f in fields(RunConfig) if f.type == "float" for v in ("nan", "inf", "-inf")],
+    pytest.param(["gen", "--set", "speed_min=nan"], ["'speed_min'", "finite"],
+                 id="gen-speed-min-nan"),
+    *[pytest.param(["train", "--set", f"huber_delta={v}"], ["huber_delta", "> 0"],
+                   id=f"train-huber-delta-{v}") for v in ("0", "-1")]])
 def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
     out = tmp_path / "o"
     _config_error(capsys, run(command + ["--out", out]), *names)
@@ -493,21 +500,43 @@ def test_bench_command(tmp_path):
     assert "PASS" in (out / "scaling_report.txt").read_text()
 
 
-def test_bench_command_gate_slope_fail_exit_3(tmp_path, monkeypatch):
+BENCH_KERNELS = [  # (bench function, its report and CSV name, its output shape)
+    ("softmax_attention", "softmax", lambda Q, K, V: Q.shape),
+    ("linear_attention_core", "linear_core", lambda Q, K, V: Q.shape),
+    ("motion_weight_map", "motion_map", lambda Qc, Kc, Qp, Kp, alpha: (len(Qc), len(Kc))),
+    ("gate_projection", "gate_projection", lambda Wm, G, b: (len(Wm), G.shape[1])),
+    ("motion_gate_tiled", "motion_gate_tiled", lambda Qc, Kc, Qp, Kp, alpha, G, b: G.shape)]
+
+
+@pytest.mark.parametrize("fn,name,shape", [pytest.param(*k, id=k[1]) for k in BENCH_KERNELS])
+def test_bench_command_gate_slope_fail_exit_3(tmp_path, monkeypatch, fn, name, shape):
+    """A cubic stub of one kernel moves that kernel's counts and slope only."""
     from bevsot import bench
 
-    def cubic_gate(Qc, Kc, Qp, Kp, alpha, G, b, counter=None):
+    def cubic(*args, counter=None):
         if counter is not None:
-            counter.count += Qc.shape[0] ** 3
-        return np.zeros(G.shape)
+            counter.count += len(args[0]) ** 3
+        return np.zeros(shape(*args))
 
-    monkeypatch.setattr(bench, "motion_gate_tiled", cubic_gate)
+    ns = [32, 64, 128, 256]
+    base = bench.bench_attention(ns, d=4, repeats=1)[0]
+    monkeypatch.setattr(bench, fn, cubic)
     out = tmp_path / "b"
-    assert run(["bench", "--ns", "32,64,128,256", "--d", "4", "--repeats", "1",
-                "--out", out]) == 3
+    asserted = name != "gate_projection"
+    assert run(["bench", "--ns", ",".join(map(str, ns)), "--d", "4", "--repeats", "1",
+                "--out", out]) == (3 if asserted else 0)
+    rows = [line.split(",") for line in (out / "bench.csv").read_text().splitlines()]
+    for col, head in enumerate(rows[0]):
+        if head.startswith("count_"):
+            kernel = head[len("count_"):]
+            want = [n ** 3 if kernel == name else r.counts[kernel] for n, r in zip(ns, base)]
+            assert [int(row[col]) for row in rows[1:]] == want, kernel
     report = (out / "scaling_report.txt").read_text()
-    assert "slope check motion_gate_tiled: 3.0000 vs 2.0 +/- 0.15 -> FAIL" in report
-    assert report.count("FAIL") == 1
+    assert any(line.split()[:2] == [name, "3.0000"] for line in report.splitlines())
+    assert report.count("FAIL") == asserted
+    if asserted:
+        want = "1.0" if name == "linear_core" else "2.0"
+        assert f"slope check {name}: 3.0000 vs {want} +/- 0.15 -> FAIL" in report
 
 
 @pytest.mark.parametrize("args,name", [
@@ -522,9 +551,11 @@ def test_bench_bad_input_exit_code_1(tmp_path, capsys, args, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("samples", [0, -1])
-def test_gradcheck_samples_below_one_exit_code_1(capsys, samples):
-    _config_error(capsys, run(["gradcheck", "--samples", samples]), "--samples")
+@pytest.mark.parametrize("flag,value", [  # --samples below 1, or a --tol that is not > 0
+    *[pytest.param("--samples", v, id=str(v)) for v in (0, -1)],
+    *[pytest.param("--tol", v, id=f"tol{v}") for v in ("0", "-1", "nan")]])
+def test_gradcheck_samples_below_one_exit_code_1(capsys, flag, value):
+    _config_error(capsys, run(["gradcheck", flag, value]), flag, f"got {value}")
 
 
 def test_gradcheck_command_small():
