@@ -23,24 +23,16 @@ _MAGIC = b"BSOT"
 _VERSION = 1
 
 
-class _AdamState:
-    """AdamW moments and step count of one parameter, made on its first update."""
-
-    __slots__ = ("m", "v", "step")
-
-    def __init__(self, shape):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.step = 0
-
-
 class ParamStore:
     """Insertion-ordered map name -> trainable Tensor.
 
     Names are unique and shapes are immutable after creation; iteration
     order is creation order, which keeps optimizer updates deterministic.
-    ``_state`` holds a parameter's AdamW moments once ``adamw_step`` has
-    updated it, so a model that only runs inference holds none.
+    AdamW state is one step count for the whole store, ``_step``, and per
+    name the ``(m, v)`` moments in ``_moments``, made on the parameter's
+    first update, so a model that only runs inference holds none. Every
+    update steps every parameter, so parameters are created before the
+    first update, and ``create`` refuses one after it.
 
     ``centre_taps`` names the (cin, cout) parameters that stand for the
     centre tap w[1, 1] of a 3x3 kernel: the only tap a padded 3x3 conv over
@@ -50,12 +42,15 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._state: dict[str, _AdamState] = {}
+        self._step = 0
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.centre_taps: set[str] = set()
 
     def create(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name '{name}'")
+        if self._step:
+            raise ConfigError(f"parameter '{name}' created after AdamW step {self._step}")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t
@@ -91,9 +86,10 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
     """One decoupled-weight-decay Adam update over every parameter.
 
     Requires grads populated for all parameters, checked before any update,
-    so a missing one raises with the store unchanged. A parameter's zero
-    moments are created on its first update. Increments per-parameter step
-    counts. Grads are left in place (call ``store.zero_grad()``).
+    so a missing one raises with the store, its step count included,
+    unchanged. Then the store's one step count is incremented, and a
+    parameter's zero moments are created on its first update. Grads are
+    left in place (call ``store.zero_grad()``).
 
     Each parameter and its moments are updated in place, ``ADAMW_CHUNK``
     elements at a time through two scratch buffers, with the operations of
@@ -105,17 +101,17 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
         if p.grad is None:
             raise ValueError(f"adamw_step: parameter '{name}' has no gradient")
     b1, b2 = betas
+    store._step += 1
+    c1, c2 = 1.0 - b1 ** store._step, 1.0 - b2 ** store._step
     t1, t2 = np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK)
     for name, p in store.items():
-        st = store._state.get(name)
-        if st is None:
-            st = store._state[name] = _AdamState(p.data.shape)
-        st.step += 1
-        c1, c2 = 1.0 - b1 ** st.step, 1.0 - b2 ** st.step
+        if name not in store._moments:
+            store._moments[name] = np.zeros(p.data.shape), np.zeros(p.data.shape)
+        m, v = store._moments[name]
         # the update is written through reshape(-1) views: a strided p.data
         # would reshape to a copy and lose it, a read-only one would refuse it
         p.data = np.require(p.data, np.float64, "CW")
-        pf, mf, vf = p.data.reshape(-1), st.m.reshape(-1), st.v.reshape(-1)
+        pf, mf, vf = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
         gf = np.broadcast_to(p.grad, p.data.shape).reshape(-1)
         for lo in range(0, pf.size, ADAMW_CHUNK):
             hi = min(lo + ADAMW_CHUNK, pf.size)

@@ -44,10 +44,21 @@ class SceneConfig:
         if self.length < 2:
             raise ConfigError(f"length must be >= 2 (config key scene_length), "
                               f"got {self.length}")
-        for name in ("points_per_m2", "clutter_density", "occlusion_dropout",
-                     "surface_noise", "size_jitter"):
+        # errors name the RunConfig key: speed_min/max and size_w/h/l are
+        # the keys behind speed_range and size_mean
+        lo, hi = self.speed_range
+        if not lo <= hi:
+            raise ConfigError(f"speed_min must be <= speed_max, got {lo} > {hi}")
+        for key, size in zip(("size_w", "size_h", "size_l"), self.size_mean):
+            if not size > 0:
+                raise ConfigError(f"{key} must be > 0, got {size}")
+        for name in ("size_jitter", "occlusion_dropout"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("points_per_m2", "clutter_density", "surface_noise", "yaw_rate_max",
+                     "lateral_drift", "vertical_drift", "clutter_extent"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -64,7 +64,10 @@ class Tape:
     replays once: a second ``backward`` would add every gradient onto the
     first pass's, so it raises ``RuntimeError`` instead. ``backward``
     consumes the tape: each node is dropped once replayed, so the tape is
-    empty afterwards and only leaves keep their ``.grad``."""
+    empty afterwards and only leaves keep their ``.grad``. A gradient is
+    never written in place: a later contribution makes a new sum array, so
+    a closure may hand one array to several inputs, or return its own
+    out_grad, and a ``.grad`` held from an earlier pass stays as it was."""
 
     _stack: list["Tape"] = []
 
@@ -95,14 +98,6 @@ class Tape:
             raise ValueError("loss was not recorded on this tape (no grad path)")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        # A backward closure may hand one array to several inputs (add gives
-        # its g to both) or return its own out_grad, so a first contribution
-        # is aliased, never written. The second allocates inp.grad + g, which
-        # this pass then owns; only owned buffers take later ones with +=.
-        # Keying on id() stays safe while nodes are freed below: every tensor
-        # recorded on the tape was alive when backward started, so no two
-        # share an id, and backward creates no tensors that could reuse one.
-        owned: set[int] = set()
         nodes = self._nodes
         while nodes:
             # drop each node, its closure and its output's gradient once
@@ -113,15 +108,8 @@ class Tape:
                 continue
             grads = node.backward_fn(out_grad)
             for inp, g in zip(node.inputs, grads):
-                if g is None or not inp.requires_grad:
-                    continue
-                if inp.grad is None:
-                    inp.grad = g
-                elif id(inp) in owned:
-                    inp.grad += g
-                else:
-                    inp.grad = inp.grad + g
-                    owned.add(id(inp))
+                if g is not None and inp.requires_grad:
+                    inp.grad = g if inp.grad is None else inp.grad + g
 
 
 def _active_tape() -> Optional[Tape]:

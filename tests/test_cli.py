@@ -144,6 +144,8 @@ def test_every_field_reaches_its_view():
             values[f.name] = not default
         elif f.name == "flip_axis":
             values[f.name] = "y"  # the one other valid axis
+        elif f.name in ("size_jitter", "occlusion_dropout"):
+            values[f.name] = 0.5 + i / 1000  # fractions: the scene takes [0, 1)
         elif isinstance(default, int):
             values[f.name] = 100 + i
         elif isinstance(default, float):
@@ -260,6 +262,14 @@ BAD_CROP = [
     (["--set", "crop_mode=bogus"], ["crop_mode", "'bogus'"], "crop-mode"),
     (["--set", "crop_xy=0"], ["crop_xy", "> 0"], "crop-xy"),
     (["--set", "crop_mode=ratio", "--set", "crop_ratio=0"], ["crop_ratio", "> 0"], "crop-ratio")]
+BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropout >= 1
+    ("speed_min=0.5", ["speed_min", "speed_max", "0.5 > 0.35"]),
+    ("size_w=-1", ["size_w", "> 0", "got -1.0"]),
+    ("size_jitter=1.5", ["size_jitter", "[0, 1)", "got 1.5"]),
+    ("yaw_rate_max=-0.1", ["yaw_rate_max", ">= 0", "got -0.1"]),
+    ("clutter_extent=-1", ["clutter_extent", ">= 0", "got -1.0"]),
+    ("occlusion_dropout=1", ["occlusion_dropout", "[0, 1)", "got 1.0"]),
+    ("occlusion_dropout=2", ["occlusion_dropout", "[0, 1)", "got 2.0"])]
 
 
 @pytest.mark.parametrize("command,names", [
@@ -278,6 +288,8 @@ BAD_CROP = [
     *[pytest.param([cmd, "--set", f"static_fraction={f}"], ["static_fraction", f"got {f}"],
                    id=f"{cmd}-static-fraction-{f}") for cmd in ("gen", "train")
       for f in ("7.0", "-0.5", "nan")],
+    *[pytest.param([cmd, "--set", bad], names, id=f"{cmd}-{bad}")
+      for cmd in ("gen", "train") for bad, names in BAD_SCENE],
     *[pytest.param(["train", "--set", f"{f.name}={v}"], [f"'{f.name}'", f"finite, got {v}"],
                    id=f"train-{f.name}-{v}")
       for f in fields(RunConfig) if f.type == "float" for v in ("nan", "inf", "-inf")],

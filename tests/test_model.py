@@ -241,15 +241,15 @@ def test_inference_makes_no_optimizer_state(rng):
     m.forward_clouds(prev, curr, spec)
     seq = generate(SceneConfig(length=3, seed=6))
     track_sequence(seq.frames, seq.gt[0], tracker_motion_model(m, spec))
-    assert m.store._state == {}
+    assert m.store._moments == {} and m.store._step == 0
     with Tape() as tape:
         tape.backward(motion_loss(m.forward_clouds(prev, curr, spec),
                                   Motion4(0.2, -0.1, 0.0, 0.05), m.config))
     adamw_step(m.store, lr=1e-3)
-    assert list(m.store._state) == m.store.names()
+    assert list(m.store._moments) == m.store.names() and m.store._step == 1
     for name, t in m.store.items():
-        st = m.store._state[name]
-        assert st.step == 1 and st.m.shape == st.v.shape == t.shape, name
+        mom, var = m.store._moments[name]
+        assert mom.shape == var.shape == t.shape, name
 
 
 def test_desk_forward_conv_count(monkeypatch, rng):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bevsot.exceptions import ConfigError, DataFormatError
-from bevsot.params import (ADAMW_CHUNK, ParamStore, _AdamState, adamw_step,
-                           load_checkpoint, lr_at_epoch, read_checkpoint, save_checkpoint)
+from bevsot.params import (ADAMW_CHUNK, ParamStore, adamw_step, load_checkpoint,
+                           lr_at_epoch, read_checkpoint, save_checkpoint)
 
 
 def store_with(name="p", value=1.0):
@@ -20,6 +20,17 @@ def test_duplicate_name_rejected():
     s = store_with()
     with pytest.raises(ConfigError):
         s.create("p", np.zeros(2))
+
+
+def test_create_after_first_update_rejected():
+    # every update steps every parameter, so one step count serves the store;
+    # a parameter made after an update would need a count of its own
+    s = store_with()
+    s["p"].grad = np.asarray(0.5)
+    adamw_step(s, lr=0.1)
+    with pytest.raises(ConfigError, match="'q' created after AdamW step 1"):
+        s.create("q", np.zeros(2))
+    assert s.names() == ["p"]
 
 
 def test_zero_grad_zero_decay_is_identity():
@@ -44,7 +55,25 @@ def test_missing_later_grad_leaves_earlier_params_untouched():
         adamw_step(s, lr=0.1)
     np.testing.assert_array_equal(a.data, [1.0])
     np.testing.assert_array_equal(b.data, [2.0])
-    assert s._state == {}  # no moments made, not even for a's
+    assert s._moments == {} and s._step == 0  # no moments made, not even for a's
+
+
+def test_missing_grad_leaves_step_count_and_moments_unchanged():
+    s = ParamStore()
+    a, b = s.create("a", np.array([1.0])), s.create("b", np.array([2.0]))
+    a.grad, b.grad = np.array([0.5]), np.array([-0.5])
+    adamw_step(s, lr=0.1)
+    moments = {name: (m.copy(), v.copy()) for name, (m, v) in s._moments.items()}
+    values = a.data.copy(), b.data.copy()
+    b.grad = None
+    with pytest.raises(ValueError, match="'b' has no gradient"):
+        adamw_step(s, lr=0.1)
+    assert s._step == 1
+    for name, (m, v) in s._moments.items():
+        np.testing.assert_array_equal(m, moments[name][0])
+        np.testing.assert_array_equal(v, moments[name][1])
+    np.testing.assert_array_equal(a.data, values[0])
+    np.testing.assert_array_equal(b.data, values[1])
 
 
 def test_adamw_single_step_hand_computed():
@@ -79,15 +108,14 @@ def test_adamw_two_steps_hand_computed():
 def adamw_whole_array(store, lr, weight_decay, betas, eps):
     """AdamW as whole-array expressions, the form the chunked update replaced."""
     b1, b2 = betas
+    store._step += 1
     for name, p in store.items():
-        st = store._state.get(name)
-        if st is None:
-            st = store._state[name] = _AdamState(p.data.shape)
-        st.step += 1
-        st.m = b1 * st.m + (1.0 - b1) * p.grad
-        st.v = b2 * st.v + (1.0 - b2) * (p.grad * p.grad)
-        mhat = st.m / (1.0 - b1 ** st.step)
-        vhat = st.v / (1.0 - b2 ** st.step)
+        m, v = store._moments.get(name, (np.zeros(p.data.shape), np.zeros(p.data.shape)))
+        m = b1 * m + (1.0 - b1) * p.grad
+        v = b2 * v + (1.0 - b2) * (p.grad * p.grad)
+        store._moments[name] = m, v
+        mhat = m / (1.0 - b1 ** store._step)
+        vhat = v / (1.0 - b2 ** store._step)
         p.data = p.data - lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.data)
 
 
@@ -112,11 +140,11 @@ def test_adamw_chunked_bit_identical_to_whole_array(rng):
         adamw_step(stores[0], **hyper)
         adamw_whole_array(stores[1], **hyper)
         for name, p in stores[0].items():
-            q, st, sr = stores[1][name], stores[0]._state[name], stores[1]._state[name]
+            q, st, sr = stores[1][name], stores[0]._moments[name], stores[1]._moments[name]
             np.testing.assert_array_equal(p.grad, grads[name])  # grads only read
             assert np.array_equal(p.data, q.data), name
-            assert np.array_equal(st.m, sr.m) and np.array_equal(st.v, sr.v), name
-            assert st.step == sr.step
+            assert np.array_equal(st[0], sr[0]) and np.array_equal(st[1], sr[1]), name
+        assert stores[0]._step == stores[1]._step
     np.testing.assert_array_equal(base, base_before)  # the view's base is not written
     assert not np.array_equal(stores[0]["viewed"].data, base.T)
 
@@ -133,8 +161,8 @@ def test_optimizer_state_shapes_mirror_params(rng):
     p = s.create("w", rng.standard_normal((3, 4)))
     p.grad = rng.standard_normal((3, 4))
     adamw_step(s, lr=0.1)
-    st = s._state["w"]
-    assert st.m.shape == p.data.shape and st.v.shape == p.data.shape
+    m, v = s._moments["w"]
+    assert m.shape == p.data.shape and v.shape == p.data.shape
 
 
 def test_optimizer_state_made_on_first_update(rng):
@@ -143,19 +171,19 @@ def test_optimizer_state_made_on_first_update(rng):
     s = ParamStore()
     p = s.create("w", rng.standard_normal((3, 4)))
     q = s.create("alpha", np.asarray(0.5))
-    assert s._state == {}
+    assert s._moments == {} and s._step == 0
     g, h = rng.standard_normal((3, 4)), np.asarray(0.25)
     p.grad, q.grad = g, h
     b1, b2 = 0.8, 0.99
     adamw_step(s, lr=0.1, betas=(b1, b2))
-    assert list(s._state) == ["w", "alpha"]
+    assert list(s._moments) == ["w", "alpha"] and s._step == 1
     for name, grad in (("w", g), ("alpha", h)):
-        st = s._state[name]
-        assert st.step == 1 and st.m.shape == st.v.shape == grad.shape
-        np.testing.assert_array_equal(st.m, (1.0 - b1) * grad)
-        np.testing.assert_array_equal(st.v, (1.0 - b2) * (grad * grad))
+        m, v = s._moments[name]
+        assert m.shape == v.shape == grad.shape
+        np.testing.assert_array_equal(m, (1.0 - b1) * grad)
+        np.testing.assert_array_equal(v, (1.0 - b2) * (grad * grad))
     adamw_step(s, lr=0.1, betas=(b1, b2))
-    assert [st.step for st in s._state.values()] == [2, 2]
+    assert s._step == 2
 
 
 # ---------------------------------------------------------------------------

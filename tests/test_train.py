@@ -78,9 +78,10 @@ def test_per_sample_tapes_bit_identical_to_batch_tape(imm, batch, n):
     assert got[-1].steps == 2 * -(-n // batch)
     for name, t in want_model.store.items():
         np.testing.assert_array_equal(got_model.store[name].data, t.data, err_msg=name)
-        got_state, want_state = got_model.store._state[name], want_model.store._state[name]
-        np.testing.assert_array_equal(got_state.m, want_state.m, err_msg=name)
-        np.testing.assert_array_equal(got_state.v, want_state.v, err_msg=name)
+        got_state, want_state = got_model.store._moments[name], want_model.store._moments[name]
+        np.testing.assert_array_equal(got_state[0], want_state[0], err_msg=name)
+        np.testing.assert_array_equal(got_state[1], want_state[1], err_msg=name)
+    assert got_model.store._step == want_model.store._step
 
 
 def test_step_holds_one_sample_tape_at_a_time(monkeypatch):
