@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure. Every command is deterministic under a fixed seed; gen, train and
 track echo their resolved configuration next to their outputs. A config or
-input error is found before the run directory is made, and leaves none.
+input error is found before the run directory is made, and leaves none;
+track checks every frame file's size up front, but a non-finite coordinate
+shows only when its frame is read, after earlier sequences are tracked.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .metrics import ope, ope_csv
 from .model import TrackerModel, motion_loss
 from .params import load_checkpoint, save_checkpoint
 from .scene import generate
-from .seqio import (list_sequence_dirs, read_labels, read_sequence, read_tracklet,
-                    write_sequence, write_tracklet)
+from .seqio import (frame_paths, list_sequence_dirs, read_labels, read_sequence,
+                    read_tracklet, write_sequence, write_tracklet)
 from .track import Tracklet, track_sequence, tracker_motion_model
 from .train import make_training_samples, save_train_log, train
 
@@ -140,9 +142,10 @@ def cmd_track(args) -> int:
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     load_checkpoint(model.store, args.checkpoint)
     seq_dirs = list_sequence_dirs(args.data)
-    for seq_dir in seq_dirs:  # labels are small; frames are read one sequence at a time
+    for seq_dir in seq_dirs:  # labels and frame sizes first; points one sequence at a time
         if (n := len(read_labels(os.path.join(seq_dir, "labels.jsonl")))) < 2:
             raise DataFormatError(f"{seq_dir}: tracking needs at least 2 frames, got {n}")
+        frame_paths(seq_dir, n)
     out = _run_dir(args, "track", {"config.echo.cfg": cfgmod.config_text(cfg)})
     for seq_dir in seq_dirs:
         seq = read_sequence(seq_dir)

@@ -6,20 +6,20 @@ directory and reproduces the run bit-identically together with the seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .exceptions import ConfigError
 from .model import ModelConfig
 from .pillars import CropSpec, ratio_crop_spec
+from .rules import COUNT, FINITE, NON_NEGATIVE, POSITIVE, SHARE, TWO_OR_MORE, check, one_of, ruled
 from .scene import SceneConfig
 from .train import TrainSettings
 
 
 @dataclass
 class RunConfig:
-    # keys named like a field of ModelConfig, TrainSettings or SceneConfig
-    # take that class's default and are passed to it by name
+    # a key named like a field of ModelConfig, TrainSettings or SceneConfig takes that
+    # field's default and rule and is passed to it by name; others write their own
 
     # model
     grid: int = ModelConfig.grid
@@ -38,10 +38,10 @@ class RunConfig:
     shared: bool = ModelConfig.shared
     # crop window: fixed symmetric ranges (default) or a window proportional
     # to the target box size (crop_mode=ratio)
-    crop_mode: str = "fixed"
-    crop_xy: float = CropSpec.x_range[1]
-    crop_z: float = CropSpec.z_range[1]
-    crop_ratio: float = 2.0
+    crop_mode: str = ruled("fixed", one_of("fixed", "ratio"), "crop")
+    crop_xy: float = ruled(CropSpec.x_range[1], POSITIVE, "crop")
+    crop_z: float = ruled(CropSpec.z_range[1], POSITIVE, "crop")
+    crop_ratio: float = ruled(2.0, POSITIVE, "crop")
     # training
     lr: float = TrainSettings.lr
     weight_decay: float = TrainSettings.weight_decay
@@ -54,38 +54,28 @@ class RunConfig:
     flip_axis: str = TrainSettings.flip_axis
     max_rot_deg: float = TrainSettings.max_rot_deg
     # scene generation
-    sequences: int = 48
-    scene_length: int = SceneConfig.length
-    speed_min: float = SceneConfig.speed_range[0]
-    speed_max: float = SceneConfig.speed_range[1]
+    sequences: int = ruled(48, COUNT, "scene")
+    scene_length: int = ruled(SceneConfig.length, TWO_OR_MORE, "scene")
+    speed_min: float = ruled(SceneConfig.speed_range[0], FINITE, "scene")
+    speed_max: float = ruled(SceneConfig.speed_range[1], FINITE, "scene")
     yaw_rate_max: float = SceneConfig.yaw_rate_max
     points_per_m2: float = SceneConfig.points_per_m2
     clutter_density: float = SceneConfig.clutter_density
     clutter_extent: float = SceneConfig.clutter_extent
     occlusion_dropout: float = SceneConfig.occlusion_dropout
     surface_noise: float = SceneConfig.surface_noise
-    size_w: float = SceneConfig.size_mean[0]
-    size_h: float = SceneConfig.size_mean[1]
-    size_l: float = SceneConfig.size_mean[2]
+    size_w: float = ruled(SceneConfig.size_mean[0], POSITIVE, "scene")
+    size_h: float = ruled(SceneConfig.size_mean[1], POSITIVE, "scene")
+    size_l: float = ruled(SceneConfig.size_mean[2], POSITIVE, "scene")
     size_jitter: float = SceneConfig.size_jitter
-    static_fraction: float = 0.25
+    static_fraction: float = ruled(0.25, SHARE, "scene")
     # general
-    seed: int = TrainSettings.seed
+    seed: int = ruled(TrainSettings.seed, NON_NEGATIVE, "train")  # default_rng needs >= 0
 
     def validate(self):
-        """Check every key and view once; a ConfigError names the key."""
-        if self.seed < 0:  # np.random.default_rng rejects negative seeds
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.sequences < 1:
-            raise ConfigError(f"sequences must be >= 1, got {self.sequences}")
-        if not 0.0 <= self.static_fraction <= 1.0:
-            raise ConfigError(f"static_fraction must be in [0, 1], got {self.static_fraction}")
+        """Check every key once, here or in the view that reads it; a ConfigError names it."""
+        check(self)
         self.model_config().validate()
-        for name in ("crop_ratio" if self.crop_mode == "ratio" else "crop_xy", "crop_z"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.crop_mode != "ratio":
-            self.crop_spec()  # rejects an unknown mode
         self.train_settings()
         self.scene_config(seed=0)
 
@@ -141,12 +131,9 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigError(f"key '{key}': expected a boolean, got '{raw}'")
     try:
-        value = _PARSERS[ftype](raw.strip())
+        return _PARSERS[ftype](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"key '{key}': {exc}") from exc
-    if ftype == "float" and not math.isfinite(value):
-        raise ConfigError(f"key '{key}' must be finite, got {value}")
-    return value
 
 
 def from_items(items: dict[str, str], base: RunConfig | None = None) -> RunConfig:

@@ -33,6 +33,7 @@ from .exceptions import ConfigError, NumericError, ShapeError
 from .geometry import Motion4, PointCloud
 from .params import ParamStore
 from .pillars import CropSpec, crop, pillarize
+from .rules import BOOL, COUNT, NON_NEGATIVE, POSITIVE, POWER_OF_TWO, check, ruled
 from .tensor import Tensor
 
 HEAD_CONVS = 3
@@ -50,44 +51,31 @@ def _head_step(h: int) -> int:
 
 @dataclass
 class ModelConfig:
-    grid: int = CropSpec.grid[0]
-    channels: int = 8
-    heads: int = 1
-    stages: int = 3
-    head_trunk: int = 256
-    ffn_expand: int = 2
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 1.0
-    huber_delta: float = 1.0
-    imm: bool = True
-    dwc: bool = True
-    linear: bool = True
-    shared: bool = True
+    grid: int = ruled(CropSpec.grid[0], POWER_OF_TWO)
+    channels: int = ruled(8, COUNT)
+    heads: int = ruled(1, COUNT)
+    stages: int = ruled(3, COUNT)
+    head_trunk: int = ruled(256, COUNT)
+    ffn_expand: int = ruled(2, COUNT)
+    lambda1: float = ruled(1.0, NON_NEGATIVE)
+    lambda2: float = ruled(1.0, NON_NEGATIVE)
+    lambda3: float = ruled(1.0, NON_NEGATIVE)
+    huber_delta: float = ruled(1.0, POSITIVE)  # at 0 every loss is 0; below 0 it rewards error
+    imm: bool = ruled(True, BOOL)
+    dwc: bool = ruled(True, BOOL)
+    linear: bool = ruled(True, BOOL)
+    shared: bool = ruled(True, BOOL)
 
     def validate(self):
-        if self.grid < 8 or self.grid & (self.grid - 1):
-            raise ConfigError(f"grid must be a power of two >= 8, got {self.grid}")
-        if self.stages < 1:
-            raise ConfigError("need at least one stage")
-        if self.grid >> (self.stages - 1) < 1:
-            raise ConfigError(f"grid {self.grid} too small for {self.stages} stages")
-        for name in ("channels", "heads", "head_trunk", "ffn_expand"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.huber_delta > 0:  # at 0 every loss is 0; below 0 the loss rewards error
-            raise ConfigError(f"huber_delta must be > 0, got {self.huber_delta}")
+        check(self)
+        # the rules between keys; each key's own rule sits on its field
         if not (self.shared or self.imm):  # the previous frame is only encoded for the gate
             raise ConfigError("shared=false needs the motion module (imm=true)")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
-        h = self.final_grid
-        for _ in range(HEAD_CONVS):
-            h = _head_step(h)
-        if h != 1:
-            raise ConfigError(
-                f"final grid {self.final_grid}x{self.final_grid} is not reducible to 1x1 "
-                f"by the {HEAD_CONVS} head convolutions")
+        if not self.final_grid or self.shape_chain()[-1][0] != 1:  # after the head convs
+            raise ConfigError(f"final grid {self.final_grid}x{self.final_grid} is not reducible "
+                              f"to 1x1 by the {HEAD_CONVS} head convolutions")
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .geometry import Box3D, Motion4, PointCloud, relative_motion, rot2d
+from .rules import FRACTION, NON_NEGATIVE, POSITIVE, TWO_OR_MORE, check, ruled
 from .tensor import wrap_angle_value
 
 SENSOR = np.array([0.0, 0.0, 1.8])
@@ -23,42 +24,28 @@ SENSOR = np.array([0.0, 0.0, 1.8])
 
 @dataclass
 class SceneConfig:
-    size_mean: tuple[float, float, float] = (1.8, 1.6, 4.2)  # (w, h, l)
-    size_jitter: float = 0.1  # relative, uniform
+    size_mean: tuple[float, float, float] = ruled((1.8, 1.6, 4.2), POSITIVE)  # (w, h, l)
+    size_jitter: float = ruled(0.1, FRACTION)  # relative, uniform
     speed_range: tuple[float, float] = (0.10, 0.35)  # m/frame along heading
-    yaw_rate_max: float = 0.04  # rad/frame, uniform in [-max, max]
-    lateral_drift: float = 0.02  # m/frame sideways, uniform in [-d, d]
-    vertical_drift: float = 0.01
-    points_per_m2: float = 40.0  # face density at ref_range
+    yaw_rate_max: float = ruled(0.04, NON_NEGATIVE)  # rad/frame, uniform in [-max, max]
+    lateral_drift: float = ruled(0.02, NON_NEGATIVE)  # m/frame sideways, uniform in [-d, d]
+    vertical_drift: float = ruled(0.01, NON_NEGATIVE)
+    points_per_m2: float = ruled(40.0, NON_NEGATIVE)  # face density at ref_range
     ref_range: float = 10.0
-    surface_noise: float = 0.01  # uniform bound, all axes
-    clutter_density: float = 0.6  # points per m^2 of ground footprint
-    clutter_extent: float = 10.0  # half-size of the clutter slab
-    occlusion_dropout: float = 0.1
+    surface_noise: float = ruled(0.01, NON_NEGATIVE)  # uniform bound, all axes
+    clutter_density: float = ruled(0.6, NON_NEGATIVE)  # points per m^2 of ground footprint
+    clutter_extent: float = ruled(10.0, NON_NEGATIVE)  # half-size of the clutter slab
+    occlusion_dropout: float = ruled(0.1, FRACTION)
     segment_frames: int = 4  # frames per constant-velocity segment
     static: bool = False  # near-static target (drifts only)
-    length: int = 16
+    length: int = ruled(16, TWO_OR_MORE)
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 2:
-            raise ConfigError(f"length must be >= 2 (config key scene_length), "
-                              f"got {self.length}")
-        # errors name the RunConfig key: speed_min/max and size_w/h/l are
-        # the keys behind speed_range and size_mean
-        lo, hi = self.speed_range
+        check(self)
+        lo, hi = self.speed_range  # named by the RunConfig keys behind speed_range
         if not lo <= hi:
             raise ConfigError(f"speed_min must be <= speed_max, got {lo} > {hi}")
-        for key, size in zip(("size_w", "size_h", "size_l"), self.size_mean):
-            if not size > 0:
-                raise ConfigError(f"{key} must be > 0, got {size}")
-        for name in ("size_jitter", "occlusion_dropout"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("points_per_m2", "clutter_density", "surface_noise", "yaw_rate_max",
-                     "lateral_drift", "vertical_drift", "clutter_extent"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

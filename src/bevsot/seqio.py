@@ -45,13 +45,16 @@ def write_sequence(seq: LabeledSequence, path: str, meta: dict | None = None):
         json.dump(payload, fh, indent=1)
 
 
+def _check_whole_points(path: str, size: int):
+    if size % 12:
+        raise DataFormatError(f"{path}: byte {size - size % 12}: truncated point record "
+                              f"(file size {size} is not a multiple of 12)")
+
+
 def read_points_bin(path: str) -> PointCloud:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) % 12:
-        raise DataFormatError(
-            f"{path}: byte {len(blob) - len(blob) % 12}: truncated point record "
-            f"(file size {len(blob)} is not a multiple of 12)")
+    _check_whole_points(path, len(blob))
     xyz = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(-1, 3)
     bad = ~np.isfinite(xyz).all(axis=1)
     if bad.any():
@@ -93,16 +96,27 @@ def read_labels(path: str) -> list[Box3D]:
     return [b for _, b in boxes]
 
 
-def read_sequence(path: str) -> LabeledSequence:
+def frame_paths(path: str, n_labels: int) -> list[str]:
+    """The sequence's frame files, checked by size only: frames/000001.bin
+    .. NNNNNN.bin exist for the `n_labels` labels and no other .bin file
+    does, and each holds whole 12-byte points. No point is read, so a
+    non-finite coordinate shows only when its frame is read."""
     frames_dir = os.path.join(path, "frames")
     if not os.path.isdir(frames_dir):
         raise DataFormatError(f"{path}: missing frames/ directory")
-    names = sorted(n for n in os.listdir(frames_dir) if n.endswith(".bin"))
-    frames = [read_points_bin(os.path.join(frames_dir, n)) for n in names]
+    paths = [os.path.join(frames_dir, f"{t:06d}.bin") for t in range(1, n_labels + 1)]
+    for p in paths:
+        if not os.path.isfile(p):
+            raise DataFormatError(f"{p}: missing frame file ({n_labels} labels)")
+        _check_whole_points(p, os.path.getsize(p))
+    if (n := sum(name.endswith(".bin") for name in os.listdir(frames_dir))) != n_labels:
+        raise DataFormatError(f"{path}: {n} frame files but {n_labels} labels")
+    return paths
+
+
+def read_sequence(path: str) -> LabeledSequence:
     labels = read_labels(os.path.join(path, "labels.jsonl"))
-    if len(labels) != len(frames):
-        raise DataFormatError(
-            f"{path}: {len(frames)} frame files but {len(labels)} labels")
+    frames = [read_points_bin(p) for p in frame_paths(path, len(labels))]
     return LabeledSequence(frames=frames, gt=labels)
 
 

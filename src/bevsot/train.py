@@ -8,40 +8,32 @@ import numpy as np
 
 from . import tensor as T
 from .atomic import atomic_write
-from .exceptions import ConfigError, NumericError
+from .exceptions import NumericError
 from .geometry import box_in_frame, relative_motion
 from .model import TrackerModel, motion_loss
 from .params import adamw_step, lr_at_epoch
 from .pillars import CropSpec, canonicalize, crop
+from .rules import BOOL, COUNT, NON_NEGATIVE, POSITIVE, check, one_of, ruled
 from .scene import LabeledSequence, TrainingSample, augment
 from .tensor import Tape
 
 
 @dataclass
 class TrainSettings:
-    lr: float = 5e-4
-    weight_decay: float = 0.01
+    lr: float = ruled(5e-4, NON_NEGATIVE)
+    weight_decay: float = ruled(0.01, NON_NEGATIVE)
     betas: tuple[float, float] = (0.9, 0.999)
-    batch: int = 4
-    epochs: int = 5
-    decay_factor: float = 5.0
-    decay_interval: int = 20
-    max_steps: int = 0  # 0 = no cap
-    augment: bool = True
-    flip_axis: str = "x"
-    max_rot_deg: float = 5.0
-    seed: int = 0
+    batch: int = ruled(4, COUNT)
+    epochs: int = ruled(5, COUNT)
+    decay_factor: float = ruled(5.0, POSITIVE)
+    decay_interval: int = ruled(20, COUNT)
+    max_steps: int = ruled(0, NON_NEGATIVE)  # 0 = no cap
+    augment: bool = ruled(True, BOOL)
+    flip_axis: str = ruled("x", one_of("x", "y"))
+    max_rot_deg: float = ruled(5.0, NON_NEGATIVE)
+    seed: int = 0  # no rule here: a negative seed fails in train(), at its first draw
 
-    def __post_init__(self):
-        for name in ("batch", "decay_interval"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.decay_factor > 0:
-            raise ConfigError(f"decay_factor must be > 0, got {self.decay_factor}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be >= 0 (0 = no cap), got {self.max_steps}")
-        if self.flip_axis not in ("x", "y"):
-            raise ConfigError(f"flip_axis must be 'x' or 'y', got '{self.flip_axis}'")
+    __post_init__ = check
 
 
 def make_training_samples(sequences: list[LabeledSequence],

@@ -2,6 +2,7 @@
 small workloads."""
 
 import json
+import math
 import os
 from dataclasses import fields
 
@@ -17,6 +18,7 @@ from bevsot.geometry import relative_motion
 from bevsot.metrics import ope
 from bevsot.model import ModelConfig, TrackerModel
 from bevsot.params import read_checkpoint, save_checkpoint
+from bevsot.rules import NON_NEGATIVE, Rule
 from bevsot.scene import LabeledSequence, SceneConfig, generate
 from bevsot.seqio import write_sequence, write_tracklet
 from bevsot.track import Tracklet, track_sequence
@@ -173,6 +175,41 @@ def test_every_field_reaches_its_view():
     assert reached == set(values) - NOT_SHARED
 
 
+def key_rules() -> dict:
+    """Every RunConfig key's (rule, view): a run-level key's own, else the
+    rule of the library field it is passed to by name, and that class's view."""
+    library = {f.name: (f.metadata.get("rule"), view) for view, cls in
+               (("model", ModelConfig), ("train", TrainSettings), ("scene", SceneConfig))
+               for f in fields(cls)}
+    return {f.name: (f.metadata["rule"], f.metadata["view"]) if "rule" in f.metadata
+            else library.get(f.name, (None, None)) for f in fields(RunConfig)}
+
+
+def test_every_key_has_one_rule_and_a_view():
+    own = {f.name for f in fields(RunConfig) if "rule" in f.metadata}
+    assert own == NOT_SHARED | {"seed"}  # run-level and renamed keys write their own
+    library_rules = {f.name for cls in (ModelConfig, TrainSettings, SceneConfig)
+                     for f in fields(cls) if "rule" in f.metadata}
+    for key, (rule, view) in key_rules().items():
+        assert isinstance(rule, Rule), f"key '{key}' has no rule"
+        assert key not in own or key not in library_rules, f"key '{key}' has two rules"
+        assert view in COMMAND_OF_VIEW, f"key '{key}' has no view"
+        assert rule.outside and not any(rule.ok(v) for v in rule.outside), key
+
+
+def test_seed_rule_is_the_run_configs_and_lr_zero_is_valid():
+    """perfbench's warm-up unit builds TrainSettings(seed=-1) through
+    dataclasses.replace, outside the try that counts a failed unit; a run's
+    seed is checked by RunConfig. lr=0 trains (the checkpoint equals the
+    initial weights), so lr's rule is >= 0."""
+    assert TrainSettings(seed=-1).seed == -1
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        RunConfig(seed=-1).validate()
+    assert key_rules()["lr"][0] is NON_NEGATIVE
+    RunConfig(lr=0.0, weight_decay=0.0).validate()
+    TrainSettings(lr=0.0, weight_decay=0.0)
+
+
 def test_scene_config_seed_is_the_argument():
     cfg = RunConfig(seed=3)
     scene = cfg.scene_config(seed=11)
@@ -258,6 +295,21 @@ def test_unshared_without_motion_module_exit_code_1(tmp_path, capsys):
 
 
 TRACK = ["track", "--checkpoint", "c.bin", "--data", "seqs"]
+COMMAND_OF_VIEW = {"model": TRACK, "crop": TRACK, "train": ["train"], "scene": ["gen"]}
+
+
+def outside_each_bound():
+    """For every key, a value just outside each bound of its rule, set on a
+    command that reads the key (an int key takes the value rounded down)."""
+    rules = key_rules()
+    for f in fields(RunConfig):
+        rule, view = rules[f.name]
+        for v in rule.outside if rule else ():
+            v = math.floor(v) if f.type == "int" else v
+            yield pytest.param(COMMAND_OF_VIEW[view] + ["--set", f"{f.name}={v}"], [f.name],
+                               id=f"rule-{f.name}={v}")
+
+
 BAD_CROP = [
     (["--set", "crop_mode=bogus"], ["crop_mode", "'bogus'"], "crop-mode"),
     (["--set", "crop_xy=0"], ["crop_xy", "> 0"], "crop-xy"),
@@ -296,7 +348,8 @@ BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropou
     pytest.param(["gen", "--set", "speed_min=nan"], ["'speed_min'", "finite"],
                  id="gen-speed-min-nan"),
     *[pytest.param(["train", "--set", f"huber_delta={v}"], ["huber_delta", "> 0"],
-                   id=f"train-huber-delta-{v}") for v in ("0", "-1")]])
+                   id=f"train-huber-delta-{v}") for v in ("0", "-1")],
+    *outside_each_bound()])
 def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
     out = tmp_path / "o"
     _config_error(capsys, run(command + ["--out", out]), *names)
@@ -332,6 +385,26 @@ def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
     assert code == 2
     assert str(frame) in err and "non-finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,named", [
+    pytest.param(lambda f: f.write_bytes(f.read_bytes()[:100]), "not a multiple of 12",
+                 id="truncated-frame"),
+    pytest.param(lambda f: f.unlink(), "missing frame file", id="missing-frame")])
+def test_track_bad_frame_file_exit_code_2(tmp_path, capsys, edit, named):
+    """Every sequence's frame files are checked by size before the run
+    directory is made, so a bad file in the second sequence leaves none."""
+    data, ck = data_and_checkpoint(tmp_path)
+    frame = data / "seq_001" / "frames" / "000002.bin"
+    edit(frame)
+    capsys.readouterr()
+    out = tmp_path / "t"
+    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {frame}: ") and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_checkpoint_name_not_utf8_exit_code_2(tmp_path, capsys):
