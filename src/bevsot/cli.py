@@ -218,9 +218,10 @@ def cmd_gradcheck(args) -> int:
     seq = generate(cfg.scene_config(seed=cfg.seed + 2))
     spec = cfg.crop_spec(seq.gt[0])
     sample = make_training_samples([seq], spec)[0]
+    prev_pts, curr_pts = sample.prev_pts, sample.curr_pts  # cropped once, not per evaluation
 
     def f():
-        pred = model.forward_clouds(sample.prev_pts, sample.curr_pts, spec)
+        pred = model.forward_clouds(prev_pts, curr_pts, spec)
         return motion_loss(pred, sample.target, model.config)
 
     t0 = time.perf_counter()

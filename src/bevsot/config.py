@@ -11,9 +11,12 @@ from dataclasses import dataclass, fields
 from .exceptions import ConfigError
 from .model import ModelConfig
 from .pillars import CropSpec, ratio_crop_spec
-from .rules import COUNT, FINITE, NON_NEGATIVE, POSITIVE, SHARE, TWO_OR_MORE, check, one_of, ruled
+from .rules import (COUNT, FINITE, NON_NEGATIVE, POSITIVE, SHARE, TWO_OR_MORE, check, one_of,
+                    require, ruled)
 from .scene import SceneConfig
 from .train import TrainSettings
+
+CROP_MODE = one_of("fixed", "ratio")
 
 
 @dataclass
@@ -38,7 +41,7 @@ class RunConfig:
     shared: bool = ModelConfig.shared
     # crop window: fixed symmetric ranges (default) or a window proportional
     # to the target box size (crop_mode=ratio)
-    crop_mode: str = ruled("fixed", one_of("fixed", "ratio"), "crop")
+    crop_mode: str = ruled("fixed", CROP_MODE, "crop")
     crop_xy: float = ruled(CropSpec.x_range[1], POSITIVE, "crop")
     crop_z: float = ruled(CropSpec.z_range[1], POSITIVE, "crop")
     crop_ratio: float = ruled(2.0, POSITIVE, "crop")
@@ -102,15 +105,13 @@ class RunConfig:
     def crop_spec(self, target_box=None) -> CropSpec:
         """The crop window. Fixed mode ignores `target_box`; ratio mode sizes
         the window from it and needs it."""
+        require("crop_mode", self.crop_mode, CROP_MODE)
         if self.crop_mode == "ratio":
             if target_box is None:
                 raise ConfigError("crop_mode=ratio needs the sequence's target box")
             return ratio_crop_spec(target_box, ratio=self.crop_ratio,
                                    grid=(self.grid, self.grid),
                                    z_range=(-self.crop_z, self.crop_z))
-        if self.crop_mode != "fixed":
-            raise ConfigError(f"crop_mode must be 'fixed' or 'ratio', got "
-                              f"'{self.crop_mode}'")
         return CropSpec(x_range=(-self.crop_xy, self.crop_xy),
                         y_range=(-self.crop_xy, self.crop_xy),
                         z_range=(-self.crop_z, self.crop_z),

@@ -41,5 +41,11 @@ def check(obj):
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"key '{f.name}' must be finite, got {v}")
-            if rule and not rule.ok(v):
-                raise ConfigError(f"{f.name} must be {rule.text}, got {v!r}")
+            if rule:
+                require(f.name, v, rule)
+
+
+def require(name: str, value, rule: Rule):
+    """Raise a ConfigError naming `name` unless `value` satisfies `rule`."""
+    if not rule.ok(value):
+        raise ConfigError(f"{name} must be {rule.text}, got {value!r}")

@@ -16,10 +16,14 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .geometry import Box3D, Motion4, PointCloud, relative_motion, rot2d
-from .rules import FRACTION, NON_NEGATIVE, POSITIVE, TWO_OR_MORE, check, ruled
+from .pillars import CropSpec, canonicalize, crop
+from .rules import FRACTION, NON_NEGATIVE, POSITIVE, TWO_OR_MORE, check, one_of, require, ruled
 from .tensor import wrap_angle_value
 
 SENSOR = np.array([0.0, 0.0, 1.8])
+# the largest mean numpy's Poisson draw accepts (numpy/random: POISSON_LAM_MAX)
+POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
+FLIP_AXIS = one_of("x", "y")  # TrainSettings.flip_axis's rule
 
 
 @dataclass
@@ -46,6 +50,18 @@ class SceneConfig:
         lo, hi = self.speed_range  # named by the RunConfig keys behind speed_range
         if not lo <= hi:
             raise ConfigError(f"speed_min must be <= speed_max, got {lo} > {hi}")
+        # the largest Poisson means `generate` draws: a target face at the
+        # near-range density cap (4x), and the clutter slab
+        w, h, l = (s * (1.0 + self.size_jitter) for s in self.size_mean)
+        face = max(w * h, w * l, h * l)
+        side = 2 * self.clutter_extent
+        for keys, mean in ((f"points_per_m2 on a {face:.3g} m^2 target face",
+                            4.0 * self.points_per_m2 * face),
+                           ("clutter_density over clutter_extent",
+                            self.clutter_density * (side * side))):
+            if not mean <= POISSON_LAM_MAX:  # also NaN (0 * inf)
+                raise ConfigError(f"{keys} expects {mean:.3g} points in one draw, past "
+                                  f"numpy's Poisson limit {POISSON_LAM_MAX:.3g}")
 
 
 @dataclass
@@ -146,18 +162,45 @@ def generate(cfg: SceneConfig) -> LabeledSequence:
 
 
 @dataclass
-class TrainingSample:
+class CroppedPair:
     """A consecutive frame pair in the previous gt box's canonical frame,
     cropped; the regression target is the exact relative motion of the
     two (possibly augmented) boxes. Carries the crop window it was built
-    with (windows differ per sequence in ratio-crop mode)."""
+    with (windows differ per sequence in ratio-crop mode). Augmentation
+    returns one; it lives for one training step."""
 
     prev_pts: PointCloud
     curr_pts: PointCloud
     box_prev: Box3D
     box_curr: Box3D
     target: Motion4
-    spec: object = None
+    spec: CropSpec
+
+
+@dataclass
+class TrainingSample:
+    """A consecutive frame pair that references its two frames and crops
+    them when read: `prev_pts` and `curr_pts` are the frames in `ref`'s (the
+    previous gt box's) canonical frame, cropped with `spec`, computed anew on
+    every access and never stored, so a training set holds each frame once.
+    Otherwise it reads like a `CroppedPair`. The frames are shared with the
+    sequence and with the neighbouring pair: they must not be mutated."""
+
+    prev_frame: PointCloud
+    curr_frame: PointCloud
+    ref: Box3D
+    box_prev: Box3D
+    box_curr: Box3D
+    target: Motion4
+    spec: CropSpec
+
+    @property
+    def prev_pts(self) -> PointCloud:
+        return crop(canonicalize(self.prev_frame, self.ref), self.spec)
+
+    @property
+    def curr_pts(self) -> PointCloud:
+        return crop(canonicalize(self.curr_frame, self.ref), self.spec)
 
 
 # membership margin when selecting "target points": surface sampling noise
@@ -182,10 +225,9 @@ def _flip_box(b: Box3D, axis: str) -> Box3D:
     return b.with_pose(-b.x, b.y, b.z, wrap_angle_value(math.pi - b.theta))
 
 
-def flip_sample(s: TrainingSample, axis: str = "x") -> TrainingSample:
+def flip_sample(s: TrainingSample | CroppedPair, axis: str = "x") -> CroppedPair:
     """Mirror the target points and boxes of both frames; an involution."""
-    if axis not in ("x", "y"):
-        raise ConfigError(f"flip axis must be 'x' or 'y', got '{axis}'")
+    require("flip_axis", axis, FLIP_AXIS)
     out_pts = []
     for pts, box in ((s.prev_pts, s.box_prev), (s.curr_pts, s.box_curr)):
         p = pts.xyz.copy()
@@ -193,11 +235,10 @@ def flip_sample(s: TrainingSample, axis: str = "x") -> TrainingSample:
         p[inside] = _flip_points(p[inside], axis)
         out_pts.append(PointCloud(p))
     bp, bc = _flip_box(s.box_prev, axis), _flip_box(s.box_curr, axis)
-    return TrainingSample(out_pts[0], out_pts[1], bp, bc,
-                          relative_motion(bp, bc), s.spec)
+    return CroppedPair(out_pts[0], out_pts[1], bp, bc, relative_motion(bp, bc), s.spec)
 
 
-def rotate_sample(s: TrainingSample, delta: float) -> TrainingSample:
+def rotate_sample(s: TrainingSample | CroppedPair, delta: float) -> CroppedPair:
     """Rotate the target (points and boxes, both frames) by delta about the
     up-axis through the crop origin, i.e. the previous box center."""
     rot = rot2d(delta)
@@ -211,12 +252,12 @@ def rotate_sample(s: TrainingSample, delta: float) -> TrainingSample:
     for b in (s.box_prev, s.box_curr):
         cxy = rot @ np.array([b.x, b.y])
         boxes.append(b.with_pose(cxy[0], cxy[1], b.z, wrap_angle_value(b.theta + delta)))
-    return TrainingSample(out_pts[0], out_pts[1], boxes[0], boxes[1],
-                          relative_motion(boxes[0], boxes[1]), s.spec)
+    return CroppedPair(out_pts[0], out_pts[1], boxes[0], boxes[1],
+                       relative_motion(boxes[0], boxes[1]), s.spec)
 
 
-def augment(s: TrainingSample, rng, flip_axis: str = "x",
-            max_rot_deg: float = 5.0) -> TrainingSample:
+def augment(s: TrainingSample | CroppedPair, rng, flip_axis: str = "x",
+            max_rot_deg: float = 5.0) -> CroppedPair:
     """Random horizontal flip (prob 0.5) and uniform yaw perturbation.
 
     The label is always recomputed from the augmented boxes, so training

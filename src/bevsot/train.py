@@ -12,9 +12,9 @@ from .exceptions import NumericError
 from .geometry import box_in_frame, relative_motion
 from .model import TrackerModel, motion_loss
 from .params import adamw_step, lr_at_epoch
-from .pillars import CropSpec, canonicalize, crop
-from .rules import BOOL, COUNT, NON_NEGATIVE, POSITIVE, check, one_of, ruled
-from .scene import LabeledSequence, TrainingSample, augment
+from .pillars import CropSpec
+from .rules import BOOL, COUNT, NON_NEGATIVE, POSITIVE, check, ruled
+from .scene import FLIP_AXIS, CroppedPair, LabeledSequence, TrainingSample, augment
 from .tensor import Tape
 
 
@@ -29,7 +29,7 @@ class TrainSettings:
     decay_interval: int = ruled(20, COUNT)
     max_steps: int = ruled(0, NON_NEGATIVE)  # 0 = no cap
     augment: bool = ruled(True, BOOL)
-    flip_axis: str = ruled("x", one_of("x", "y"))
+    flip_axis: str = ruled("x", FLIP_AXIS)
     max_rot_deg: float = ruled(5.0, NON_NEGATIVE)
     seed: int = 0  # no rule here: a negative seed fails in train(), at its first draw
 
@@ -38,17 +38,22 @@ class TrainSettings:
 
 def make_training_samples(sequences: list[LabeledSequence],
                           spec: CropSpec) -> list[TrainingSample]:
-    """Every consecutive frame pair of every sequence, cropped with `spec`
-    around the previous gt box (mimicking inference, where the crop center
-    carries the previous prediction's error). A window derived from each
-    sequence's target size (ratio-crop mode) takes one call per sequence."""
+    """Every consecutive frame pair of every sequence, to be cropped with
+    `spec` around the previous gt box (mimicking inference, where the crop
+    center carries the previous prediction's error). A window derived from
+    each sequence's target size (ratio-crop mode) takes one call per sequence.
+
+    The samples reference the sequences' frames and crop them when read, so
+    the list costs a few hundred bytes a pair beyond the frames; the frames
+    must not be mutated while the samples are in use."""
     samples = []
     for seq in sequences:
         for t in range(1, len(seq.frames)):
             ref = seq.gt[t - 1]
             samples.append(TrainingSample(
-                prev_pts=crop(canonicalize(seq.frames[t - 1], ref), spec),
-                curr_pts=crop(canonicalize(seq.frames[t], ref), spec),
+                prev_frame=seq.frames[t - 1],
+                curr_frame=seq.frames[t],
+                ref=ref,
                 box_prev=ref.with_pose(0.0, 0.0, 0.0, 0.0),
                 box_curr=box_in_frame(seq.gt[t], ref),
                 target=relative_motion(seq.gt[t - 1], seq.gt[t]),
@@ -87,7 +92,8 @@ def evaluate_mean_loss(model: TrackerModel,
     return total / max(1, len(samples))
 
 
-def _backward_sample(model: TrackerModel, s: TrainingSample, weight: float) -> float:
+def _backward_sample(model: TrackerModel, s: TrainingSample | CroppedPair,
+                     weight: float) -> float:
     """Forward one sample on its own tape, add the gradient of `weight` times
     its loss into the parameters' .grad, and return the unweighted loss. The
     tape dies with this frame, so a step holds one sample's graph at a time."""

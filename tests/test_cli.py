@@ -321,7 +321,11 @@ BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropou
     ("yaw_rate_max=-0.1", ["yaw_rate_max", ">= 0", "got -0.1"]),
     ("clutter_extent=-1", ["clutter_extent", ">= 0", "got -1.0"]),
     ("occlusion_dropout=1", ["occlusion_dropout", "[0, 1)", "got 1.0"]),
-    ("occlusion_dropout=2", ["occlusion_dropout", "[0, 1)", "got 2.0"])]
+    ("occlusion_dropout=2", ["occlusion_dropout", "[0, 1)", "got 2.0"]),
+    # past what numpy can draw: lam value too large, or an OverflowError
+    ("points_per_m2=1e30", ["points_per_m2", "Poisson limit"]),
+    ("clutter_density=1e30", ["clutter_density", "4e+32 points", "Poisson limit"]),
+    ("clutter_extent=1e200", ["clutter_extent", "inf points", "Poisson limit"])]
 
 
 @pytest.mark.parametrize("command,names", [
@@ -667,6 +671,16 @@ def test_ratio_crop_mode_pipeline(tmp_path):
     assert run(["track", "--checkpoint", run_dir / "checkpoint.bin", "--data", data,
                 "--out", trk, "--seed", 4] + FAST + ratio) == 0
     assert (trk / "seq_000" / "tracklet.txt").exists()
+
+
+def test_crop_mode_rule_is_the_run_config_rule():
+    cfg = RunConfig(crop_mode="sideways")
+    with pytest.raises(ConfigError) as view:
+        cfg.crop_spec()
+    with pytest.raises(ConfigError) as table:
+        cfg.validate()
+    assert str(view.value) == str(table.value) == \
+        "crop_mode must be one of 'fixed', 'ratio', got 'sideways'"
 
 
 def test_ratio_crop_requires_box():

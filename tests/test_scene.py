@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from bevsot.exceptions import ConfigError, DataFormatError
 from bevsot.geometry import Box3D, compose_pose, relative_motion
 from bevsot.pillars import CropSpec
-from bevsot.scene import (SceneConfig, augment, flip_sample, generate,
+from bevsot.scene import (POISSON_LAM_MAX, SceneConfig, augment, flip_sample, generate,
                           rotate_sample)
 from bevsot.seqio import (read_points_bin, read_sequence, read_tracklet,
                           write_sequence, write_tracklet)
-from bevsot.train import make_training_samples
+from bevsot.train import TrainSettings, make_training_samples
 
 
 def test_zero_velocity_static_boxes():
@@ -65,6 +65,28 @@ def test_sequence_length_validated():
 def test_negative_density_rejected():
     with pytest.raises(ConfigError):
         SceneConfig(points_per_m2=-1.0)
+
+
+@pytest.mark.parametrize("values,named", [
+    ({"points_per_m2": 1e30}, "points_per_m2"),  # rng.poisson: lam value too large
+    ({"clutter_density": 1e30}, "clutter_density"),
+    ({"clutter_extent": 1e200}, "clutter_extent"),  # (2 * extent) ** 2: OverflowError
+    ({"clutter_extent": 1e200, "clutter_density": 0.0}, "clutter_extent"),
+    ({"size_mean": (1e200, 1.0, 1.0)}, "target face")])
+def test_undrawable_scene_values_rejected(values, named):
+    with pytest.raises(ConfigError, match=named):
+        SceneConfig(**values)
+
+
+def test_clutter_bound_is_numpys_poisson_limit():
+    # a 1 m clutter slab: its expected point count is clutter_density itself
+    np.random.default_rng(0).poisson(POISSON_LAM_MAX, size=0)
+    SceneConfig(clutter_extent=0.5, clutter_density=POISSON_LAM_MAX)
+    too_many = math.nextafter(POISSON_LAM_MAX, math.inf)
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(too_many, size=0)
+    with pytest.raises(ConfigError, match="clutter_density over clutter_extent"):
+        SceneConfig(clutter_extent=0.5, clutter_density=too_many)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +152,14 @@ def test_flip_changes_lateral_motion_sign():
 def test_bad_flip_axis():
     with pytest.raises(ConfigError):
         flip_sample(make_sample(), "z")
+
+
+def test_flip_axis_rule_is_the_train_settings_rule():
+    with pytest.raises(ConfigError) as flip:
+        flip_sample(make_sample(), "z")
+    with pytest.raises(ConfigError) as settings:
+        TrainSettings(flip_axis="z")
+    assert str(flip.value) == str(settings.value) == "flip_axis must be one of 'x', 'y', got 'z'"
 
 
 def test_rotation_bounded_by_five_degrees():

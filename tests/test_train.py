@@ -1,5 +1,8 @@
-"""The training step: per-sample tapes against the batch-wide-tape oracle."""
+"""The training step: per-sample tapes against the batch-wide-tape oracle,
+and frame-pair samples against the eager crops they replaced."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +11,11 @@ import pytest
 from bevsot import tensor as T
 from bevsot.config import RunConfig
 from bevsot.exceptions import NumericError
-from bevsot.geometry import Motion4
+from bevsot.geometry import Motion4, box_in_frame, relative_motion
 from bevsot.model import TrackerModel, motion_loss
 from bevsot.params import adamw_step, lr_at_epoch
-from bevsot.scene import augment, generate
+from bevsot.pillars import canonicalize, crop
+from bevsot.scene import CroppedPair, augment, generate
 from bevsot.tensor import Tape
 from bevsot.train import (EpochStats, TrainSettings, make_training_samples,
                           save_train_log, train)
@@ -27,6 +31,23 @@ def desk_samples(n):
     samples = make_training_samples([generate(DESK.scene_config(seed=0))],
                                     DESK.crop_spec())
     return samples[:n]
+
+
+def eager_training_samples(sequences, spec):
+    """Oracle: samples built as they were before they referenced their
+    frames, both crops computed up front and kept."""
+    samples = []
+    for seq in sequences:
+        for t in range(1, len(seq.frames)):
+            ref = seq.gt[t - 1]
+            samples.append(CroppedPair(
+                prev_pts=crop(canonicalize(seq.frames[t - 1], ref), spec),
+                curr_pts=crop(canonicalize(seq.frames[t], ref), spec),
+                box_prev=ref.with_pose(0.0, 0.0, 0.0, 0.0),
+                box_curr=box_in_frame(seq.gt[t], ref),
+                target=relative_motion(seq.gt[t - 1], seq.gt[t]),
+                spec=spec))
+    return samples
 
 
 def train_batch_tape(model, samples, settings):
@@ -137,3 +158,79 @@ def test_train_log_write_that_fails_leaves_no_file(tmp_path):
     with pytest.raises(ValueError):
         save_train_log(stats, 1, str(tmp_path / "train_log.csv"))
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# frame-pair samples: cropped when read, bit-identical to the eager oracle
+
+
+@pytest.mark.parametrize("crop_mode", ["fixed", "ratio"])
+def test_frame_pair_crops_equal_eager_crops(crop_mode):
+    cfg = replace(DESK, crop_mode=crop_mode)
+    for seed in (0, 1):  # ratio mode sizes each sequence's window from its target
+        seq = generate(cfg.scene_config(seed=seed))
+        spec = cfg.crop_spec(seq.gt[0])
+        got = make_training_samples([seq], spec)
+        want = eager_training_samples([seq], spec)
+        assert len(got) == len(want) == len(seq.frames) - 1
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.prev_pts.xyz, w.prev_pts.xyz)
+            np.testing.assert_array_equal(g.curr_pts.xyz, w.curr_pts.xyz)
+            assert (g.box_prev, g.box_curr, g.target, g.spec) == \
+                (w.box_prev, w.box_curr, w.target, w.spec)
+
+
+def test_training_on_frame_pairs_equals_training_on_eager_crops():
+    seq = generate(DESK.scene_config(seed=0))
+    got_samples = make_training_samples([seq], DESK.crop_spec())[:8]
+    want_samples = eager_training_samples([seq], DESK.crop_spec())[:8]
+    settings = TrainSettings(batch=4, epochs=2, augment=True, seed=7)
+    got_model, want_model = desk_model(), desk_model()
+    assert train(got_model, got_samples, settings) == train(want_model, want_samples, settings)
+    for name, t in want_model.store.items():
+        np.testing.assert_array_equal(got_model.store[name].data, t.data, err_msg=name)
+        for got_m, want_m in zip(got_model.store._moments[name], want_model.store._moments[name]):
+            np.testing.assert_array_equal(got_m, want_m, err_msg=name)
+
+
+def kept_bytes(fn):
+    """Bytes that stay allocated (tracemalloc) after `fn` runs, beyond what
+    was allocated before; `fn`'s result is returned, so it stays alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def held_sequences():
+    seqs = [generate(DESK.scene_config(seed=seed)) for seed in range(3)]
+    return seqs, sum(f.xyz.nbytes for seq in seqs for f in seq.frames)
+
+
+def test_samples_keep_a_small_share_of_their_frames_bytes():
+    # every frame is in two pairs: the eager crops kept ~170% of the frames' bytes
+    seqs, frame_bytes = held_sequences()
+    samples, kept = kept_bytes(lambda: make_training_samples(seqs, DESK.crop_spec()))
+    assert len(samples) == 3 * (DESK.scene_length - 1)
+    assert kept < 0.05 * frame_bytes, (kept, frame_bytes)
+    _, eager = kept_bytes(lambda: eager_training_samples(seqs, DESK.crop_spec()))
+    assert eager > frame_bytes  # the oracle shows what the measure catches
+
+
+def test_reading_crops_keeps_no_bytes():
+    """A crop cached on the sample would keep about half a frame per read."""
+    seqs, frame_bytes = held_sequences()
+    samples = make_training_samples(seqs, DESK.crop_spec())
+
+    def read_all():
+        for s in samples:
+            assert len(s.prev_pts) and len(s.curr_pts)
+
+    _, first = kept_bytes(read_all)
+    _, again = kept_bytes(read_all)
+    assert max(first, again) < 0.01 * frame_bytes, (first, again, frame_bytes)
