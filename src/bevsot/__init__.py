@@ -1,6 +1,6 @@
 """Desk-scale BEV LiDAR single-object tracker with motion-gated linear attention."""
 
-from .blocks import BlockParams, FrameEncoder, FramePair
+from .blocks import BlockParams, FrameEncoder
 from .geometry import Box3D, Motion4, PointCloud, compose_pose, relative_motion
 from .metrics import OpeResult, iou3d, ope
 from .model import ModelConfig, TrackerModel, motion_loss
@@ -11,7 +11,7 @@ from .tensor import Tape, Tensor
 from .track import Tracklet, track_sequence, tracker_motion_model
 
 __all__ = [
-    "BlockParams", "Box3D", "CropSpec", "FrameEncoder", "FramePair", "LabeledSequence",
+    "BlockParams", "Box3D", "CropSpec", "FrameEncoder", "LabeledSequence",
     "ModelConfig", "Motion4", "OpeResult", "ParamStore", "PointCloud",
     "SceneConfig", "Tape", "Tensor", "TrackerModel", "Tracklet", "adamw_step",
     "canonicalize", "compose_pose", "crop", "generate", "iou3d",

@@ -1,7 +1,8 @@
 """Attention complexity benchmark: exact multiply-add counts and wall time
 for the softmax baseline, the right-associated linear attention core, the
 motion-difference weight construction and its gate projection, and the
-fused row-tiled motion gate, across a token-count sweep.
+model's fused row-tiled motion gate (``tensor.motion_gate`` itself), across a
+token-count sweep.
 
 Counting rules (documented so the closed forms are checkable): a matmul
 of (m x k) @ (k x n) counts m*n*k multiply-adds; an elementwise scale,
@@ -98,25 +99,15 @@ def gate_projection(Wm: np.ndarray, G: np.ndarray, b: np.ndarray,
 def motion_gate_tiled(Qc: np.ndarray, Kc: np.ndarray, Qp: np.ndarray, Kp: np.ndarray,
                       alpha: float, G: np.ndarray, b: np.ndarray,
                       counter: MacCounter | None = None) -> np.ndarray:
-    """Forward of ``tensor.motion_gate``: motion map and gate projection fused
-    over tiles of query rows, with the op's own tile height.
-
-    1/sqrt(d) and alpha are folded into the N x d operands once, so each
-    tile is one (rows x 2d) @ (2d x N) product followed by SiLU and the
-    gate matmul: 3 N^2 d + N^2 + 2 N d in all, for any tile height, against
+    """``tensor.motion_gate`` on one head: motion map and gate projection fused
+    over tiles of query rows. Its count is ``tensor.motion_gate_macs`` over the
+    op's own tile plan, 3 N^2 d + N^2 + 2 N d for any tile height, against
     3 N^2 d + 4 N^2 for motion_weight_map plus gate_projection.
     """
-    c = counter or MacCounter()
     N, d = Qc.shape
-    inv = 1.0 / math.sqrt(d)
-    lhs = np.concatenate([c.ew(Qc * inv), c.ew(Qp * (-alpha * inv))], axis=1)
-    rhs = np.concatenate([Kc, Kp], axis=1)
-    rows = T.motion_gate_rows(N)
-    out = np.empty((N, G.shape[1]))
-    for lo in range(0, N, rows):
-        s = c.matmul(lhs[lo:lo + rows], rhs.T)
-        out[lo:lo + rows] = _sigmoid_value(c.matmul(c.silu(s), G) + b)
-    return out
+    if counter is not None:
+        counter.count += T.motion_gate_macs(N, 1, d)
+    return T.motion_gate(*map(T.Tensor, (Qc, Kc, Qp, Kp, alpha, G[None], b[None]))).data
 
 
 @dataclass

@@ -31,18 +31,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class FramePair:
-    """Previous/current BEV feature grids, same shape, same crop frame."""
-
-    prev: Tensor
-    curr: Tensor
-
-    def __post_init__(self):
-        if self.prev.shape != self.curr.shape:
-            raise ShapeError(f"frame pair shapes differ: {self.prev.shape} vs {self.curr.shape}")
-
-
-@dataclass
 class FrameEncoder:
     """One frame's token weights: 3x3 CNN tokenizer, depthwise conv, linear."""
 
@@ -103,9 +91,9 @@ def _tokenize_one(grid: Tensor, bp: BlockParams, enc: FrameEncoder) -> Tensor:
     return T.add(T.reshape(x, (bp.N, bp.C)), bp.pos)
 
 
-def tokenize(pair: FramePair, bp: BlockParams) -> tuple[Tensor, Tensor]:
+def tokenize(prev: Tensor, curr: Tensor, bp: BlockParams) -> tuple[Tensor, Tensor]:
     """3x3 CNN, row-major flatten, positional embedding on both frames."""
-    return _tokenize_one(pair.prev, bp, bp.enc_prev), _tokenize_one(pair.curr, bp, bp.enc)
+    return _tokenize_one(prev, bp, bp.enc_prev), _tokenize_one(curr, bp, bp.enc)
 
 
 def _preprocess_one(x: Tensor, bp: BlockParams, enc: FrameEncoder) -> Tensor:
@@ -171,14 +159,16 @@ def focus_attention(xb_curr: Tensor, xb_prev: Optional[Tensor], bp: BlockParams)
     return T.linear(core, bp.lo_w, bp.lo_b)
 
 
-def block_forward(pair: FramePair, bp: BlockParams) -> Tensor:
-    """Full block: tokenize, preprocess, motion-gated attention, residual on
-    the current-frame tokens, then pre-LN FFN with residual."""
+def block_forward(prev: Tensor, curr: Tensor, bp: BlockParams) -> Tensor:
+    """Full block over the previous and current (H, W, C) grids: tokenize,
+    preprocess, motion-gated attention, residual on the current-frame tokens,
+    then pre-LN FFN with residual. With the motion module off ``prev`` is
+    never read."""
     # the previous frame is recorded first, so shared weights sum their
     # gradient terms current-frame first, as the tape replays in reverse
-    xb_prev = (_preprocess_one(_tokenize_one(pair.prev, bp, bp.enc_prev), bp, bp.enc_prev)
+    xb_prev = (_preprocess_one(_tokenize_one(prev, bp, bp.enc_prev), bp, bp.enc_prev)
                if bp.imm else None)
-    x_curr = _tokenize_one(pair.curr, bp, bp.enc)
+    x_curr = _tokenize_one(curr, bp, bp.enc)
     xb_curr = _preprocess_one(x_curr, bp, bp.enc)
     fhat = T.add(focus_attention(xb_curr, xb_prev, bp), x_curr)
     hidden = T.silu(T.linear(T.layernorm(fhat, bp.ln2_g, bp.ln2_b), bp.ffn1_w, bp.ffn1_b))

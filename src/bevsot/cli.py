@@ -6,6 +6,9 @@ track echo their resolved configuration next to their outputs. A config or
 input error is found before the run directory is made, and leaves none;
 track checks every frame file's size up front, but a non-finite coordinate
 shows only when its frame is read, after earlier sequences are tracked.
+gen and train generate every sequence before the run directory is made, so
+a scene too large to hold (say points_per_m2=1e16) ends in numpy's
+MemoryError traceback and leaves no run directory either.
 """
 
 from __future__ import annotations
@@ -106,8 +109,8 @@ def _generate_dataset(cfg: cfgmod.RunConfig, base_seed: int):
 
 def cmd_gen(args) -> int:
     cfg = _build_config(args)
-    out = _run_dir(args, "gen", {"config.echo.cfg": cfgmod.config_text(cfg)})
     seqs = _generate_dataset(cfg, cfg.seed)
+    out = _run_dir(args, "gen", {"config.echo.cfg": cfgmod.config_text(cfg)})
     for i, seq in enumerate(seqs):
         write_sequence(seq, os.path.join(out, f"seq_{i:03d}"),
                        meta={"seed": cfg.seed * 1000 + i})

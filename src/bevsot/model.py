@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import BlockParams, FrameEncoder, FramePair, block_forward
+from .blocks import BlockParams, FrameEncoder, block_forward
 from .exceptions import ConfigError, NumericError, ShapeError
 from .geometry import Motion4, PointCloud
 from .params import ParamStore
@@ -257,11 +257,10 @@ class TrackerModel:
         # points past the window
         return pillarize(crop(cloud, spec), spec, self.pillar_w, self.pillar_b)
 
-    def backbone_forward(self, pair: FramePair) -> Tensor:
+    def backbone_forward(self, prev: Tensor, curr: Tensor) -> Tensor:
         cfg = self.config
-        prev, curr = pair.prev, pair.curr
         for s, (bp, (dw, db)) in enumerate(zip(self.blocks, self.downs), start=1):
-            tokens = block_forward(FramePair(prev, curr), bp)
+            tokens = block_forward(prev, curr, bp)
             curr = T.conv2d(T.reshape(tokens, (bp.H, bp.W, bp.C)), dw, db, stride=2)
             # the previous-frame stream advances through the same stride-2
             # conv so the next stage sees a pair at matching resolution;
@@ -290,7 +289,7 @@ class TrackerModel:
                        spec: CropSpec) -> Tensor:
         curr_grid = self.encode(curr_cloud, spec)
         prev_grid = self.encode(prev_cloud, spec) if self.config.imm else curr_grid
-        return self.head_forward(self.backbone_forward(FramePair(prev_grid, curr_grid)))
+        return self.head_forward(self.backbone_forward(prev_grid, curr_grid))
 
 
 def motion_loss(pred4: Tensor, target: Motion4, config: ModelConfig) -> Tensor:

@@ -315,6 +315,23 @@ def motion_gate_rows(N: int) -> int:
     return min(N, MOTION_GATE_ROWS)
 
 
+def motion_gate_tiles(N: int, heads: int, d: int) -> list[tuple[int, slice, slice]]:
+    """motion_gate's (head, columns, rows) tiles: heads one after another, so
+    a tile's working set does not grow with heads."""
+    rows = motion_gate_rows(N)
+    return [(h, slice(h * d, (h + 1) * d), slice(lo, min(lo + rows, N)))
+            for h in range(heads) for lo in range(0, N, rows)]
+
+
+def motion_gate_macs(N: int, heads: int, d: int) -> int:
+    """motion_gate's forward multiply-adds under bench.py's counting rules,
+    summed over its tile plan: per head the two N x d operand scalings, per
+    r-row tile the (r x 2d) @ (2d x N) product, one SiLU multiply per element
+    and the (r x N) @ (N x d) gate matmul. 3 N^2 d + N^2 + 2 N d per head."""
+    return 2 * heads * N * d + sum((t.stop - t.start) * N * (3 * d + 1)
+                                   for _, _, t in motion_gate_tiles(N, heads, d))
+
+
 def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
                 G: Tensor, b: Tensor) -> Tensor:
     """The (N, C) gate of all heads: head h owns column block h of width
@@ -343,10 +360,8 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     lhs = [np.concatenate([qc.data[:, c] * inv, qp.data[:, c] * (-a * inv)], axis=1)
            for c in cols]  # N x 2d per head
     rhs_t = [np.concatenate([kc.data[:, c], kp.data[:, c]], axis=1).T for c in cols]
-    # heads one after another, so a tile's working set does not grow with heads
     rows = motion_gate_rows(N)
-    tiles = [(h, c, slice(lo, min(lo + rows, N)))
-             for h, c in enumerate(cols) for lo in range(0, N, rows)]
+    tiles = motion_gate_tiles(N, heads, d)
 
     def silu_tile(h, t, s, sig):
         """SiLU(S) into s and sigmoid(S) into sig for head h's row tile t;

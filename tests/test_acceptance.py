@@ -14,7 +14,7 @@ import pytest
 
 from bevsot import tensor as T
 from bevsot.bench import bench_attention, linear_attention_quadratic
-from bevsot.blocks import FramePair, block_forward, imm_weights, preprocess, tokenize
+from bevsot.blocks import block_forward, imm_weights, preprocess, tokenize
 from bevsot.config import RunConfig
 from bevsot.geometry import Box3D, PointCloud, rot2d
 from bevsot.gradcheck import gradcheck_params
@@ -121,9 +121,8 @@ def test_criterion_5_architecture_bookkeeping():
     # the chain must also hold on real tensors at a size we can afford
     model = tiny16()
     rng = np.random.default_rng(6)
-    pair = FramePair(Tensor(rng.standard_normal((16, 16, 4))),
-                     Tensor(rng.standard_normal((16, 16, 4))))
-    feat = model.backbone_forward(pair)
+    prev, curr = (Tensor(rng.standard_normal((16, 16, 4))) for _ in range(2))
+    feat = model.backbone_forward(prev, curr)
     live_ok = feat.shape == (2, 2, 32) and model.head_forward(feat).shape == (4,)
     report(5, grids_ok and chain_ok and live_ok,
            f"downsample presets -> final grids {finals}; full-scale chain "
@@ -189,11 +188,10 @@ def test_criterion_8_ablation_plumbing():
     no_imm = TrackerModel(ModelConfig(grid=16, channels=4, head_trunk=32, imm=False),
                           seed=3)
     bp = no_imm.blocks[0]
-    pair = FramePair(Tensor(rng.standard_normal((16, 16, 4))),
-                     Tensor(rng.standard_normal((16, 16, 4))))
-    out = block_forward(pair, bp).data
+    prev, curr = (Tensor(rng.standard_normal((16, 16, 4))) for _ in range(2))
+    out = block_forward(prev, curr, bp).data
     # explicit ungated reference on the same weights
-    x_curr = tokenize(pair, bp)[1]
+    x_curr = tokenize(prev, curr, bp)[1]
     xb = preprocess(x_curr, x_curr, bp)[1]
     from bevsot.blocks import focus_attention
     ref = T.add(focus_attention(xb, None, bp), x_curr)
@@ -202,8 +200,8 @@ def test_criterion_8_ablation_plumbing():
                          bp.ffn2_w, bp.ffn2_b), ref)
     bitwise_ok = np.array_equal(out, ref.data)
     # and the whole no-imm model ignores the previous frame entirely
-    other_prev = FramePair(Tensor(rng.standard_normal((16, 16, 4))), pair.curr)
-    invariant_ok = np.array_equal(block_forward(other_prev, bp).data, out)
+    other_prev = Tensor(rng.standard_normal((16, 16, 4)))
+    invariant_ok = np.array_equal(block_forward(other_prev, curr, bp).data, out)
 
     shared = TrackerModel(base, seed=3)
     unshared = TrackerModel(ModelConfig(grid=16, channels=4, head_trunk=32,

@@ -9,7 +9,7 @@ import pytest
 
 from bevsot import blocks
 from bevsot import tensor as T
-from bevsot.blocks import (BlockParams, FrameEncoder, FramePair, block_forward,
+from bevsot.blocks import (BlockParams, FrameEncoder, block_forward,
                            focus_attention, imm_weights, preprocess, tokenize)
 from bevsot.exceptions import NumericError, ShapeError
 from bevsot.gradcheck import gradcheck_params
@@ -64,7 +64,7 @@ def block_leaves(bp):
 def grids(rng, H=4, C=4, identical=False):
     prev = Tensor(rng.standard_normal((H, H, C)))
     curr = prev if identical else Tensor(rng.standard_normal((H, H, C)))
-    return FramePair(prev, curr)
+    return prev, curr
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def grids(rng, H=4, C=4, identical=False):
 
 def test_tokenize_identical_frames_identical_tokens(rng):
     bp = make_block(rng=rng)
-    xp, xc = tokenize(grids(rng, identical=True), bp)
+    xp, xc = tokenize(*grids(rng, identical=True), bp)
     np.testing.assert_array_equal(xp.data, xc.data)
 
 
@@ -81,7 +81,7 @@ def test_tokenize_zero_everything_zero_tokens(rng):
     bp = make_block(rng=rng)
     bp.enc.cnn_b = Tensor(np.zeros(4))
     bp.pos = Tensor(np.zeros((16, 4)))
-    xp, xc = tokenize(FramePair(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((4, 4, 4)))), bp)
+    xp, xc = tokenize(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((4, 4, 4))), bp)
     np.testing.assert_array_equal(xp.data, np.zeros((16, 4)))
     np.testing.assert_array_equal(xc.data, np.zeros((16, 4)))
 
@@ -89,18 +89,17 @@ def test_tokenize_zero_everything_zero_tokens(rng):
 def test_tokenize_matches_conv_flatten_oracle(rng):
     from tests.test_tensor import conv2d_loop
     bp = make_block(rng=rng)
-    pair = grids(rng)
-    want = (conv2d_loop(pair.curr.data, bp.enc.cnn_w.data, bp.enc.cnn_b.data)
+    prev, curr = grids(rng)
+    want = (conv2d_loop(curr.data, bp.enc.cnn_w.data, bp.enc.cnn_b.data)
             .reshape(16, 4) + bp.pos.data)
-    _, xc = tokenize(pair, bp)
+    _, xc = tokenize(prev, curr, bp)
     np.testing.assert_allclose(xc.data, want, atol=1e-12)
 
 
 def test_tokenize_resolution_mismatch(rng):
     bp = make_block(rng=rng)
-    pair = FramePair(Tensor(np.zeros((8, 8, 4))), Tensor(np.zeros((8, 8, 4))))
     with pytest.raises(ShapeError):
-        tokenize(pair, bp)
+        tokenize(Tensor(np.zeros((8, 8, 4))), Tensor(np.zeros((8, 8, 4))), bp)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +287,9 @@ def test_multi_head_matches_per_head_oracle(monkeypatch, heads, what):
     bp = make_block(C=8, heads=heads, rng=rng, imm=what != "ungated")
     leaves = block_leaves(bp)
     if what == "block":
-        pair = FramePair(*(leaf(rng.standard_normal((4, 4, 8))) for _ in range(2)))
-        leaves.update(prev=pair.prev, curr=pair.curr)
-        f = lambda: blocks.block_forward(pair, bp)
+        prev, curr = (leaf(rng.standard_normal((4, 4, 8))) for _ in range(2))
+        leaves.update(prev=prev, curr=curr)
+        f = lambda: blocks.block_forward(prev, curr, bp)
     else:
         xc = leaves["xc"] = leaf(rng.standard_normal((16, 8)))
         xp = leaf(rng.standard_normal((16, 8))) if what == "gated" else None
@@ -534,8 +533,8 @@ def test_block_residual_identity_when_branches_zeroed(rng):
     bp.ffn2_w = Tensor(np.zeros((8, 4)))
     bp.ffn2_b = Tensor(np.zeros(4))
     pair = grids(rng)
-    out = block_forward(pair, bp)
-    _, x_curr = tokenize(pair, bp)
+    out = block_forward(*pair, bp)
+    _, x_curr = tokenize(*pair, bp)
     np.testing.assert_array_equal(out.data, x_curr.data)
 
 
@@ -549,9 +548,9 @@ def test_block_no_imm_matches_ungated_bit_for_bit(rng):
             "H", "W", "C", "heads", "enc", "enc_prev", "pos", "ln1_g", "ln1_b",
             "wq", "wk", "wv", "lo_w", "lo_b", "ln2_g", "ln2_b",
             "ffn1_w", "ffn1_b", "ffn2_w", "ffn2_b")})
-    out_off = block_forward(pair, ungated)
+    out_off = block_forward(*pair, ungated)
     # reference: attention with gate forced to exactly 1 via direct compute
-    x_curr = tokenize(pair, gated)[1]
+    x_curr = tokenize(*pair, gated)[1]
     xb_curr = preprocess(x_curr, x_curr, gated)[1]
     ref = T.add(focus_attention(xb_curr, None, gated), x_curr)
     ref = T.add(T.linear(T.silu(T.linear(T.layernorm(ref, gated.ln2_g, gated.ln2_b),
@@ -563,8 +562,8 @@ def test_block_no_imm_matches_ungated_bit_for_bit(rng):
 def test_block_no_imm_independent_of_prev_frame(rng):
     bp = make_block(rng=rng, imm=False)
     curr = Tensor(rng.standard_normal((4, 4, 4)))
-    out1 = block_forward(FramePair(Tensor(rng.standard_normal((4, 4, 4))), curr), bp)
-    out2 = block_forward(FramePair(Tensor(np.zeros((4, 4, 4))), curr), bp)
+    out1 = block_forward(Tensor(rng.standard_normal((4, 4, 4))), curr, bp)
+    out2 = block_forward(Tensor(np.zeros((4, 4, 4))), curr, bp)
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
@@ -577,7 +576,7 @@ def test_block_gradcheck_all_params(rng, kwargs):
     probe = Tensor(rng.standard_normal((16, 4)))
 
     def f():
-        return T.sum_all(T.mul(block_forward(pair, bp), probe))
+        return T.sum_all(T.mul(block_forward(*pair, bp), probe))
 
     params = list(block_leaves(bp).items())
     errs = gradcheck_params(f, params, samples_per_param=4,
@@ -588,7 +587,7 @@ def test_block_gradcheck_all_params(rng, kwargs):
 def test_block_unshared_uses_prev_copies(rng):
     bp = make_block(rng=np.random.default_rng(9), unshared=True)
     pair = grids(rng, identical=True)
-    xp, xc = tokenize(pair, bp)
+    xp, xc = tokenize(*pair, bp)
     # identical inputs now tokenize differently because weights differ
     assert np.any(xp.data != xc.data)
 

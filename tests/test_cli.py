@@ -360,6 +360,17 @@ def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["gen", "train"])
+def test_scene_too_large_to_hold_creates_no_run_dir(tmp_path, cmd):
+    # within numpy's Poisson limit, but the first frame would need exabytes:
+    # the traceback stays, and every sequence is drawn before the run directory
+    out = tmp_path / "o"
+    with pytest.raises(MemoryError):
+        run([cmd, "--set", "sequences=1", "--set", "scene_length=2",
+             "--set", "points_per_m2=1e16", "--out", out])
+    assert not out.exists()
+
+
 def test_missing_data_exit_code_2(tmp_path):
     ck = tmp_path / "none.bin"
     ck.write_bytes(b"JUNKJUNKJUNK")

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -11,17 +12,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bevsot import config as cfgmod
+from bevsot import model as model_mod
 from bevsot import tensor as T
-from bevsot.blocks import FramePair
 from bevsot.exceptions import ConfigError, NumericError
 from bevsot.geometry import Motion4, PointCloud
 from bevsot.gradcheck import gradcheck_params
 from bevsot.model import ModelConfig, TrackerModel, _centre_tap, _kaiming, motion_loss
 from bevsot.params import ParamStore, adamw_step, load_checkpoint, save_checkpoint
-from bevsot.pillars import CropSpec
-from bevsot.scene import SceneConfig, generate
+from bevsot.pillars import CropSpec, crop
+from bevsot.scene import SceneConfig, generate, rotate_sample
 from bevsot.tensor import Tape, Tensor
 from bevsot.track import track_sequence, tracker_motion_model
+from bevsot.train import make_training_samples
 
 TINY = ModelConfig(grid=16, channels=4, head_trunk=32)
 
@@ -33,8 +35,7 @@ def tiny_model(seed=0, **kw):
 
 def random_pair(rng, cfg):
     shape = (cfg.grid, cfg.grid, cfg.channels)
-    return FramePair(Tensor(rng.standard_normal(shape)),
-                     Tensor(rng.standard_normal(shape)))
+    return Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_unreducible_final_grid_rejected():
 
 def test_backbone_forward_shapes(rng):
     m = tiny_model()
-    out = m.backbone_forward(random_pair(rng, m.config))
+    out = m.backbone_forward(*random_pair(rng, m.config))
     assert out.shape == (2, 2, 32)
 
 
@@ -229,6 +230,23 @@ def test_desk_build_peak_memory_follows_parameters():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * m.store.num_values()
+
+
+@pytest.mark.parametrize("deg", [5.0, -5.0])
+def test_encode_crops_points_augmentation_pushed_out(monkeypatch, deg):
+    # in a 2 m window a 5 degree yaw of the target moves points past its edge:
+    # encode's own crop drops them, so the pair reads as its re-cropped self
+    spec = CropSpec(x_range=(-1.0, 1.0), y_range=(-1.0, 1.0), grid=(16, 16))
+    m = tiny_model()
+    m.randomize_all(np.random.default_rng(4))
+    seq = generate(SceneConfig(length=2, seed=2))
+    aug = rotate_sample(make_training_samples([seq], spec)[0], math.radians(deg))
+    recropped = [crop(p, spec) for p in (aug.prev_pts, aug.curr_pts)]
+    assert all(len(r.xyz) < len(p.xyz) for r, p in zip(recropped, (aug.prev_pts, aug.curr_pts)))
+    out = m.forward_clouds(aug.prev_pts, aug.curr_pts, spec).data
+    np.testing.assert_array_equal(out, m.forward_clouds(*recropped, spec).data)
+    monkeypatch.setattr(model_mod, "crop", lambda cloud, spec: cloud)
+    assert not np.array_equal(out, m.forward_clouds(aug.prev_pts, aug.curr_pts, spec).data)
 
 
 def test_inference_makes_no_optimizer_state(rng):

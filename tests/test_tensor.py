@@ -11,7 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from bevsot import config as cfgmod
 from bevsot import tensor as T
-from bevsot.blocks import FramePair
 from bevsot.exceptions import NumericError, ShapeError
 from bevsot.gradcheck import gradcheck
 from bevsot.model import ModelConfig, TrackerModel, _head_pad
@@ -285,7 +284,7 @@ def test_preset_conv_calls_match_a_desk_forward(rng, monkeypatch):
 
     monkeypatch.setattr(T, "conv2d", spy)
     grid = Tensor(rng.standard_normal((cfg.grid, cfg.grid, cfg.channels)))
-    model.head_forward(model.backbone_forward(FramePair(grid, grid)))
+    model.head_forward(model.backbone_forward(grid, grid))
     assert seen == preset_conv_calls(cfg)
     assert [len(preset_conv_calls(c)) for c in PRESET_MODELS.values()] == [10, 12]
 
