@@ -21,6 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .exceptions import ConfigError
+from .rules import COUNT, require
 from .tensor import _sigmoid_value
 
 
@@ -131,9 +132,8 @@ def bench_attention(Ns: list[int], d: int = 16, repeats: int = 3,
     """
     if len(Ns) < 4 or Ns[0] < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ConfigError(f"need >= 4 strictly increasing N values >= 1, got {Ns}")
-    for name, value in (("d", d), ("repeats", repeats)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    require("d", d, COUNT)
+    require("repeats", repeats, COUNT)
     rng = np.random.default_rng(seed)
     records = []
     for N in Ns:

@@ -26,13 +26,14 @@ from .bench import bench_attention, bench_csv, slope_checks
 from .exceptions import ConfigError, DataFormatError, NumericError
 from .gradcheck import gradcheck_params
 from .metrics import ope, ope_csv
-from .model import TrackerModel, motion_loss
+from .model import TrackerModel
 from .params import load_checkpoint, save_checkpoint
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, require
 from .scene import generate
 from .seqio import (frame_paths, list_sequence_dirs, read_labels, read_sequence,
                     read_tracklet, write_sequence, write_tracklet)
 from .track import Tracklet, track_sequence, tracker_motion_model
-from .train import make_training_samples, save_train_log, train
+from .train import make_training_samples, pair_loss, save_train_log, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,8 +195,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    require("seed", args.seed, NON_NEGATIVE)
     try:
         ns = [int(v) for v in args.ns.split(",")]
     except ValueError:
@@ -208,10 +208,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    if not args.tol > 0:  # also NaN
-        raise ConfigError(f"--tol must be > 0, got {args.tol}")
+    require("--samples", args.samples, COUNT)
+    require("--tol", args.tol, POSITIVE)
     # default to the small verification config; flags/files still override
     tiny = cfgmod.from_items({"grid": "16", "channels": "4", "head_trunk": "64"})
     cfg = _build_config(args, base=tiny)
@@ -220,15 +218,9 @@ def cmd_gradcheck(args) -> int:
     model.randomize_all(rng)
     seq = generate(cfg.scene_config(seed=cfg.seed + 2))
     spec = cfg.crop_spec(seq.gt[0])
-    sample = make_training_samples([seq], spec)[0]
-    prev_pts, curr_pts = sample.prev_pts, sample.curr_pts  # cropped once, not per evaluation
-
-    def f():
-        pred = model.forward_clouds(prev_pts, curr_pts, spec)
-        return motion_loss(pred, sample.target, model.config)
-
+    pair = make_training_samples([seq], spec)[0].cropped()
     t0 = time.perf_counter()
-    errs = gradcheck_params(f, list(model.store.items()),
+    errs = gradcheck_params(lambda: pair_loss(model, pair), list(model.store.items()),
                             samples_per_param=args.samples, rng=rng)
     elapsed = time.perf_counter() - t0
     worst = max(errs.values())

@@ -20,6 +20,7 @@ import numpy as np
 from . import tensor as T
 from .exceptions import ConfigError
 from .geometry import Box3D, PointCloud, transform_to_frame
+from .rules import POWER_OF_TWO, require
 from .tensor import Tensor
 
 
@@ -41,8 +42,7 @@ class CropSpec:
             if not hi > lo:
                 raise ConfigError(f"degenerate crop range ({lo}, {hi})")
         for n in self.grid:
-            if n < 8 or n & (n - 1):
-                raise ConfigError(f"grid dims must be powers of two >= 8, got {self.grid}")
+            require("grid", n, POWER_OF_TWO)
 
     @property
     def cell_size(self) -> tuple[float, float]:

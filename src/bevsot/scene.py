@@ -24,6 +24,8 @@ SENSOR = np.array([0.0, 0.0, 1.8])
 # the largest mean numpy's Poisson draw accepts (numpy/random: POISSON_LAM_MAX)
 POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
 FLIP_AXIS = one_of("x", "y")  # TrainSettings.flip_axis's rule
+REF_RANGE = 10.0  # m from the sensor at which a face has points_per_m2
+SEGMENT_FRAMES = 4  # frames per constant-velocity segment
 
 
 @dataclass
@@ -34,13 +36,11 @@ class SceneConfig:
     yaw_rate_max: float = ruled(0.04, NON_NEGATIVE)  # rad/frame, uniform in [-max, max]
     lateral_drift: float = ruled(0.02, NON_NEGATIVE)  # m/frame sideways, uniform in [-d, d]
     vertical_drift: float = ruled(0.01, NON_NEGATIVE)
-    points_per_m2: float = ruled(40.0, NON_NEGATIVE)  # face density at ref_range
-    ref_range: float = 10.0
+    points_per_m2: float = ruled(40.0, NON_NEGATIVE)  # face density at REF_RANGE
     surface_noise: float = ruled(0.01, NON_NEGATIVE)  # uniform bound, all axes
     clutter_density: float = ruled(0.6, NON_NEGATIVE)  # points per m^2 of ground footprint
     clutter_extent: float = ruled(10.0, NON_NEGATIVE)  # half-size of the clutter slab
     occlusion_dropout: float = ruled(0.1, FRACTION)
-    segment_frames: int = 4  # frames per constant-velocity segment
     static: bool = False  # near-static target (drifts only)
     length: int = ruled(16, TWO_OR_MORE)
     seed: int = 0
@@ -88,7 +88,7 @@ def _sample_faces(box: Box3D, cfg: SceneConfig, rng) -> np.ndarray:
     center = box.center
     to_sensor = SENSOR - center
     rng_dist = max(1.0, float(np.linalg.norm(to_sensor)))
-    density = cfg.points_per_m2 * min(4.0, (cfg.ref_range / rng_dist) ** 2)
+    density = cfg.points_per_m2 * min(4.0, (REF_RANGE / rng_dist) ** 2)
     pts = []
     for axis, sign, (ua, ulim), (va, vlim) in faces:
         normal = np.zeros(3)
@@ -126,7 +126,7 @@ def generate(cfg: SceneConfig) -> LabeledSequence:
     boxes = [box]
     speed = yaw_rate = lat = vz = 0.0
     for t in range(1, cfg.length):
-        if (t - 1) % cfg.segment_frames == 0:
+        if (t - 1) % SEGMENT_FRAMES == 0:
             speed = 0.0 if cfg.static else rng.uniform(*cfg.speed_range)
             yaw_rate = rng.uniform(-cfg.yaw_rate_max, cfg.yaw_rate_max)
             lat = rng.uniform(-cfg.lateral_drift, cfg.lateral_drift)
@@ -166,8 +166,9 @@ class CroppedPair:
     """A consecutive frame pair in the previous gt box's canonical frame,
     cropped; the regression target is the exact relative motion of the
     two (possibly augmented) boxes. Carries the crop window it was built
-    with (windows differ per sequence in ratio-crop mode). Augmentation
-    returns one; it lives for one training step."""
+    with (windows differ per sequence in ratio-crop mode). It lives for one
+    training step: `TrainingSample.cropped` makes it, augmentation maps it
+    to a new one."""
 
     prev_pts: PointCloud
     curr_pts: PointCloud
@@ -179,28 +180,26 @@ class CroppedPair:
 
 @dataclass
 class TrainingSample:
-    """A consecutive frame pair that references its two frames and crops
-    them when read: `prev_pts` and `curr_pts` are the frames in `ref`'s (the
-    previous gt box's) canonical frame, cropped with `spec`, computed anew on
-    every access and never stored, so a training set holds each frame once.
-    Otherwise it reads like a `CroppedPair`. The frames are shared with the
-    sequence and with the neighbouring pair: they must not be mutated."""
+    """A consecutive frame pair that references its two frames, so a
+    training set holds each frame once; `cropped` makes the pair a step
+    reads. `box_curr` is the current gt box in `ref`'s (the previous gt
+    box's) canonical frame. The frames are shared with the sequence and
+    with the neighbouring pair: they must not be mutated."""
 
     prev_frame: PointCloud
     curr_frame: PointCloud
     ref: Box3D
-    box_prev: Box3D
     box_curr: Box3D
     target: Motion4
     spec: CropSpec
 
-    @property
-    def prev_pts(self) -> PointCloud:
-        return crop(canonicalize(self.prev_frame, self.ref), self.spec)
-
-    @property
-    def curr_pts(self) -> PointCloud:
-        return crop(canonicalize(self.curr_frame, self.ref), self.spec)
+    def cropped(self) -> CroppedPair:
+        """Both frames in `ref`'s canonical frame, cropped with `spec`;
+        computed anew on every call and never stored."""
+        return CroppedPair(crop(canonicalize(self.prev_frame, self.ref), self.spec),
+                           crop(canonicalize(self.curr_frame, self.ref), self.spec),
+                           self.ref.with_pose(0.0, 0.0, 0.0, 0.0), self.box_curr,
+                           self.target, self.spec)
 
 
 # membership margin when selecting "target points": surface sampling noise
@@ -225,7 +224,7 @@ def _flip_box(b: Box3D, axis: str) -> Box3D:
     return b.with_pose(-b.x, b.y, b.z, wrap_angle_value(math.pi - b.theta))
 
 
-def flip_sample(s: TrainingSample | CroppedPair, axis: str = "x") -> CroppedPair:
+def flip_sample(s: CroppedPair, axis: str = "x") -> CroppedPair:
     """Mirror the target points and boxes of both frames; an involution."""
     require("flip_axis", axis, FLIP_AXIS)
     out_pts = []
@@ -238,7 +237,7 @@ def flip_sample(s: TrainingSample | CroppedPair, axis: str = "x") -> CroppedPair
     return CroppedPair(out_pts[0], out_pts[1], bp, bc, relative_motion(bp, bc), s.spec)
 
 
-def rotate_sample(s: TrainingSample | CroppedPair, delta: float) -> CroppedPair:
+def rotate_sample(s: CroppedPair, delta: float) -> CroppedPair:
     """Rotate the target (points and boxes, both frames) by delta about the
     up-axis through the crop origin, i.e. the previous box center."""
     rot = rot2d(delta)
@@ -256,8 +255,7 @@ def rotate_sample(s: TrainingSample | CroppedPair, delta: float) -> CroppedPair:
                        relative_motion(boxes[0], boxes[1]), s.spec)
 
 
-def augment(s: TrainingSample | CroppedPair, rng, flip_axis: str = "x",
-            max_rot_deg: float = 5.0) -> CroppedPair:
+def augment(s: CroppedPair, rng, flip_axis: str = "x", max_rot_deg: float = 5.0) -> CroppedPair:
     """Random horizontal flip (prob 0.5) and uniform yaw perturbation.
 
     The label is always recomputed from the augmented boxes, so training

@@ -22,7 +22,6 @@ from .tensor import Tape
 class TrainSettings:
     lr: float = ruled(5e-4, NON_NEGATIVE)
     weight_decay: float = ruled(0.01, NON_NEGATIVE)
-    betas: tuple[float, float] = (0.9, 0.999)
     batch: int = ruled(4, COUNT)
     epochs: int = ruled(5, COUNT)
     decay_factor: float = ruled(5.0, POSITIVE)
@@ -43,9 +42,10 @@ def make_training_samples(sequences: list[LabeledSequence],
     center carries the previous prediction's error). A window derived from
     each sequence's target size (ratio-crop mode) takes one call per sequence.
 
-    The samples reference the sequences' frames and crop them when read, so
-    the list costs a few hundred bytes a pair beyond the frames; the frames
-    must not be mutated while the samples are in use."""
+    The samples reference the sequences' frames and are cropped when a step
+    calls `TrainingSample.cropped`, so the list costs a few hundred bytes a
+    pair beyond the frames; the frames must not be mutated while the samples
+    are in use."""
     samples = []
     for seq in sequences:
         for t in range(1, len(seq.frames)):
@@ -54,7 +54,6 @@ def make_training_samples(sequences: list[LabeledSequence],
                 prev_frame=seq.frames[t - 1],
                 curr_frame=seq.frames[t],
                 ref=ref,
-                box_prev=ref.with_pose(0.0, 0.0, 0.0, 0.0),
                 box_curr=box_in_frame(seq.gt[t], ref),
                 target=relative_motion(seq.gt[t - 1], seq.gt[t]),
                 spec=spec))
@@ -82,24 +81,27 @@ def save_train_log(history: list[EpochStats], n_alpha: int, path: str):
             fh.write(",".join(row) + "\n")
 
 
+def pair_loss(model: TrackerModel, pair: CroppedPair) -> T.Tensor:
+    """The motion loss of the model's prediction for one cropped pair."""
+    return motion_loss(model.forward_clouds(pair.prev_pts, pair.curr_pts, pair.spec),
+                       pair.target, model.config)
+
+
 def evaluate_mean_loss(model: TrackerModel,
                        samples: list[TrainingSample]) -> float:
     """Mean (unaugmented) loss over a sample list, no gradients."""
     total = 0.0
     for s in samples:
-        pred = model.forward_clouds(s.prev_pts, s.curr_pts, s.spec)
-        total += motion_loss(pred, s.target, model.config).item()
+        total += pair_loss(model, s.cropped()).item()
     return total / max(1, len(samples))
 
 
-def _backward_sample(model: TrackerModel, s: TrainingSample | CroppedPair,
-                     weight: float) -> float:
-    """Forward one sample on its own tape, add the gradient of `weight` times
+def _backward_sample(model: TrackerModel, pair: CroppedPair, weight: float) -> float:
+    """Forward one pair on its own tape, add the gradient of `weight` times
     its loss into the parameters' .grad, and return the unweighted loss. The
     tape dies with this frame, so a step holds one sample's graph at a time."""
     with Tape() as tape:
-        term = motion_loss(model.forward_clouds(s.prev_pts, s.curr_pts, s.spec),
-                           s.target, model.config)
+        term = pair_loss(model, pair)
         seed = T.scale(term, weight)
     tape.backward(seed)
     return term.item()
@@ -110,14 +112,15 @@ def train(model: TrackerModel, samples: list[TrainingSample],
     """Shuffled mini-batch AdamW training; logs per-epoch mean loss and the
     per-stage motion-difference scale parameters.
 
-    A step minimises the batch mean of the per-sample losses. Its
-    augmentations are drawn first, in batch order; then each sample, last
-    first, runs forward and backward on its own tape with seed 1/B, and that
-    tape is dropped before the next sample starts. Step memory is therefore
-    one sample's graph whatever the batch size. Last-first makes every
-    parameter add its gradient terms in the order a single batch-wide tape
-    replays them, so gradients and updates are bit-identical to it. A step
-    that raises `NumericError` clears every .grad before re-raising."""
+    A step minimises the batch mean of the per-sample losses. Its samples
+    are cropped and their augmentations drawn first, in batch order; then
+    each pair, last first, runs forward and backward on its own tape with
+    seed 1/B, and that tape is dropped before the next pair starts. Step
+    memory is therefore one pair's graph whatever the batch size. Last-first
+    makes every parameter add its gradient terms in the order a single
+    batch-wide tape replays them, so gradients and updates are bit-identical
+    to it. A step that raises `NumericError` clears every .grad before
+    re-raising."""
     rng = np.random.default_rng(settings.seed)
     history = []
     steps_done = 0
@@ -129,7 +132,7 @@ def train(model: TrackerModel, samples: list[TrainingSample],
         for start in range(0, len(order), settings.batch):
             if settings.max_steps and steps_done >= settings.max_steps:
                 break
-            batch = [samples[i] for i in order[start:start + settings.batch]]
+            batch = [samples[i].cropped() for i in order[start:start + settings.batch]]
             weight = 1.0 / len(batch)
             try:
                 if settings.augment:
@@ -145,7 +148,7 @@ def train(model: TrackerModel, samples: list[TrainingSample],
             loss = terms[0]
             for t in terms[1:]:
                 loss += t
-            adamw_step(model.store, lr, settings.weight_decay, settings.betas)
+            adamw_step(model.store, lr, settings.weight_decay)
             model.store.zero_grad()
             losses.append(loss * weight)
             steps_done += 1

@@ -46,11 +46,10 @@ def test_criterion_1_gradient_integrity():
     model.randomize_all(np.random.default_rng(1))
     spec = CropSpec(grid=(16, 16))
     seq = generate(SceneConfig(length=3, seed=2))
-    sample = make_training_samples([seq], spec)[0]
-    prev_pts, curr_pts = sample.prev_pts, sample.curr_pts
+    sample = make_training_samples([seq], spec)[0].cropped()
 
     def f():
-        pred = model.forward_clouds(prev_pts, curr_pts, spec)
+        pred = model.forward_clouds(sample.prev_pts, sample.curr_pts, spec)
         return motion_loss(pred, sample.target, model.config)
 
     errs = gradcheck_params(f, list(model.store.items()), samples_per_param=6,

@@ -240,7 +240,7 @@ def test_encode_crops_points_augmentation_pushed_out(monkeypatch, deg):
     m = tiny_model()
     m.randomize_all(np.random.default_rng(4))
     seq = generate(SceneConfig(length=2, seed=2))
-    aug = rotate_sample(make_training_samples([seq], spec)[0], math.radians(deg))
+    aug = rotate_sample(make_training_samples([seq], spec)[0].cropped(), math.radians(deg))
     recropped = [crop(p, spec) for p in (aug.prev_pts, aug.curr_pts)]
     assert all(len(r.xyz) < len(p.xyz) for r, p in zip(recropped, (aug.prev_pts, aug.curr_pts)))
     out = m.forward_clouds(aug.prev_pts, aug.curr_pts, spec).data
@@ -527,8 +527,8 @@ def test_desk_training_step_records_no_quadratic_tensor():
     from bevsot.train import make_training_samples
     cfg = RunConfig()
     m = TrackerModel(cfg.model_config(), seed=0)
-    samples = make_training_samples([generate(cfg.scene_config(seed=0))],
-                                    cfg.crop_spec())[:cfg.batch]
+    samples = [s.cropped() for s in make_training_samples(
+        [generate(cfg.scene_config(seed=0))], cfg.crop_spec())[:cfg.batch]]
     with Tape() as tape:
         terms = [motion_loss(m.forward_clouds(s.prev_pts, s.curr_pts, s.spec),
                              s.target, m.config) for s in samples]

@@ -95,7 +95,7 @@ def test_clutter_bound_is_numpys_poisson_limit():
 
 def make_sample(seed=0):
     seq = generate(SceneConfig(length=3, seed=seed))
-    return make_training_samples([seq], CropSpec(grid=(32, 32)))[0]
+    return make_training_samples([seq], CropSpec(grid=(32, 32)))[0].cropped()
 
 
 def test_training_sample_target_matches_boxes():

@@ -3,11 +3,12 @@ and frame-pair samples against the eager crops they replaced."""
 
 import gc
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from bevsot import scene
 from bevsot import tensor as T
 from bevsot.config import RunConfig
 from bevsot.exceptions import NumericError
@@ -17,7 +18,7 @@ from bevsot.params import adamw_step, lr_at_epoch
 from bevsot.pillars import canonicalize, crop
 from bevsot.scene import CroppedPair, augment, generate
 from bevsot.tensor import Tape
-from bevsot.train import (EpochStats, TrainSettings, make_training_samples,
+from bevsot.train import (EpochStats, TrainSettings, make_training_samples, pair_loss,
                           save_train_log, train)
 
 DESK = RunConfig()
@@ -50,6 +51,16 @@ def eager_training_samples(sequences, spec):
     return samples
 
 
+class Kept:
+    """An eager pair behind the `cropped()` that `train` calls."""
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def cropped(self):
+        return self.pair
+
+
 def train_batch_tape(model, samples, settings):
     """Oracle: the whole batch on one tape, backward once after the last
     forward. Same RNG use, schedule and logging fields as `train`."""
@@ -66,6 +77,7 @@ def train_batch_tape(model, samples, settings):
             with Tape() as tape:
                 acc = None
                 for s in batch:
+                    s = s.cropped()
                     if settings.augment:
                         s = augment(s, rng, settings.flip_axis, settings.max_rot_deg)
                     pred = model.forward_clouds(s.prev_pts, s.curr_pts, s.spec)
@@ -73,7 +85,7 @@ def train_batch_tape(model, samples, settings):
                     acc = term if acc is None else T.add(acc, term)
                 loss = T.scale(acc, 1.0 / len(batch))
             tape.backward(loss)
-            adamw_step(model.store, lr, settings.weight_decay, settings.betas)
+            adamw_step(model.store, lr, settings.weight_decay)
             model.store.zero_grad()
             losses.append(loss.item())
             steps_done += 1
@@ -161,7 +173,8 @@ def test_train_log_write_that_fails_leaves_no_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# frame-pair samples: cropped when read, bit-identical to the eager oracle
+# frame-pair samples: cropped when `cropped()` is called, bit-identical to
+# the eager oracle
 
 
 @pytest.mark.parametrize("crop_mode", ["fixed", "ratio"])
@@ -173,7 +186,7 @@ def test_frame_pair_crops_equal_eager_crops(crop_mode):
         got = make_training_samples([seq], spec)
         want = eager_training_samples([seq], spec)
         assert len(got) == len(want) == len(seq.frames) - 1
-        for g, w in zip(got, want):
+        for g, w in zip((s.cropped() for s in got), want):
             np.testing.assert_array_equal(g.prev_pts.xyz, w.prev_pts.xyz)
             np.testing.assert_array_equal(g.curr_pts.xyz, w.curr_pts.xyz)
             assert (g.box_prev, g.box_curr, g.target, g.spec) == \
@@ -183,7 +196,7 @@ def test_frame_pair_crops_equal_eager_crops(crop_mode):
 def test_training_on_frame_pairs_equals_training_on_eager_crops():
     seq = generate(DESK.scene_config(seed=0))
     got_samples = make_training_samples([seq], DESK.crop_spec())[:8]
-    want_samples = eager_training_samples([seq], DESK.crop_spec())[:8]
+    want_samples = [Kept(p) for p in eager_training_samples([seq], DESK.crop_spec())[:8]]
     settings = TrainSettings(batch=4, epochs=2, augment=True, seed=7)
     got_model, want_model = desk_model(), desk_model()
     assert train(got_model, got_samples, settings) == train(want_model, want_samples, settings)
@@ -223,14 +236,43 @@ def test_samples_keep_a_small_share_of_their_frames_bytes():
 
 
 def test_reading_crops_keeps_no_bytes():
-    """A crop cached on the sample would keep about half a frame per read."""
+    """A crop cached on the sample would keep about half a frame per call."""
     seqs, frame_bytes = held_sequences()
     samples = make_training_samples(seqs, DESK.crop_spec())
 
     def read_all():
         for s in samples:
-            assert len(s.prev_pts) and len(s.curr_pts)
+            pair = s.cropped()
+            assert len(pair.prev_pts) and len(pair.curr_pts)
 
     _, first = kept_bytes(read_all)
     _, again = kept_bytes(read_all)
     assert max(first, again) < 0.01 * frame_bytes, (first, again, frame_bytes)
+
+
+def test_crops_run_only_in_cropped(monkeypatch):
+    """Building samples and reading their fields crops nothing, each
+    `cropped()` crops its two frames, and `pair_loss` is the written-out
+    loss bit for bit."""
+    calls = []
+
+    def counted(cloud, spec):
+        calls.append(spec)
+        return crop(cloud, spec)
+
+    monkeypatch.setattr(scene, "crop", counted)
+    seqs, _ = held_sequences()
+    samples = make_training_samples(seqs, DESK.crop_spec())
+    for s in samples:
+        for f in fields(s):
+            getattr(s, f.name)
+    assert calls == []
+    pairs = []
+    for k, s in enumerate(samples[:5], 1):
+        pairs.append(s.cropped())
+        assert len(calls) == 2 * k
+    model = desk_model()
+    for pair in pairs:
+        want = motion_loss(model.forward_clouds(pair.prev_pts, pair.curr_pts, pair.spec),
+                           pair.target, model.config)
+        np.testing.assert_array_equal(pair_loss(model, pair).data, want.data)
