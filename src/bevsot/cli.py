@@ -14,6 +14,7 @@ MemoryError traceback and leaves no run directory either.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -90,9 +91,21 @@ def _build_config(args, base: cfgmod.RunConfig | None = None) -> cfgmod.RunConfi
 
 def _run_dir(args, tag: str, files: dict[str, str]) -> str:
     """Make the run directory (`--out`, else a timestamped one under runs/),
-    once config and inputs are checked, and write `files` (name: text) whole."""
-    out = args.out or os.path.join("runs", f"{tag}-{time.strftime('%Y%m%d-%H%M%S')}")
-    os.makedirs(out, exist_ok=True)
+    once config and inputs are checked, and write `files` (name: text) whole.
+    A timestamped directory is made exclusively: when another run took that
+    name in the same second, this one takes the next free `-2`, `-3`, ..."""
+    if args.out:
+        out = args.out
+        os.makedirs(out, exist_ok=True)
+    else:
+        out = base = os.path.join("runs", f"{tag}-{time.strftime('%Y%m%d-%H%M%S')}")
+        os.makedirs("runs", exist_ok=True)
+        for n in itertools.count(2):
+            try:
+                os.mkdir(out)
+                break
+            except FileExistsError:
+                out = f"{base}-{n}"
     for name, text in files.items():
         with atomic_write(os.path.join(out, name)) as fh:
             fh.write(text)

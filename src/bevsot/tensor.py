@@ -259,7 +259,8 @@ def silu(a: Tensor) -> Tensor:
         s = _sigmoid_value(x)
         return (g * s * (1.0 + x * (1.0 - s)),)
 
-    return _out(x * _sigmoid_value(x), "silu", (a,), bw)
+    s = _sigmoid_value(x)
+    return _out(np.multiply(x, s, out=s), "silu", (a,), bw)
 
 
 def huber(a: Tensor, delta: float = 1.0) -> Tensor:
@@ -299,7 +300,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
+    """x @ w + b as one tape node; the same values and gradients as
+    ``add(matmul(x, w), b)``."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape}")
+    xd, wd = x.data, w.data
+    return _out(xd @ wd + b.data, "linear", (x, w, b),
+                lambda g: (g @ wd.T, xd.T @ g, _unbroadcast(g, b.data.shape)))
 
 
 # query rows per motion_gate tile. In the sweep of BENCH_motion_gate_tiles.json
@@ -326,8 +333,9 @@ def motion_gate_tiles(N: int, heads: int, d: int) -> list[tuple[int, slice, slic
 def motion_gate_macs(N: int, heads: int, d: int) -> int:
     """motion_gate's forward multiply-adds under bench.py's counting rules,
     summed over its tile plan: per head the two N x d operand scalings, per
-    r-row tile the (r x 2d) @ (2d x N) product, one SiLU multiply per element
-    and the (r x N) @ (N x d) gate matmul. 3 N^2 d + N^2 + 2 N d per head."""
+    r-row tile the (r x 2d) @ (2d x N) product, one SiLU op per element (the
+    tile's divide) and the (r x N) @ (N x d) gate matmul. 3 N^2 d + N^2 +
+    2 N d per head."""
     return 2 * heads * N * d + sum((t.stop - t.start) * N * (3 * d + 1)
                                    for _, _, t in motion_gate_tiles(N, heads, d))
 
@@ -339,12 +347,17 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     kc_h^T - alpha (qp_h/sqrt(d)) kp_h^T; G is (heads, N, d), b (heads, d).
 
     No N x N map is held whole: each head's query rows are processed in
-    tiles of r rows, one BLAS product [qc_h/sqrt(d), -alpha qp_h/sqrt(d)] @
-    [kc_h, kp_h]^T of inner dimension 2d per tile, and backward recomputes
-    the tiles instead of storing them. Every tile step writes with ``out=``
-    into (r, N) buffers allocated once per call: two in forward and three
-    in backward, each freed when its pass ends, so live memory is a fixed
-    set of (r, N) buffers plus O(N * C).
+    tiles of r rows, one BLAS product [-qc_h/sqrt(d), alpha qp_h/sqrt(d)] @
+    [kc_h, kp_h]^T of inner dimension 2d per tile. The left operand is
+    negated, so the product is -S exactly (up to the sign of zero), and the
+    tile's -SiLU(S) = -S / (1 + exp(-S)) takes three elementwise passes:
+    one exp, one +1 and one divide. That differs from S * (1 / (1 + exp(-S)))
+    by about an ulp per element. Each tile's -SiLU(S) @ G[h] goes into one
+    (N, C) array, and the bias, the finite check and the sigmoid run on it
+    once. Backward recomputes the same tiles bit for bit instead of storing
+    them. Every tile step writes with ``out=`` into (r, N) buffers allocated
+    once per call: two in forward and three in backward, each freed when its
+    pass ends, so live memory is a fixed set of (r, N) buffers plus O(N * C).
     The gradients of kc, kp, G, b and the scalar alpha are summed across tiles.
     """
     N, C = qc.shape
@@ -357,49 +370,54 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     inv = 1.0 / np.sqrt(d)
     a = alpha.item()
     cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
-    lhs = [np.concatenate([qc.data[:, c] * inv, qp.data[:, c] * (-a * inv)], axis=1)
-           for c in cols]  # N x 2d per head
+    lhs = [np.concatenate([qc.data[:, c] * -inv, qp.data[:, c] * (a * inv)], axis=1)
+           for c in cols]  # N x 2d per head, so lhs @ rhs_t is -S
     rhs_t = [np.concatenate([kc.data[:, c], kp.data[:, c]], axis=1).T for c in cols]
     rows = motion_gate_rows(N)
     tiles = motion_gate_tiles(N, heads, d)
 
-    def silu_tile(h, t, s, sig):
-        """SiLU(S) into s and sigmoid(S) into sig for head h's row tile t;
+    def neg_silu_tile(h, t, m, q):
+        """-SiLU(S) into m and 1 + exp(-S) into q for head h's row tile t;
         returns their first len(t) rows."""
         n = t.stop - t.start
-        s, sig = s[:n], sig[:n]
-        np.matmul(lhs[h][t], rhs_t[h], out=s)
-        _sigmoid_value(s, out=sig)
-        return np.multiply(s, sig, out=s), sig
+        m, q = m[:n], q[:n]
+        np.matmul(lhs[h][t], rhs_t[h], out=m)
+        with np.errstate(over="ignore"):
+            np.exp(m, out=q)
+        np.add(q, 1.0, out=q)
+        return np.divide(m, q, out=m), q
 
-    gate = np.empty((N, C))
+    z = np.empty((N, C))  # -SiLU(S) @ G, then z, then the gate
     bufs = np.empty((2, rows, N))  # bw allocates its own: a tape must not hold these
     for h, c, t in tiles:
-        z = silu_tile(h, t, *bufs)[0] @ G.data[h] + b.data[h]
-        _ensure_finite(z, "motion_gate")
-        gate[t, c] = _sigmoid_value(z)
+        np.matmul(neg_silu_tile(h, t, *bufs)[0], G.data[h], out=z[t, c])
+    np.subtract(b.data.reshape(C), z, out=z)
+    _ensure_finite(z, "motion_gate")
+    gate = _sigmoid_value(z, out=z)
 
     def bw(g):
         dz = g * gate * (1.0 - gate)
         dlhs = [np.empty((N, 2 * d)) for _ in cols]
         drhs_t = [np.zeros((2 * d, N)) for _ in cols]
         dG = np.zeros_like(G.data)
-        s_buf, sig_buf, tmp_buf = np.empty((3, rows, N))
+        m_buf, q_buf, tmp_buf = np.empty((3, rows, N))
         for h, c, t in tiles:
-            m, sig = silu_tile(h, t, s_buf, sig_buf)
-            dG[h] += m.T @ dz[t, c]
-            # SiLU'(S) = sig + SiLU(S) (1 - sig), built in sig's buffer
+            m, q = neg_silu_tile(h, t, m_buf, q_buf)
+            dG[h] -= m.T @ dz[t, c]
+            sig = np.divide(1.0, q, out=q)
+            # -SiLU'(S) = -SiLU(S) (1 - sig) - sig, built in tmp's buffer;
+            # times dz G^T it is the gradient of -S, i.e. of lhs @ rhs_t
             tmp = tmp_buf[:len(sig)]
             np.subtract(1.0, sig, out=tmp)
             np.multiply(m, tmp, out=tmp)
-            np.add(sig, tmp, out=sig)
-            ds = np.multiply(np.matmul(dz[t, c], G.data[h].T, out=tmp), sig, out=tmp)
-            np.matmul(ds, rhs_t[h].T, out=dlhs[h][t])
-            drhs_t[h] += lhs[h][t].T @ ds
+            np.subtract(tmp, sig, out=tmp)
+            dns = np.multiply(np.matmul(dz[t, c], G.data[h].T, out=sig), tmp, out=tmp)
+            np.matmul(dns, rhs_t[h].T, out=dlhs[h][t])
+            drhs_t[h] += lhs[h][t].T @ dns
         dqp = np.hstack([x[:, d:] for x in dlhs])
-        return (np.hstack([x[:, :d] for x in dlhs]) * inv, np.hstack([x[:d].T for x in drhs_t]),
-                dqp * (-a * inv), np.hstack([x[d:].T for x in drhs_t]),
-                np.full(alpha.shape, -inv * float(np.sum(dqp * qp.data))), dG,
+        return (np.hstack([x[:, :d] for x in dlhs]) * -inv, np.hstack([x[:d].T for x in drhs_t]),
+                dqp * (a * inv), np.hstack([x[d:].T for x in drhs_t]),
+                np.full(alpha.shape, inv * float(np.sum(dqp * qp.data))), dG,
                 dz.reshape(N, heads, d).sum(axis=0))
 
     return _out(gate, "motion_gate", (qc, kc, qp, kp, alpha, G, b), bw)
@@ -410,19 +428,20 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     if x.shape[-1] == 0:
         raise ShapeError("layernorm over an empty channel axis")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    C = xd.shape[-1]
+    # np.mean's own sum and divide, without its per-call Python overhead
+    mean = lambda a: np.add.reduce(a, axis=-1, keepdims=True) / C
+    xc = xd - mean(xd)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
     def bw(g):
         dxhat = g * gamma.data
-        dgamma = (g * xhat).reshape(-1, xd.shape[-1]).sum(axis=0)
-        dbeta = g.reshape(-1, xd.shape[-1]).sum(axis=0)
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dgamma = (g * xhat).reshape(-1, C).sum(axis=0)
+        dbeta = g.reshape(-1, C).sum(axis=0)
+        m1 = mean(dxhat)
+        m2 = mean(dxhat * xhat)
         dx = inv * (dxhat - m1 - xhat * m2)
         return (dx, dgamma.reshape(gamma.data.shape), dbeta.reshape(beta.data.shape))
 
@@ -482,6 +501,10 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
                       slice(j, j + stride * (Wo - 1) + 1, stride)))
             for i in range(_KSIZE) for j in range(_KSIZE)]
 
+    if depthwise:
+        # each tap's C weights repeated along an output row: the product then
+        # has no stride-0 axis, and numpy runs it over (Ho, Wo * C) rows
+        wd = np.tile(wd, (1, 1, Wo)).reshape(_KSIZE, _KSIZE, Wo, Cin)
     data = np.zeros((Ho, Wo, Cout))
     term = np.empty_like(data)  # one tap's contribution, rewritten per tap
     for ij, s in taps:
@@ -492,7 +515,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
 
     def bw(g):
         dxp = np.zeros_like(xp)
-        dw = np.empty_like(wd)
+        dw = np.empty_like(w.data)
         g2d = g.reshape(Ho * Wo, Cout)
         for ij, s in reversed(taps):
             if depthwise:
@@ -513,10 +536,14 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
 
 
 def cell_runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group points by cell index: the stable sort order by cell, the start
-    of each cell's run in that order, and the run index of each sorted
-    position. Within a run, points keep their original relative order."""
-    order = np.argsort(cells, kind="stable")
+    """Group points by non-negative cell index: the stable sort order by
+    cell, the start of each cell's run in that order, and the run index of
+    each sorted position. Within a run, points keep their original relative
+    order. The sort keys take the smallest unsigned dtype that holds the
+    largest index, so a grid of up to 256 x 256 cells sorts by numpy's
+    radix path; a stable order is unique, so it is the same for any dtype."""
+    order = np.argsort(cells.astype(np.min_scalar_type(cells.max(initial=0))),
+                       kind="stable")
     sorted_cells = cells[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = sorted_cells[1:] != sorted_cells[:-1]

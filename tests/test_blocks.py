@@ -3,6 +3,7 @@ the gated linear attention, against hand oracles and forced cases."""
 
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -403,31 +404,35 @@ def _sigmoid(x):
 
 
 def unbuffered_motion_gate(qc, kc, qp, kp, alpha, G, b):
-    """T.motion_gate as it ran before its tiles wrote into preallocated
-    buffers: fresh S, sigmoid(S) and SiLU(S) arrays per tile, in forward and
-    again in backward's recompute. Same tiles, same expression order, so the
-    buffered op must match it bit for bit."""
+    """T.motion_gate without its preallocated buffers: fresh -S, 1 + exp(-S),
+    -SiLU(S) and sigmoid(S) arrays per tile, in forward and again in
+    backward's recompute, and a fresh -SiLU(S) @ G per tile. Same tiles,
+    same expression order, so the buffered op must match it bit for bit."""
     N, C = qc.shape
     heads = G.shape[0]
     d = C // heads
     inv = 1.0 / np.sqrt(d)
     a = alpha.item()
     cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
-    lhs = [np.concatenate([qc.data[:, c] * inv, qp.data[:, c] * (-a * inv)], axis=1)
+    lhs = [np.concatenate([qc.data[:, c] * -inv, qp.data[:, c] * (a * inv)], axis=1)
            for c in cols]
     rhs_t = [np.concatenate([kc.data[:, c], kp.data[:, c]], axis=1).T for c in cols]
     rows = T.motion_gate_rows(N)
     tiles = [(h, c, slice(lo, min(lo + rows, N)))
              for h, c in enumerate(cols) for lo in range(0, N, rows)]
 
-    def silu_tile(h, t):
-        s = lhs[h][t] @ rhs_t[h]
-        sig = _sigmoid(s)
-        return s, sig, s * sig
+    def neg_silu_tile(h, t):
+        ns = lhs[h][t] @ rhs_t[h]
+        with np.errstate(over="ignore"):
+            q = np.exp(ns) + 1.0
+        return ns / q, q
 
-    gate = np.empty((N, C))
+    z = np.empty((N, C))
     for h, c, t in tiles:
-        gate[t, c] = _sigmoid(silu_tile(h, t)[2] @ G.data[h] + b.data[h])
+        z[t, c] = neg_silu_tile(h, t)[0] @ G.data[h]
+    z = b.data.reshape(C) - z
+    T._ensure_finite(z, "motion_gate")
+    gate = _sigmoid(z)
 
     def bw(g):
         dz = g * gate * (1.0 - gate)
@@ -435,15 +440,16 @@ def unbuffered_motion_gate(qc, kc, qp, kp, alpha, G, b):
         drhs_t = [np.zeros((2 * d, N)) for _ in cols]
         dG = np.zeros_like(G.data)
         for h, c, t in tiles:
-            s, sig, m = silu_tile(h, t)
-            dG[h] += m.T @ dz[t, c]
-            ds = (dz[t, c] @ G.data[h].T) * (sig + m * (1.0 - sig))
-            dlhs[h][t] = ds @ rhs_t[h].T
-            drhs_t[h] += lhs[h][t].T @ ds
+            m, q = neg_silu_tile(h, t)
+            sig = 1.0 / q
+            dG[h] -= m.T @ dz[t, c]
+            dns = (dz[t, c] @ G.data[h].T) * (m * (1.0 - sig) - sig)
+            dlhs[h][t] = dns @ rhs_t[h].T
+            drhs_t[h] += lhs[h][t].T @ dns
         dqp = np.hstack([x[:, d:] for x in dlhs])
-        return (np.hstack([x[:, :d] for x in dlhs]) * inv, np.hstack([x[:d].T for x in drhs_t]),
-                dqp * (-a * inv), np.hstack([x[d:].T for x in drhs_t]),
-                np.full(alpha.shape, -inv * float(np.sum(dqp * qp.data))), dG,
+        return (np.hstack([x[:, :d] for x in dlhs]) * -inv, np.hstack([x[:d].T for x in drhs_t]),
+                dqp * (a * inv), np.hstack([x[d:].T for x in drhs_t]),
+                np.full(alpha.shape, inv * float(np.sum(dqp * qp.data))), dG,
                 dz.reshape(N, heads, d).sum(axis=0))
 
     return T._out(gate, "motion_gate", (qc, kc, qp, kp, alpha, G, b), bw)
@@ -520,6 +526,35 @@ def test_motion_gate_overflow_raises_naming_op(rng):
     G, b = Tensor(rng.uniform(0.1, 1.0, (1, 8, 2))), Tensor(np.zeros((1, 2)))
     with pytest.raises(NumericError, match="motion_gate"):
         T.motion_gate(q, q, q, q, Tensor(0.0), G, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_motion_gate_minus_inf_tile_raises_naming_op(rng):
+    # S = -inf: the tile's -S / (1 + exp(-S)) is inf / inf, a NaN in Z
+    q, k = Tensor(np.full((8, 2), -1e200)), Tensor(np.full((8, 2), 1e200))
+    G, b = Tensor(rng.uniform(0.1, 1.0, (1, 8, 2))), Tensor(np.zeros((1, 2)))
+    with pytest.raises(NumericError, match="motion_gate"):
+        T.motion_gate(q, k, q, k, Tensor(0.0), G, b)
+
+
+def test_motion_gate_exp_overflow_tile_matches_materialized_oracle():
+    # rows 0-7 have S = -800, where exp(-S) overflows to inf and SiLU(S) is
+    # -0: the quotient tile must stay finite and agree with the oracle
+    rng = np.random.default_rng(800)
+    lv = _gate_leaves(rng)
+    xc = lv["xc"].data
+    xc[:8, :4] = -10.0
+    xc[:, 4:] = 40.0 + 1e-3 * rng.standard_normal((16, 4))  # S = (-10 * 40 * 4) / 2
+    lv["xp"].data[:8] *= 1e-3
+    probe = rng.standard_normal((16, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, got_grads = _run_gates(_fused_gates, lv, 1, probe)
+    want, want_grads = _run_gates(_oracle_gates, lv, 1, probe)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) < 1e-9
+    for name, g in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - g)) < 1e-9, name
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +655,6 @@ def test_desk_training_step_tape_has_no_per_head_split(monkeypatch):
                 replace(cfg.train_settings(), epochs=1))
     assert nodes["slice_cols", "blocks.py"] == nodes["take", "blocks.py"] == 0
     # per sample, head.conv2 and head.conv3 run on a 1x1 grid as a linear
-    # layer over their centre tap: a matmul and an add node each; the last
-    # stage's down conv runs on the current frame only
-    assert sum(nodes.values()) == 716
+    # layer over their centre tap, one linear node each; the last stage's
+    # down conv runs on the current frame only
+    assert sum(nodes.values()) == 624

@@ -447,6 +447,22 @@ def test_gen_writes_sequences(tmp_path):
     assert len(list((out / "seq_000" / "frames").iterdir())) == 4
 
 
+def test_default_run_dirs_in_one_second_are_not_shared(tmp_path, monkeypatch):
+    # two gens without --out in the same second used to write into one
+    # directory: the second's echo over the first's three sequences
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    small = ["--set", "scene_length=2"]
+    assert run(["gen", "--set", "sequences=3"] + small) == 0
+    assert run(["gen", "--set", "sequences=2", "--seed", 7] + small) == 0
+    first, second = (tmp_path / "runs" / f"gen-20260101-000000{n}" for n in ("", "-2"))
+    assert sorted(os.listdir(tmp_path / "runs")) == [first.name, second.name]
+    assert load_config(str(first / "config.echo.cfg")).sequences == 3
+    assert load_config(str(second / "config.echo.cfg")).seed == 7
+    assert sorted(p.name for p in first.glob("seq_*")) == ["seq_000", "seq_001", "seq_002"]
+    assert sorted(p.name for p in second.glob("seq_*")) == ["seq_000", "seq_001"]
+
+
 def test_train_lr_zero_checkpoint_equals_init(tmp_path):
     out = tmp_path / "run"
     code = run(["train", "--out", out, "--seed", 1, "--set", "lr=0",

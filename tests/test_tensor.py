@@ -375,6 +375,98 @@ def test_layernorm_grad(rng):
 
 
 # ---------------------------------------------------------------------------
+# linear, layernorm and SiLU against their multi-pass forms, kept as oracles;
+# each rewrite is exact, so values and gradients must match bit for bit at
+# the desk preset's shapes (the depthwise conv's oracle is conv2d_padded_taps)
+
+
+def parent_layernorm(x, gamma, beta, eps=1e-5):
+    """T.layernorm with np.mean for each of its four means."""
+    xd = x.data
+    mu = xd.mean(axis=-1, keepdims=True)
+    xc = xd - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+
+    def bw(g):
+        dxhat = g * gamma.data
+        dgamma = (g * xhat).reshape(-1, xd.shape[-1]).sum(axis=0)
+        dbeta = g.reshape(-1, xd.shape[-1]).sum(axis=0)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (dxhat - m1 - xhat * m2)
+        return (dx, dgamma.reshape(gamma.data.shape), dbeta.reshape(beta.data.shape))
+
+    return T._out(xhat * gamma.data + beta.data, "layernorm", (x, gamma, beta), bw)
+
+
+def parent_silu(a):
+    """T.silu with x * sigmoid(x) in a fresh array."""
+    x = a.data
+
+    def bw(g):
+        s = T._sigmoid_value(x)
+        return (g * s * (1.0 + x * (1.0 - s)),)
+
+    return T._out(x * T._sigmoid_value(x), "silu", (a,), bw)
+
+
+def assert_same_op(rng, op, oracle, *leaves):
+    """op and oracle give array_equal values and input gradients."""
+    up = None
+    results = []
+    for f in (oracle, op):
+        with Tape() as tape:
+            out = f(*leaves)
+            up = rng.standard_normal(out.shape) if up is None else up
+            for t in leaves:
+                t.grad = None
+            tape.backward(T.sum_all(T.mul(out, Tensor(up))))
+        results.append((out.data, [t.grad for t in leaves]))
+    (want, want_grads), (got, got_grads) = results
+    np.testing.assert_array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g, w)
+
+
+_DESK = ModelConfig()
+# desk stage tokens (N, C) and FFN widths; the pillar layer on 2569 points;
+# the head's 1x1 layers
+DESK_LINEARS = ([(res * res, C, C) for res, C in _DESK.stage_dims()]
+                + [(res * res, C, _DESK.ffn_expand * C) for res, C in _DESK.stage_dims()]
+                + [(res * res, _DESK.ffn_expand * C, C) for res, C in _DESK.stage_dims()]
+                + [(2569, 8, _DESK.channels), (1, 128, 256), (1, 512, 3)])
+DESK_ROWS = ([(res * res, C) for res, C in _DESK.stage_dims()]
+             + [(res * res, _DESK.ffn_expand * C) for res, C in _DESK.stage_dims()]
+             + [(2569, _DESK.channels), (1, 1, 128), (1, 256)])
+
+
+@pytest.mark.parametrize("rows,cin,cout", DESK_LINEARS)
+def test_linear_is_bit_identical_to_matmul_then_add(rng, rows, cin, cout):
+    x, w, b = (leaf(rng.standard_normal(s)) for s in ((rows, cin), (cin, cout), cout))
+    assert_same_op(rng, T.linear, lambda *t: T.add(T.matmul(*t[:2]), t[2]), x, w, b)
+
+
+@pytest.mark.parametrize("shape", DESK_ROWS, ids=str)
+def test_layernorm_is_bit_identical_to_np_mean_form(rng, shape):
+    x, g, b = (leaf(rng.standard_normal(s)) for s in (shape, shape[-1], shape[-1]))
+    assert_same_op(rng, T.layernorm, parent_layernorm, x, g, b)
+
+
+@pytest.mark.parametrize("shape", DESK_ROWS, ids=str)
+def test_silu_is_bit_identical_to_fresh_product(rng, shape):
+    x = 4.0 * rng.standard_normal(shape)
+    x.reshape(-1)[:4] = [-800.0, 800.0, 0.0, -0.0]
+    assert_same_op(rng, T.silu, parent_silu, leaf(x))
+
+
+def test_linear_shape_error():
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
+
+# ---------------------------------------------------------------------------
 # activations
 
 
@@ -497,6 +589,19 @@ def test_scatter_max_nan_raises_naming_op():
     feats = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 1.0]])
     with pytest.raises(NumericError, match="scatter_max"):
         T.scatter_max(Tensor(feats), np.array([0, 0, 1]), 2)
+
+
+@pytest.mark.parametrize("n_cells", [1, 200, 32 * 32, 128 * 128, 70000])
+def test_cell_runs_order_is_the_int64_stable_sort(rng, n_cells):
+    # the keys' dtype goes uint8, uint8, uint16, uint16, uint32
+    cells = rng.integers(0, n_cells, 2569)
+    cells[0] = n_cells - 1
+    order, starts, run_of = T.cell_runs(cells)
+    want = np.argsort(cells, kind="stable")
+    np.testing.assert_array_equal(order, want)
+    first = np.flatnonzero(np.diff(cells[want], prepend=-1))
+    np.testing.assert_array_equal(starts, first)
+    np.testing.assert_array_equal(run_of, np.searchsorted(first, np.arange(len(cells)), "right") - 1)
 
 
 def test_cell_runs_groups_stably():
@@ -698,6 +803,8 @@ OPS_FOR_SWEEP = [
     ("sigmoid", lambda t, w: T.sum_all(T.mul(T.sigmoid(t), w)), (3, 4)),
     ("huber", lambda t, w: T.sum_all(T.mul(T.huber(t, 0.7), w)), (3, 4)),
     ("matmul", lambda t, w: T.sum_all(T.mul(T.matmul(t, t), w)), (4, 4)),
+    ("linear", lambda t, w: T.sum_all(T.mul(T.linear(t, Tensor(_LIN_W), Tensor(_LIN_B)), w)),
+     (3, 4)),
     ("layernorm", lambda t, w: T.sum_all(T.mul(
         T.layernorm(t, Tensor(np.ones(4)), Tensor(np.zeros(4))), w)), (3, 4)),
     ("conv2d", lambda t, w: T.sum_all(T.mul(
@@ -705,6 +812,8 @@ OPS_FOR_SWEEP = [
      (3, 4)),
 ]
 _CONV_W = np.random.default_rng(11).standard_normal((3, 3, 1, 1))
+_LIN_W = np.random.default_rng(12).standard_normal((4, 4))
+_LIN_B = np.random.default_rng(13).standard_normal(4)
 
 
 @pytest.mark.parametrize("name,f,shape", OPS_FOR_SWEEP, ids=[o[0] for o in OPS_FOR_SWEEP])
