@@ -1,11 +1,11 @@
 """Command-line operator surface: gen, train, track, eval, bench, gradcheck.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure. Every command is deterministic under a fixed seed; gen, train and
-track echo their resolved configuration next to their outputs. A config or
-input error is found before the run directory is made, and leaves none;
-track checks every frame file's size up front, but a non-finite coordinate
-shows only when its frame is read, after earlier sequences are tracked.
+Exit codes: 0 success, 1 usage/config error, 2 data error or unusable path, 3
+numeric failure. Every command is deterministic under a fixed seed; gen, train
+and track echo their resolved configuration next to their outputs. A config or
+input error is found before the run directory is made, and leaves none; track
+checks every frame file's size up front, but a non-finite coordinate shows only
+when its frame is read, after earlier sequences are tracked.
 gen and train generate every sequence before the run directory is made, so
 a scene too large to hold (say points_per_m2=1e16) ends in numpy's
 MemoryError traceback and leaves no run directory either.
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:  # OSError names its unusable path
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -11,8 +11,7 @@ from dataclasses import dataclass, fields
 from .exceptions import ConfigError
 from .model import ModelConfig
 from .pillars import CropSpec, ratio_crop_spec
-from .rules import (COUNT, FINITE, NON_NEGATIVE, POSITIVE, SHARE, TWO_OR_MORE, check, one_of,
-                    require, ruled)
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, SHARE, check, one_of, require, ruled
 from .scene import SceneConfig
 from .train import TrainSettings
 
@@ -58,18 +57,18 @@ class RunConfig:
     max_rot_deg: float = TrainSettings.max_rot_deg
     # scene generation
     sequences: int = ruled(48, COUNT, "scene")
-    scene_length: int = ruled(SceneConfig.length, TWO_OR_MORE, "scene")
-    speed_min: float = ruled(SceneConfig.speed_range[0], FINITE, "scene")
-    speed_max: float = ruled(SceneConfig.speed_range[1], FINITE, "scene")
+    scene_length: int = SceneConfig.scene_length
+    speed_min: float = SceneConfig.speed_min
+    speed_max: float = SceneConfig.speed_max
     yaw_rate_max: float = SceneConfig.yaw_rate_max
     points_per_m2: float = SceneConfig.points_per_m2
     clutter_density: float = SceneConfig.clutter_density
     clutter_extent: float = SceneConfig.clutter_extent
     occlusion_dropout: float = SceneConfig.occlusion_dropout
     surface_noise: float = SceneConfig.surface_noise
-    size_w: float = ruled(SceneConfig.size_mean[0], POSITIVE, "scene")
-    size_h: float = ruled(SceneConfig.size_mean[1], POSITIVE, "scene")
-    size_l: float = ruled(SceneConfig.size_mean[2], POSITIVE, "scene")
+    size_w: float = SceneConfig.size_w
+    size_h: float = SceneConfig.size_h
+    size_l: float = SceneConfig.size_l
     size_jitter: float = SceneConfig.size_jitter
     static_fraction: float = ruled(0.25, SHARE, "scene")
     # general
@@ -98,9 +97,7 @@ class RunConfig:
         return self._view(TrainSettings)
 
     def scene_config(self, seed: int, static: bool = False) -> SceneConfig:
-        return self._view(SceneConfig, size_mean=(self.size_w, self.size_h, self.size_l),
-                          speed_range=(self.speed_min, self.speed_max),
-                          length=self.scene_length, seed=seed, static=static)
+        return self._view(SceneConfig, seed=seed, static=static)
 
     def crop_spec(self, target_box=None) -> CropSpec:
         """The crop window. Fixed mode ignores `target_box`; ratio mode sizes

@@ -213,8 +213,10 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
         nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
         if off + nbytes > len(blob):
             fail(off, f"truncated data for '{name}'")
-        out[name] = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
-                                  offset=off).reshape(shape).astype(np.float64)
+        arr = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=off)
+        if not (finite := np.isfinite(arr)).all():
+            fail(off + 8 * int(np.argmin(finite)), f"non-finite value in '{name}'")
+        out[name] = arr.reshape(shape).astype(np.float64)
         off += nbytes
     if off != len(blob):
         fail(off, "trailing bytes after last parameter")

@@ -35,14 +35,13 @@ def ruled(default, rule: Rule, view: str | None = None):
 
 def check(obj):
     """Raise a ConfigError naming the first field of the dataclass `obj`
-    that is a non-finite float or breaks its rule (a tuple, in any element)."""
+    that is a non-finite float or breaks its rule."""
     for f in fields(obj):
         value, rule = getattr(obj, f.name), f.metadata.get("rule")
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"key '{f.name}' must be finite, got {v}")
-            if rule:
-                require(f.name, v, rule)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key '{f.name}' must be finite, got {value}")
+        if rule:
+            require(f.name, value, rule)
 
 
 def require(name: str, value, rule: Rule):

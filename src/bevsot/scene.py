@@ -17,7 +17,8 @@ import numpy as np
 from .exceptions import ConfigError
 from .geometry import Box3D, Motion4, PointCloud, relative_motion, rot2d
 from .pillars import CropSpec, canonicalize, crop
-from .rules import FRACTION, NON_NEGATIVE, POSITIVE, TWO_OR_MORE, check, one_of, require, ruled
+from .rules import (FINITE, FRACTION, NON_NEGATIVE, POSITIVE, TWO_OR_MORE, check, one_of,
+                    require, ruled)
 from .tensor import wrap_angle_value
 
 SENSOR = np.array([0.0, 0.0, 1.8])
@@ -30,9 +31,12 @@ SEGMENT_FRAMES = 4  # frames per constant-velocity segment
 
 @dataclass
 class SceneConfig:
-    size_mean: tuple[float, float, float] = ruled((1.8, 1.6, 4.2), POSITIVE)  # (w, h, l)
+    size_w: float = ruled(1.8, POSITIVE)  # mean box size
+    size_h: float = ruled(1.6, POSITIVE)
+    size_l: float = ruled(4.2, POSITIVE)
     size_jitter: float = ruled(0.1, FRACTION)  # relative, uniform
-    speed_range: tuple[float, float] = (0.10, 0.35)  # m/frame along heading
+    speed_min: float = ruled(0.10, FINITE)  # m/frame along heading
+    speed_max: float = ruled(0.35, FINITE)
     yaw_rate_max: float = ruled(0.04, NON_NEGATIVE)  # rad/frame, uniform in [-max, max]
     lateral_drift: float = ruled(0.02, NON_NEGATIVE)  # m/frame sideways, uniform in [-d, d]
     vertical_drift: float = ruled(0.01, NON_NEGATIVE)
@@ -42,17 +46,17 @@ class SceneConfig:
     clutter_extent: float = ruled(10.0, NON_NEGATIVE)  # half-size of the clutter slab
     occlusion_dropout: float = ruled(0.1, FRACTION)
     static: bool = False  # near-static target (drifts only)
-    length: int = ruled(16, TWO_OR_MORE)
+    scene_length: int = ruled(16, TWO_OR_MORE)
     seed: int = 0
 
     def __post_init__(self):
         check(self)
-        lo, hi = self.speed_range  # named by the RunConfig keys behind speed_range
-        if not lo <= hi:
-            raise ConfigError(f"speed_min must be <= speed_max, got {lo} > {hi}")
+        if not self.speed_min <= self.speed_max:
+            raise ConfigError(f"speed_min must be <= speed_max, "
+                              f"got {self.speed_min} > {self.speed_max}")
         # the largest Poisson means `generate` draws: a target face at the
         # near-range density cap (4x), and the clutter slab
-        w, h, l = (s * (1.0 + self.size_jitter) for s in self.size_mean)
+        w, h, l = (s * (1.0 + self.size_jitter) for s in (self.size_w, self.size_h, self.size_l))
         face = max(w * h, w * l, h * l)
         side = 2 * self.clutter_extent
         for keys, mean in ((f"points_per_m2 on a {face:.3g} m^2 target face",
@@ -119,15 +123,15 @@ def generate(cfg: SceneConfig) -> LabeledSequence:
     """Deterministic under cfg.seed, bit-identical across runs."""
     rng = np.random.default_rng(cfg.seed)
     w, h, l = (s * (1.0 + rng.uniform(-cfg.size_jitter, cfg.size_jitter))
-               for s in cfg.size_mean)
+               for s in (cfg.size_w, cfg.size_h, cfg.size_l))
     x0, y0 = rng.uniform(3.0, 9.0) * rot2d(rng.uniform(-math.pi, math.pi))[:, 0]
     box = Box3D(x0, y0, h / 2.0, w, h, l, rng.uniform(-math.pi, math.pi))
 
     boxes = [box]
     speed = yaw_rate = lat = vz = 0.0
-    for t in range(1, cfg.length):
+    for t in range(1, cfg.scene_length):
         if (t - 1) % SEGMENT_FRAMES == 0:
-            speed = 0.0 if cfg.static else rng.uniform(*cfg.speed_range)
+            speed = 0.0 if cfg.static else rng.uniform(cfg.speed_min, cfg.speed_max)
             yaw_rate = rng.uniform(-cfg.yaw_rate_max, cfg.yaw_rate_max)
             lat = rng.uniform(-cfg.lateral_drift, cfg.lateral_drift)
             vz = rng.uniform(-cfg.vertical_drift, cfg.vertical_drift)

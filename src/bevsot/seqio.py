@@ -7,12 +7,13 @@ Layout of a sequence directory::
     labels.jsonl                             one box per line:
                                              {"frame", "center", "size", "yaw"}
     meta.json                                {"format_version", "num_frames",
-                                              "seed", "config"}
+                                              "seed"}
 
 Tracklets are written twice: a plain text file with one ``t x y z w h l
 theta`` line per frame, and a jsonl variant matching the label schema with
-an added ``coasted`` flag. Each tracklet file is written whole or not at
-all: an interrupted write leaves the previous file as it was.
+an added ``coasted`` flag. Every file, of a sequence or a tracklet, is
+written whole or not at all: an interrupted write leaves the previous file
+as it was. Text files are read as UTF-8; any other byte is a data error.
 """
 
 from __future__ import annotations
@@ -33,16 +34,26 @@ def write_sequence(seq: LabeledSequence, path: str, meta: dict | None = None):
     frames_dir = os.path.join(path, "frames")
     os.makedirs(frames_dir, exist_ok=True)
     for t, cloud in enumerate(seq.frames, start=1):
-        with open(os.path.join(frames_dir, f"{t:06d}.bin"), "wb") as fh:
+        with atomic_write(os.path.join(frames_dir, f"{t:06d}.bin"), "wb") as fh:
             fh.write(np.ascontiguousarray(cloud.xyz, dtype="<f4").tobytes())
-    with open(os.path.join(path, "labels.jsonl"), "w") as fh:
+    with atomic_write(os.path.join(path, "labels.jsonl")) as fh:
         for t, b in enumerate(seq.gt, start=1):
             fh.write(json.dumps({"frame": t, "center": [b.x, b.y, b.z],
                                  "size": [b.w, b.h, b.l], "yaw": b.theta}) + "\n")
     payload = {"format_version": 1, "num_frames": len(seq.frames)}
     payload.update(meta or {})
-    with open(os.path.join(path, "meta.json"), "w") as fh:
+    with atomic_write(os.path.join(path, "meta.json")) as fh:
         json.dump(payload, fh, indent=1)
+
+
+def _text_lines(path: str) -> list[str]:
+    """The lines of the UTF-8 text file `path`, decoded in one piece so that
+    a byte that does not decode is a DataFormatError naming its offset."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from None
 
 
 def _check_whole_points(path: str, size: int):
@@ -77,19 +88,18 @@ def _checked_box(path: str, lineno: int, vals: tuple[float, ...]) -> Box3D:
 
 def read_labels(path: str) -> list[Box3D]:
     boxes: list[tuple[int, Box3D]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                frame = int(rec["frame"])
-                cx, cy, cz = (float(v) for v in rec["center"])
-                w, h, l = (float(v) for v in rec["size"])
-                vals = (cx, cy, cz, w, h, l, float(rec["yaw"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: line {lineno}: bad label ({exc})") from exc
-            boxes.append((frame, _checked_box(path, lineno, vals)))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            frame = int(rec["frame"])
+            cx, cy, cz = (float(v) for v in rec["center"])
+            w, h, l = (float(v) for v in rec["size"])
+            vals = (cx, cy, cz, w, h, l, float(rec["yaw"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: line {lineno}: bad label ({exc})") from exc
+        boxes.append((frame, _checked_box(path, lineno, vals)))
     boxes.sort(key=lambda fb: fb[0])
     if [f for f, _ in boxes] != list(range(1, len(boxes) + 1)):
         raise DataFormatError(f"{path}: frame indices are not 1..{len(boxes)}")
@@ -151,20 +161,19 @@ def write_tracklet(boxes: list[Box3D], coasted: list[bool], path_txt: str,
 
 def read_tracklet(path: str) -> list[Box3D]:
     boxes = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected 8 fields, got {len(parts)}")
-            try:
-                t = int(parts[0])
-                vals = tuple(float(v) for v in parts[1:])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if t != len(boxes) + 1:
-                raise DataFormatError(f"{path}: line {lineno}: frame index {t} out of order")
-            boxes.append(_checked_box(path, lineno, vals))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 8:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected 8 fields, got {len(parts)}")
+        try:
+            t = int(parts[0])
+            vals = tuple(float(v) for v in parts[1:])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if t != len(boxes) + 1:
+            raise DataFormatError(f"{path}: line {lineno}: frame index {t} out of order")
+        boxes.append(_checked_box(path, lineno, vals))
     return boxes

@@ -45,7 +45,7 @@ def test_criterion_1_gradient_integrity():
     model = tiny16()
     model.randomize_all(np.random.default_rng(1))
     spec = CropSpec(grid=(16, 16))
-    seq = generate(SceneConfig(length=3, seed=2))
+    seq = generate(SceneConfig(scene_length=3, seed=2))
     sample = make_training_samples([seq], spec)[0].cropped()
 
     def f():

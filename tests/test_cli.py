@@ -14,13 +14,13 @@ from bevsot.atomic import atomic_write
 from bevsot.cli import main
 from bevsot.config import RunConfig, config_text, from_items, load_config
 from bevsot.exceptions import ConfigError
-from bevsot.geometry import relative_motion
+from bevsot.geometry import Box3D, relative_motion
 from bevsot.metrics import ope
 from bevsot.model import ModelConfig, TrackerModel
 from bevsot.params import read_checkpoint, save_checkpoint
 from bevsot.rules import NON_NEGATIVE, Rule
 from bevsot.scene import LabeledSequence, SceneConfig, generate
-from bevsot.seqio import write_sequence, write_tracklet
+from bevsot.seqio import read_sequence, write_sequence, write_tracklet
 from bevsot.track import Tracklet, track_sequence
 from bevsot.train import TrainSettings
 
@@ -132,10 +132,9 @@ def test_views_of_default_config_are_library_defaults():
     assert cfg.scene_config(seed=SceneConfig.seed) == SceneConfig()
 
 
-# RunConfig keys no view receives under their own name
+# RunConfig keys no view receives: the run-level keys
 NOT_SHARED = {"crop_mode", "crop_xy", "crop_z", "crop_ratio", "sequences",
-              "static_fraction", "scene_length", "speed_min", "speed_max",
-              "size_w", "size_h", "size_l"}
+              "static_fraction"}
 
 
 def test_every_field_reaches_its_view():
@@ -158,9 +157,7 @@ def test_every_field_reaches_its_view():
     views = {"model": cfg.model_config(), "train": cfg.train_settings(),
              "scene": cfg.scene_config(seed=7, static=True)}
     defaults = {"model": ModelConfig(), "train": TrainSettings(), "scene": SceneConfig()}
-    scene_given = {"size_mean": (cfg.size_w, cfg.size_h, cfg.size_l),
-                   "speed_range": (cfg.speed_min, cfg.speed_max),
-                   "length": cfg.scene_length, "seed": 7, "static": True}
+    scene_given = {"seed": 7, "static": True}
     reached = set()
     for kind, view in views.items():
         for f in fields(view):
@@ -187,7 +184,7 @@ def key_rules() -> dict:
 
 def test_every_key_has_one_rule_and_a_view():
     own = {f.name for f in fields(RunConfig) if "rule" in f.metadata}
-    assert own == NOT_SHARED | {"seed"}  # run-level and renamed keys write their own
+    assert own == NOT_SHARED | {"seed"}  # run-level keys write their own
     library_rules = {f.name for cls in (ModelConfig, TrainSettings, SceneConfig)
                      for f in fields(cls) if "rule" in f.metadata}
     for key, (rule, view) in key_rules().items():
@@ -379,6 +376,31 @@ def test_missing_data_exit_code_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args,named", [
+    pytest.param(["gen", "--out", "{file}"] + FAST, "{file}", id="gen-out-file"),
+    pytest.param(["train", "--data", "{file}", "--out", "{out}"] + FAST, "{file}",
+                 id="train-data-file"),
+    pytest.param(["eval", "--pred", "{file}", "--gt", "{file}", "--out", "{out}"], "{file}",
+                 id="eval-gt-file"),
+    pytest.param(["track", "--checkpoint", "{dir}", "--data", "{dir}", "--out", "{out}"] + FAST,
+                 "{dir}", id="track-checkpoint-dir")])
+def test_unusable_path_exit_code_2(tmp_path, capsys, args, named):
+    """An OSError on a path a command was given (FileExistsError,
+    NotADirectoryError, IsADirectoryError) is a data error that names the
+    path; no run directory is made and the file is left as it was."""
+    file, folder, out = tmp_path / "tracklet.txt", tmp_path / "d", tmp_path / "o"
+    write_tracklet([Box3D(0, 0, 0, 1, 1, 1, 0)], [False], str(file))  # a valid --pred
+    before = file.read_bytes()
+    folder.mkdir()
+    paths = {"file": file, "dir": folder, "out": out}
+    code = run([a.format(**paths) for a in args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and named.format(**paths) in err
+    assert "Traceback" not in err
+    assert not out.exists() and file.read_bytes() == before
+
+
 def data_and_checkpoint(tmp_path):
     """Generated sequences and an initial-weights checkpoint for `track`."""
     data, ck = tmp_path / "d", tmp_path / "ck.bin"
@@ -433,6 +455,44 @@ def test_checkpoint_name_not_utf8_exit_code_2(tmp_path, capsys):
     assert code == 2
     assert f"{ck}: byte 14:" in err and "utf-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_not_utf8_text_exit_code_2(tmp_path, capsys, command):
+    """A labels file under `train --data` or a tracklet under `eval --pred`
+    with a byte that is not UTF-8 is a data error naming the file and byte."""
+    data, tracklet, out = tmp_path / "d", tmp_path / "tracklet.txt", tmp_path / "o"
+    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
+    seq_dir = data / "seq_001"
+    write_tracklet(read_sequence(str(seq_dir)).gt, [False] * 4, str(tracklet))
+    bad = seq_dir / "labels.jsonl" if command == "train" else tracklet
+    blob = bad.read_bytes()
+    bad.write_bytes(blob[:40] + b"\xff" + blob[41:])
+    capsys.readouterr()
+    args = (["train", "--data", data] + FAST if command == "train"
+            else ["eval", "--pred", tracklet, "--gt", seq_dir])
+    code = run(args + ["--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {bad}: byte 40: not UTF-8 text")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_finite_checkpoint_exit_code_2(tmp_path, capsys):
+    data, ck = data_and_checkpoint(tmp_path)
+    model = TrackerModel(from_items(dict(a.split("=", 1) for a in FAST[1::2])).model_config())
+    name, first = next(model.store.items())
+    first.data.flat[1] = np.inf
+    save_checkpoint(model.store, str(ck))
+    capsys.readouterr()
+    out = tmp_path / "t"
+    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{ck}: byte " in err and f"non-finite value in '{name}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +579,7 @@ def test_track_checkpoint_shape_mismatch_exit_1(tmp_path):
 
 def test_track_short_sequence_exit_code_2(tmp_path, capsys):
     data, ck = data_and_checkpoint(tmp_path)
-    seq = generate(SceneConfig(length=2, seed=4))
+    seq = generate(SceneConfig(scene_length=2, seed=4))
     short = data / "seq_short"
     write_sequence(LabeledSequence(frames=seq.frames[:1], gt=seq.gt[:1]), str(short))
     capsys.readouterr()
@@ -534,7 +594,7 @@ def test_track_short_sequence_exit_code_2(tmp_path, capsys):
 
 def test_eval_perfect_oracle_stub_scores_one(tmp_path):
     """Tracklets produced by a ground-truth motion stub evaluate to 1.0."""
-    seq = generate(SceneConfig(length=5, seed=13))
+    seq = generate(SceneConfig(scene_length=5, seed=13))
     write_sequence(seq, str(tmp_path / "gt" / "seq_000"))
     gt_iter = iter(range(1, len(seq.gt)))
 
@@ -569,7 +629,7 @@ def _set_field(line, i, value):
     pytest.param("gt", 3, lambda line: json.dumps({**json.loads(line), "yaw": float("nan")}) + "\n",
                  "line 3", id="labels-nan")])
 def test_eval_malformed_input_exit_code_2(tmp_path, capsys, target, lineno, edit, named):
-    seq = generate(SceneConfig(length=4, seed=3))
+    seq = generate(SceneConfig(scene_length=4, seed=3))
     write_sequence(seq, str(tmp_path / "gt" / "seq_000"))
     os.makedirs(tmp_path / "pred" / "seq_000")
     write_tracklet(seq.gt, [False] * 4, str(tmp_path / "pred" / "seq_000" / "tracklet.txt"))
@@ -596,7 +656,7 @@ def test_small_outputs_are_written_whole(tmp_path, monkeypatch):
         return atomic_write(path, mode)
 
     monkeypatch.setattr(cli, "atomic_write", spy)
-    seq = generate(SceneConfig(length=4, seed=3))
+    seq = generate(SceneConfig(scene_length=4, seed=3))
     write_sequence(seq, str(tmp_path / "gt"))
     write_tracklet(seq.gt, [False] * 4, str(tmp_path / "tracklet.txt"))
     assert run(["gen", "--out", tmp_path / "g", "--set", "sequences=1",
@@ -714,7 +774,7 @@ def test_ratio_crop_requires_box():
     cfg = RunConfig(crop_mode="ratio")
     with pytest.raises(ConfigError):
         cfg.crop_spec()
-    box = generate(SceneConfig(length=2, seed=1)).gt[0]
+    box = generate(SceneConfig(scene_length=2, seed=1)).gt[0]
     assert RunConfig().crop_spec(box) == RunConfig().crop_spec()
     cfg2 = RunConfig(crop_mode="sideways")
     with pytest.raises(ConfigError):

@@ -239,7 +239,7 @@ def test_encode_crops_points_augmentation_pushed_out(monkeypatch, deg):
     spec = CropSpec(x_range=(-1.0, 1.0), y_range=(-1.0, 1.0), grid=(16, 16))
     m = tiny_model()
     m.randomize_all(np.random.default_rng(4))
-    seq = generate(SceneConfig(length=2, seed=2))
+    seq = generate(SceneConfig(scene_length=2, seed=2))
     aug = rotate_sample(make_training_samples([seq], spec)[0].cropped(), math.radians(deg))
     recropped = [crop(p, spec) for p in (aug.prev_pts, aug.curr_pts)]
     assert all(len(r.xyz) < len(p.xyz) for r, p in zip(recropped, (aug.prev_pts, aug.curr_pts)))
@@ -257,7 +257,7 @@ def test_inference_makes_no_optimizer_state(rng):
     prev = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
     curr = PointCloud(rng.uniform(-4, 4, size=(300, 3)) * [1, 1, 0.3])
     m.forward_clouds(prev, curr, spec)
-    seq = generate(SceneConfig(length=3, seed=6))
+    seq = generate(SceneConfig(scene_length=3, seed=6))
     track_sequence(seq.frames, seq.gt[0], tracker_motion_model(m, spec))
     assert m.store._moments == {} and m.store._step == 0
     with Tape() as tape:
@@ -466,7 +466,7 @@ ABLATIONS = [dict(zip(("imm", "dwc", "linear", "shared"), flags))
 def one_sample():
     from bevsot.scene import SceneConfig, generate
     from bevsot.train import make_training_samples
-    return make_training_samples([generate(SceneConfig(length=2, seed=1))],
+    return make_training_samples([generate(SceneConfig(scene_length=2, seed=1))],
                                  CropSpec(grid=(16, 16)))
 
 
@@ -511,7 +511,7 @@ def test_nan_loss_aborts_with_step_diagnostic(rng):
     from bevsot.train import TrainSettings, make_training_samples, train
     m = tiny_model()
     spec = CropSpec(grid=(16, 16))
-    seqs = [generate(SceneConfig(length=3, seed=1))]
+    seqs = [generate(SceneConfig(scene_length=3, seed=1))]
     samples = make_training_samples(seqs, spec)
     settings = TrainSettings(lr=1e32, weight_decay=0.0, batch=1, epochs=50,
                              augment=False)

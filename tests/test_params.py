@@ -300,3 +300,13 @@ def test_checkpoint_repeated_name(tmp_path):
         read_checkpoint(str(path))
     assert str(exc.value).startswith(f"{path}: byte 31:")
 
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_checkpoint_non_finite_value(tmp_path, bad):
+    path = tmp_path / "inf.bin"
+    # the second value of 'w' is at 12 + (2 + 2 + 1 + 4 + 8) + (2 + 1 + 1 + 4) + 8 = 45
+    path.write_bytes(raw_checkpoint([(b"ok", [1.0]), (b"w", [2.0, bad])]))
+    with pytest.raises(DataFormatError) as exc:
+        read_checkpoint(str(path))
+    assert str(exc.value) == f"{path}: byte 45: non-finite value in 'w'"

@@ -3,6 +3,7 @@
 import json
 import math
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bevsot.train import TrainSettings, make_training_samples
 
 def test_zero_velocity_static_boxes():
     cfg = SceneConfig(static=True, yaw_rate_max=0.0, lateral_drift=0.0,
-                      vertical_drift=0.0, length=6, seed=1)
+                      vertical_drift=0.0, scene_length=6, seed=1)
     seq = generate(cfg)
     b0 = seq.gt[0]
     for b in seq.gt:
@@ -29,7 +30,7 @@ def test_zero_velocity_static_boxes():
 
 
 def test_derived_motion_round_trips_through_compose():
-    seq = generate(SceneConfig(length=10, seed=3))
+    seq = generate(SceneConfig(scene_length=10, seed=3))
     for prev, curr in zip(seq.gt, seq.gt[1:]):
         stepped = compose_pose(prev, relative_motion(prev, curr))
         np.testing.assert_allclose(
@@ -38,8 +39,8 @@ def test_derived_motion_round_trips_through_compose():
 
 
 def test_fixed_seed_bit_identical():
-    a = generate(SceneConfig(length=8, seed=11))
-    b = generate(SceneConfig(length=8, seed=11))
+    a = generate(SceneConfig(scene_length=8, seed=11))
+    b = generate(SceneConfig(scene_length=8, seed=11))
     assert len(a.frames) == len(b.frames)
     for fa, fb in zip(a.frames, b.frames):
         np.testing.assert_array_equal(fa.xyz, fb.xyz)
@@ -48,7 +49,7 @@ def test_fixed_seed_bit_identical():
 
 
 def test_target_points_inside_inflated_box():
-    cfg = SceneConfig(length=6, seed=5, clutter_density=0.0)
+    cfg = SceneConfig(scene_length=6, seed=5, clutter_density=0.0)
     seq = generate(cfg)
     for cloud, b in zip(seq.frames, seq.gt):
         inflated = Box3D(b.x, b.y, b.z, b.w + 2 * cfg.surface_noise,
@@ -59,7 +60,7 @@ def test_target_points_inside_inflated_box():
 
 def test_sequence_length_validated():
     with pytest.raises(ConfigError):
-        SceneConfig(length=1)
+        SceneConfig(scene_length=1)
 
 
 def test_negative_density_rejected():
@@ -72,7 +73,7 @@ def test_negative_density_rejected():
     ({"clutter_density": 1e30}, "clutter_density"),
     ({"clutter_extent": 1e200}, "clutter_extent"),  # (2 * extent) ** 2: OverflowError
     ({"clutter_extent": 1e200, "clutter_density": 0.0}, "clutter_extent"),
-    ({"size_mean": (1e200, 1.0, 1.0)}, "target face")])
+    ({"size_w": 1e200}, "target face")])
 def test_undrawable_scene_values_rejected(values, named):
     with pytest.raises(ConfigError, match=named):
         SceneConfig(**values)
@@ -94,7 +95,7 @@ def test_clutter_bound_is_numpys_poisson_limit():
 
 
 def make_sample(seed=0):
-    seq = generate(SceneConfig(length=3, seed=seed))
+    seq = generate(SceneConfig(scene_length=3, seed=seed))
     return make_training_samples([seq], CropSpec(grid=(32, 32)))[0].cropped()
 
 
@@ -176,7 +177,7 @@ def test_rotation_bounded_by_five_degrees():
 
 
 def test_write_read_round_trip(tmp_path):
-    seq = generate(SceneConfig(length=5, seed=9))
+    seq = generate(SceneConfig(scene_length=5, seed=9))
     write_sequence(seq, str(tmp_path / "seq"), meta={"seed": 9})
     back = read_sequence(str(tmp_path / "seq"))
     assert len(back.frames) == 5
@@ -187,6 +188,15 @@ def test_write_read_round_trip(tmp_path):
         np.testing.assert_allclose([ba.x, ba.y, ba.z, ba.w, ba.h, ba.l, ba.theta],
                                    [bb.x, bb.y, bb.z, bb.w, bb.h, bb.l, bb.theta],
                                    rtol=0, atol=0)
+
+
+def test_sequence_write_that_fails_leaves_no_frame_file(tmp_path):
+    seq = generate(SceneConfig(scene_length=3, seed=9))
+    seq.frames[1] = SimpleNamespace(xyz=[["x", 0, 0]])  # not a number: the write fails
+    with pytest.raises(ValueError):
+        write_sequence(seq, str(tmp_path / "seq"))
+    assert sorted(p.name for p in (tmp_path / "seq" / "frames").iterdir()) == ["000001.bin"]
+    assert len(read_points_bin(str(tmp_path / "seq" / "frames" / "000001.bin"))) > 0
 
 
 def test_point_file_round_trip_bit_exact(tmp_path):
@@ -221,7 +231,7 @@ def test_empty_frame_parses_to_empty_cloud(tmp_path):
 
 
 def test_label_frame_count_mismatch(tmp_path):
-    seq = generate(SceneConfig(length=4, seed=2))
+    seq = generate(SceneConfig(scene_length=4, seed=2))
     write_sequence(seq, str(tmp_path / "seq"))
     labels = (tmp_path / "seq" / "labels.jsonl").read_text().splitlines()
     (tmp_path / "seq" / "labels.jsonl").write_text("\n".join(labels[:-1]) + "\n")
@@ -230,7 +240,7 @@ def test_label_frame_count_mismatch(tmp_path):
 
 
 def test_malformed_label_names_line(tmp_path):
-    seq = generate(SceneConfig(length=3, seed=2))
+    seq = generate(SceneConfig(scene_length=3, seed=2))
     write_sequence(seq, str(tmp_path / "seq"))
     path = tmp_path / "seq" / "labels.jsonl"
     lines = path.read_text().splitlines()

@@ -110,14 +110,14 @@ def test_empty_crops_coast_and_flag():
 
 def test_library_defaults_track_a_generated_sequence():
     # the default crop window and the default model agree on the grid
-    seq = generate(SceneConfig(length=3, seed=6))
+    seq = generate(SceneConfig(scene_length=3, seed=6))
     tr = track_sequence(seq.frames, seq.gt[0],
                         tracker_motion_model(TrackerModel(ModelConfig()), CropSpec()))
     assert len(tr.boxes) == 3 and not any(tr.coasted)
 
 
 def test_tracking_deterministic():
-    cfg = SceneConfig(length=5, seed=42)
+    cfg = SceneConfig(scene_length=5, seed=42)
     seq = generate(cfg)
     m = TrackerModel(ModelConfig(grid=16, channels=4, head_trunk=32), seed=1)
     m.randomize_all(np.random.default_rng(2))
@@ -130,7 +130,7 @@ def test_tracking_deterministic():
 
 def test_world_frame_equivariance():
     """Rotating the whole scene and the init box rotates the tracklet."""
-    cfg = SceneConfig(length=5, seed=7)
+    cfg = SceneConfig(scene_length=5, seed=7)
     seq = generate(cfg)
     m = TrackerModel(ModelConfig(grid=16, channels=4, head_trunk=32), seed=3)
     m.randomize_all(np.random.default_rng(4))
