@@ -6,9 +6,9 @@ and track echo their resolved configuration next to their outputs. A config or
 input error is found before the run directory is made, and leaves none; track
 checks every frame file's size up front, but a non-finite coordinate shows only
 when its frame is read, after earlier sequences are tracked.
-gen and train generate every sequence before the run directory is made, so
-a scene too large to hold (say points_per_m2=1e16) ends in numpy's
-MemoryError traceback and leaves no run directory either.
+gen and train generate every sequence, and train and track build their model,
+before the run directory is made, so a scene or model too large to hold (say
+points_per_m2=1e16) ends in numpy's MemoryError traceback and leaves none.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def cmd_train(args) -> int:
                for s in make_training_samples([seq], cfg.crop_spec(seq.gt[0]))]
     if not samples:
         raise DataFormatError("no training samples (are the sequences length >= 2?)")
-    out = _run_dir(args, "train", {"config.echo.cfg": cfgmod.config_text(cfg)})
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
+    out = _run_dir(args, "train", {"config.echo.cfg": cfgmod.config_text(cfg)})
     print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
 
     history = train(model, samples, cfg.train_settings(), log=print)

@@ -32,7 +32,7 @@ from .blocks import BlockParams, FrameEncoder, block_forward
 from .exceptions import ConfigError, NumericError, ShapeError
 from .geometry import Motion4, PointCloud
 from .params import ParamStore
-from .pillars import CropSpec, crop, pillarize
+from .pillars import CropSpec, pillarize
 from .rules import BOOL, COUNT, NON_NEGATIVE, POSITIVE, POWER_OF_TWO, check, ruled
 from .tensor import Tensor
 
@@ -250,12 +250,11 @@ class TrackerModel:
     # -- forward -----------------------------------------------------------
 
     def encode(self, cloud: PointCloud, spec: CropSpec) -> Tensor:
+        """The pillar feature grid of a cloud already cropped to `spec`."""
         if spec.grid != (self.config.grid, self.config.grid):
             raise ConfigError(f"crop grid {spec.grid} does not match model grid "
                               f"{self.config.grid}")
-        # idempotent for already-cropped clouds; augmentation can push
-        # points past the window
-        return pillarize(crop(cloud, spec), spec, self.pillar_w, self.pillar_b)
+        return pillarize(cloud, spec, self.pillar_w, self.pillar_b)
 
     def backbone_forward(self, prev: Tensor, curr: Tensor) -> Tensor:
         cfg = self.config
@@ -287,6 +286,7 @@ class TrackerModel:
 
     def forward_clouds(self, prev_cloud: PointCloud, curr_cloud: PointCloud,
                        spec: CropSpec) -> Tensor:
+        """The predicted motion, (4,), for two clouds already cropped to `spec`."""
         curr_grid = self.encode(curr_cloud, spec)
         prev_grid = self.encode(prev_cloud, spec) if self.config.imm else curr_grid
         return self.head_forward(self.backbone_forward(prev_grid, curr_grid))

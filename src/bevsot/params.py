@@ -10,6 +10,7 @@ previous file as it was.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterator
 
@@ -210,7 +211,7 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
             fail(off, "truncated shape")
         shape = struct.unpack_from(f"<{ndim}I", blob, off)
         off += 4 * ndim
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
+        nbytes = 8 * math.prod(shape)  # a Python int: no int64 wrap
         if off + nbytes > len(blob):
             fail(off, f"truncated data for '{name}'")
         arr = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=off)

@@ -10,7 +10,7 @@ noise, and per-frame dropout stands in for occlusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,11 +168,11 @@ def generate(cfg: SceneConfig) -> LabeledSequence:
 @dataclass
 class CroppedPair:
     """A consecutive frame pair in the previous gt box's canonical frame,
-    cropped; the regression target is the exact relative motion of the
-    two (possibly augmented) boxes. Carries the crop window it was built
-    with (windows differ per sequence in ratio-crop mode). It lives for one
-    training step: `TrainingSample.cropped` makes it, augmentation maps it
-    to a new one."""
+    cropped to `spec`, the window it was built with (windows differ per
+    sequence in ratio-crop mode); the regression target is the exact
+    relative motion of the two (possibly augmented) boxes. It lives for one
+    training step: `TrainingSample.cropped` makes it, and `augment` maps it
+    to a new one that it crops again."""
 
     prev_pts: PointCloud
     curr_pts: PointCloud
@@ -216,12 +216,6 @@ def _membership_box(b: Box3D) -> Box3D:
                  b.l + 2 * TARGET_MARGIN, b.theta)
 
 
-def _flip_points(pts: np.ndarray, axis: str) -> np.ndarray:
-    out = pts.copy()
-    out[:, 1 if axis == "x" else 0] *= -1.0
-    return out
-
-
 def _flip_box(b: Box3D, axis: str) -> Box3D:
     if axis == "x":  # mirror across the x axis: y -> -y
         return b.with_pose(b.x, -b.y, b.z, -b.theta)
@@ -229,13 +223,14 @@ def _flip_box(b: Box3D, axis: str) -> Box3D:
 
 
 def flip_sample(s: CroppedPair, axis: str = "x") -> CroppedPair:
-    """Mirror the target points and boxes of both frames; an involution."""
+    """Mirror the target points and boxes of both frames; an involution.
+    The result may hold points outside the window until `augment` crops it."""
     require("flip_axis", axis, FLIP_AXIS)
     out_pts = []
     for pts, box in ((s.prev_pts, s.box_prev), (s.curr_pts, s.box_curr)):
         p = pts.xyz.copy()
         inside = _membership_box(box).contains(p)
-        p[inside] = _flip_points(p[inside], axis)
+        p[inside, 1 if axis == "x" else 0] *= -1.0
         out_pts.append(PointCloud(p))
     bp, bc = _flip_box(s.box_prev, axis), _flip_box(s.box_curr, axis)
     return CroppedPair(out_pts[0], out_pts[1], bp, bc, relative_motion(bp, bc), s.spec)
@@ -243,7 +238,8 @@ def flip_sample(s: CroppedPair, axis: str = "x") -> CroppedPair:
 
 def rotate_sample(s: CroppedPair, delta: float) -> CroppedPair:
     """Rotate the target (points and boxes, both frames) by delta about the
-    up-axis through the crop origin, i.e. the previous box center."""
+    up-axis through the crop origin, i.e. the previous box center. The
+    result may hold points outside the window until `augment` crops it."""
     rot = rot2d(delta)
     out_pts = []
     for pts, box in ((s.prev_pts, s.box_prev), (s.curr_pts, s.box_curr)):
@@ -260,12 +256,12 @@ def rotate_sample(s: CroppedPair, delta: float) -> CroppedPair:
 
 
 def augment(s: CroppedPair, rng, flip_axis: str = "x", max_rot_deg: float = 5.0) -> CroppedPair:
-    """Random horizontal flip (prob 0.5) and uniform yaw perturbation.
+    """Random horizontal flip (prob 0.5) and uniform yaw perturbation, then
+    a crop of both clouds to `s.spec`: the moves can carry points out of it.
 
     The label is always recomputed from the augmented boxes, so training
-    targets stay exactly consistent with the geometry the network sees.
-    """
+    targets stay exactly consistent with the geometry the network sees."""
     if rng.random() < 0.5:
         s = flip_sample(s, flip_axis)
-    delta = math.radians(rng.uniform(-max_rot_deg, max_rot_deg))
-    return rotate_sample(s, delta)
+    s = rotate_sample(s, math.radians(rng.uniform(-max_rot_deg, max_rot_deg)))
+    return replace(s, prev_pts=crop(s.prev_pts, s.spec), curr_pts=crop(s.curr_pts, s.spec))

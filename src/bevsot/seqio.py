@@ -93,7 +93,8 @@ def read_labels(path: str) -> list[Box3D]:
             continue
         try:
             rec = json.loads(line)
-            frame = int(rec["frame"])
+            if type(frame := rec["frame"]) is not int:  # not a bool, float or string
+                raise TypeError(f"frame {json.dumps(frame)} is not a JSON integer")
             cx, cy, cz = (float(v) for v in rec["center"])
             w, h, l = (float(v) for v in rec["size"])
             vals = (cx, cy, cz, w, h, l, float(rec["yaw"]))

@@ -23,6 +23,7 @@ from bevsot.scene import LabeledSequence, SceneConfig, generate
 from bevsot.seqio import read_sequence, write_sequence, write_tracklet
 from bevsot.track import Tracklet, track_sequence
 from bevsot.train import TrainSettings
+from tests.test_params import shape_only_checkpoint
 
 FAST = ["--set", "sequences=3", "--set", "scene_length=4", "--set", "grid=16",
         "--set", "channels=4", "--set", "head_trunk=32", "--set", "epochs=1",
@@ -368,6 +369,21 @@ def test_scene_too_large_to_hold_creates_no_run_dir(tmp_path, cmd):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["train", "track"])
+def test_model_too_large_to_hold_creates_no_run_dir(tmp_path, monkeypatch, cmd):
+    # channels=2**40 fails in numpy's allocation; the traceback stays, and the
+    # model is built before the run directory
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 TiB")
+
+    monkeypatch.setattr(cli, "TrackerModel", too_large)
+    out = tmp_path / "o"
+    paths = ["--checkpoint", tmp_path / "ck.bin", "--data", tmp_path] if cmd == "track" else []
+    with pytest.raises(MemoryError):
+        run([cmd, "--out", out] + paths + FAST)
+    assert not out.exists()
+
+
 def test_missing_data_exit_code_2(tmp_path):
     ck = tmp_path / "none.bin"
     ck.write_bytes(b"JUNKJUNKJUNK")
@@ -491,6 +507,34 @@ def test_non_finite_checkpoint_exit_code_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{ck}: byte " in err and f"non-finite value in '{name}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_checkpoint_shape_past_int64_exit_code_2(tmp_path, capsys):
+    data, ck = data_and_checkpoint(tmp_path)
+    ck.write_bytes(shape_only_checkpoint((2**32 - 1, 2**32 - 1)))
+    capsys.readouterr()
+    out = tmp_path / "t"
+    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"data error: {ck}: byte 24: truncated data for 'w'\n"
+    assert not out.exists()
+
+
+def test_non_integer_label_frame_exit_code_2(tmp_path, capsys):
+    data, out = tmp_path / "d", tmp_path / "o"
+    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
+    labels = data / "seq_001" / "labels.jsonl"
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(line.replace(f'"frame": {t}', f'"frame": {t}.0', 1)
+                              for t, line in enumerate(lines, 1)))
+    capsys.readouterr()
+    code = run(["train", "--data", data, "--out", out] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {labels}: line 1: bad label (frame 1.0 ")
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bevsot import config as cfgmod
-from bevsot import model as model_mod
 from bevsot import tensor as T
 from bevsot.exceptions import ConfigError, NumericError
 from bevsot.geometry import Motion4, PointCloud
@@ -20,7 +19,7 @@ from bevsot.gradcheck import gradcheck_params
 from bevsot.model import ModelConfig, TrackerModel, _centre_tap, _kaiming, motion_loss
 from bevsot.params import ParamStore, adamw_step, load_checkpoint, save_checkpoint
 from bevsot.pillars import CropSpec, crop
-from bevsot.scene import SceneConfig, generate, rotate_sample
+from bevsot.scene import SceneConfig, augment, flip_sample, generate, rotate_sample
 from bevsot.tensor import Tape, Tensor
 from bevsot.track import track_sequence, tracker_motion_model
 from bevsot.train import make_training_samples
@@ -232,21 +231,29 @@ def test_desk_build_peak_memory_follows_parameters():
     assert peak < 2.5 * 8 * m.store.num_values()
 
 
-@pytest.mark.parametrize("deg", [5.0, -5.0])
-def test_encode_crops_points_augmentation_pushed_out(monkeypatch, deg):
-    # in a 2 m window a 5 degree yaw of the target moves points past its edge:
-    # encode's own crop drops them, so the pair reads as its re-cropped self
+@pytest.mark.parametrize("seed", [pytest.param(1, id="rotate"),
+                                  pytest.param(3, id="flip-rotate")])
+def test_augment_crops_points_it_moves_out(seed):
+    # in a 2 m window a few degrees of yaw move target points past the edge:
+    # augment crops them away, so the model reads the pair as its re-cropped self
     spec = CropSpec(x_range=(-1.0, 1.0), y_range=(-1.0, 1.0), grid=(16, 16))
     m = tiny_model()
     m.randomize_all(np.random.default_rng(4))
     seq = generate(SceneConfig(scene_length=2, seed=2))
-    aug = rotate_sample(make_training_samples([seq], spec)[0].cropped(), math.radians(deg))
-    recropped = [crop(p, spec) for p in (aug.prev_pts, aug.curr_pts)]
-    assert all(len(r.xyz) < len(p.xyz) for r, p in zip(recropped, (aug.prev_pts, aug.curr_pts)))
-    out = m.forward_clouds(aug.prev_pts, aug.curr_pts, spec).data
-    np.testing.assert_array_equal(out, m.forward_clouds(*recropped, spec).data)
-    monkeypatch.setattr(model_mod, "crop", lambda cloud, spec: cloud)
-    assert not np.array_equal(out, m.forward_clouds(aug.prev_pts, aug.curr_pts, spec).data)
+    pair = make_training_samples([seq], spec)[0].cropped()
+    out = augment(pair, np.random.default_rng(seed))
+    draws = np.random.default_rng(seed)  # the same flip and rotation draws, by hand
+    flipped = flip_sample(pair, "x") if draws.random() < 0.5 else pair
+    moved = rotate_sample(flipped, math.radians(draws.uniform(-5.0, 5.0)))
+    want = [crop(p, spec) for p in (moved.prev_pts, moved.curr_pts)]
+    assert all(len(w) < len(p) for w, p in zip(want, (moved.prev_pts, moved.curr_pts)))
+    for got, w in zip((out.prev_pts, out.curr_pts), want):
+        np.testing.assert_array_equal(got.xyz, crop(got, spec).xyz)
+        np.testing.assert_array_equal(got.xyz, w.xyz)
+    assert (out.box_prev, out.box_curr, out.target, out.spec) == \
+        (moved.box_prev, moved.box_curr, moved.target, moved.spec)
+    np.testing.assert_array_equal(m.forward_clouds(out.prev_pts, out.curr_pts, spec).data,
+                                  m.forward_clouds(*want, spec).data)
 
 
 def test_inference_makes_no_optimizer_state(rng):

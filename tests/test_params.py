@@ -310,3 +310,21 @@ def test_checkpoint_non_finite_value(tmp_path, bad):
     with pytest.raises(DataFormatError) as exc:
         read_checkpoint(str(path))
     assert str(exc.value) == f"{path}: byte 45: non-finite value in 'w'"
+
+
+def shape_only_checkpoint(shape):
+    """Checkpoint bytes for one parameter 'w' of `shape` with 16 bytes of data."""
+    head = b"BSOT" + struct.pack("<IIH", 1, 1, 1) + b"w"
+    return head + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + bytes(16)
+
+
+@pytest.mark.parametrize("shape", [(2**32 - 1, 2**32 - 1), (2**16,) * 4], ids=["2d", "4d"])
+def test_checkpoint_shape_size_past_int64(tmp_path, shape):
+    # an int64 count wraps to -2**33 + 1 and to 0 and the reshape fails; counted
+    # exactly, 16 bytes of data are too few. They start past the header (12),
+    # the name (2 + 1) and the shape (1 + 4 * ndim)
+    path = tmp_path / "huge.bin"
+    path.write_bytes(shape_only_checkpoint(shape))
+    with pytest.raises(DataFormatError) as exc:
+        read_checkpoint(str(path))
+    assert str(exc.value) == f"{path}: byte {16 + 4 * len(shape)}: truncated data for 'w'"

@@ -15,7 +15,7 @@ from bevsot.geometry import Box3D, compose_pose, relative_motion
 from bevsot.pillars import CropSpec
 from bevsot.scene import (POISSON_LAM_MAX, SceneConfig, augment, flip_sample, generate,
                           rotate_sample)
-from bevsot.seqio import (read_points_bin, read_sequence, read_tracklet,
+from bevsot.seqio import (read_labels, read_points_bin, read_sequence, read_tracklet,
                           write_sequence, write_tracklet)
 from bevsot.train import TrainSettings, make_training_samples
 
@@ -248,6 +248,20 @@ def test_malformed_label_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="line 2"):
         read_sequence(str(tmp_path / "seq"))
+
+
+@pytest.mark.parametrize("frames", [(1.9, 2.2), (True, 2), ("1", "2")],
+                         ids=["float", "bool", "string"])
+def test_label_frame_must_be_json_integer(tmp_path, frames):
+    # each pair was read as frames 1 and 2 through int()
+    write_sequence(generate(SceneConfig(scene_length=2, seed=2)), str(tmp_path / "seq"))
+    path = tmp_path / "seq" / "labels.jsonl"
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**r, "frame": f}) + "\n" for r, f in zip(recs, frames)))
+    with pytest.raises(DataFormatError) as exc:
+        read_labels(str(path))
+    assert str(exc.value) == (f"{path}: line 1: bad label "
+                              f"(frame {json.dumps(frames[0])} is not a JSON integer)")
 
 
 def test_tracklet_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 and frame-pair samples against the eager crops they replaced."""
 
 import gc
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -18,8 +19,9 @@ from bevsot.params import adamw_step, lr_at_epoch
 from bevsot.pillars import canonicalize, crop
 from bevsot.scene import CroppedPair, augment, generate
 from bevsot.tensor import Tape
-from bevsot.train import (EpochStats, TrainSettings, make_training_samples, pair_loss,
-                          save_train_log, train)
+from bevsot.track import tracker_motion_model
+from bevsot.train import (EpochStats, TrainSettings, evaluate_mean_loss, make_training_samples,
+                          pair_loss, save_train_log, train)
 
 DESK = RunConfig()
 
@@ -276,3 +278,31 @@ def test_crops_run_only_in_cropped(monkeypatch):
         want = motion_loss(model.forward_clouds(pair.prev_pts, pair.curr_pts, pair.spec),
                            pair.target, model.config)
         np.testing.assert_array_equal(pair_loss(model, pair).data, want.data)
+
+
+def test_each_pair_is_cropped_once_per_move(monkeypatch):
+    """A window is applied where a pair's points are made (`cropped()`, the
+    tracker) or moved (`augment`), never again by the model: a tracked pair
+    crops twice, a loss evaluation twice per sample, and a batch-4 step 8
+    times, 16 with augmentation."""
+    calls = []
+
+    def counted(cloud, spec):
+        calls.append(spec)
+        return crop(cloud, spec)
+
+    for name, mod in list(sys.modules.items()):  # every bevsot module that binds it
+        if name.startswith("bevsot") and getattr(mod, "crop", None) is crop:
+            monkeypatch.setattr(mod, "crop", counted)
+    model, seq = desk_model(), generate(DESK.scene_config(seed=0))
+    samples = make_training_samples([seq], DESK.crop_spec())[:4]
+    assert tracker_motion_model(model, DESK.crop_spec())(seq.frames[0], seq.frames[1],
+                                                         seq.gt[0]) is not None
+    assert len(calls) == 2
+    calls.clear()
+    evaluate_mean_loss(model, samples[:3])
+    assert len(calls) == 2 * 3
+    for augmented, want in ((True, 16), (False, 8)):
+        calls.clear()
+        train(model, samples, TrainSettings(batch=4, epochs=1, augment=augmented))
+        assert len(calls) == want, augmented
