@@ -140,8 +140,6 @@ def cmd_train(args) -> int:
         seqs = _generate_dataset(cfg, cfg.seed)
     samples = [s for seq in seqs
                for s in make_training_samples([seq], cfg.crop_spec(seq.gt[0]))]
-    if not samples:
-        raise DataFormatError("no training samples (are the sequences length >= 2?)")
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     out = _run_dir(args, "train", {"config.echo.cfg": cfgmod.config_text(cfg)})
     print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
@@ -160,9 +158,7 @@ def cmd_track(args) -> int:
     load_checkpoint(model.store, args.checkpoint)
     seq_dirs = list_sequence_dirs(args.data)
     for seq_dir in seq_dirs:  # labels and frame sizes first; points one sequence at a time
-        if (n := len(read_labels(os.path.join(seq_dir, "labels.jsonl")))) < 2:
-            raise DataFormatError(f"{seq_dir}: tracking needs at least 2 frames, got {n}")
-        frame_paths(seq_dir, n)
+        frame_paths(seq_dir, len(read_labels(os.path.join(seq_dir, "labels.jsonl"))))
     out = _run_dir(args, "track", {"config.echo.cfg": cfgmod.config_text(cfg)})
     for seq_dir in seq_dirs:
         seq = read_sequence(seq_dir)

@@ -1,9 +1,10 @@
 """Oriented boxes, 4-DOF relative motions, and frame transforms.
 
 Conventions: yaw is the rotation about the up (z) axis, wrapped to
-(-pi, pi]; box size (w, h, l) is lateral extent, vertical extent, and
-extent along the heading. The canonical frame of a box has the box
-center at the origin and zero yaw.
+(-pi, pi] by Box3D and Motion4 themselves, so callers pass raw angles;
+box size (w, h, l) is lateral extent, vertical extent, and extent along
+the heading. The canonical frame of a box has the box center at the
+origin and zero yaw.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class Box3D:
         return np.array([self.x, self.y, self.z])
 
     def with_pose(self, x, y, z, theta) -> "Box3D":
-        return Box3D(float(x), float(y), float(z), self.w, self.h, self.l,
-                     wrap_angle_value(theta))
+        return Box3D(float(x), float(y), float(z), self.w, self.h, self.l, theta)
 
     def corners_bev(self) -> np.ndarray:
         """Footprint corners (4, 2) in world xy, counter-clockwise."""
@@ -106,7 +106,7 @@ def transform_from_frame(pts: np.ndarray, ref: Box3D) -> np.ndarray:
 
 def box_in_frame(box: Box3D, ref: Box3D) -> Box3D:
     center = transform_to_frame(box.center[None, :], ref)[0]
-    return box.with_pose(*center, wrap_angle_value(box.theta - ref.theta))
+    return box.with_pose(*center, box.theta - ref.theta)
 
 
 def compose_pose(prev: Box3D, motion: Motion4) -> Box3D:
@@ -118,11 +118,10 @@ def compose_pose(prev: Box3D, motion: Motion4) -> Box3D:
     """
     dxy = rot2d(prev.theta) @ np.array([motion.dx, motion.dy])
     return prev.with_pose(prev.x + dxy[0], prev.y + dxy[1], prev.z + motion.dz,
-                          wrap_angle_value(prev.theta + motion.dtheta))
+                          prev.theta + motion.dtheta)
 
 
 def relative_motion(prev: Box3D, curr: Box3D) -> Motion4:
     """Canonical-frame motion taking prev to curr (inverse of compose_pose)."""
     dxy = rot2d(prev.theta).T @ np.array([curr.x - prev.x, curr.y - prev.y])
-    return Motion4(float(dxy[0]), float(dxy[1]), curr.z - prev.z,
-                   wrap_angle_value(curr.theta - prev.theta))
+    return Motion4(float(dxy[0]), float(dxy[1]), curr.z - prev.z, curr.theta - prev.theta)

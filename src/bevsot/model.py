@@ -293,15 +293,13 @@ class TrackerModel:
 
 
 def motion_loss(pred4: Tensor, target: Motion4, config: ModelConfig) -> Tensor:
-    """Weighted Huber losses over (dx, dy), dz, and the wrapped angular
-    residual. Zero iff prediction equals target after angle wrap."""
+    """Weighted Huber loss over the residual (dx, dy, dz, wrapped dtheta), in
+    one pass: weights (lambda1, lambda1, lambda2, lambda3). Zero iff the
+    prediction equals the target after angle wrap."""
     t = target.as_array()
     if not np.isfinite(t).all():
         raise NumericError(f"non-finite motion target {t}")
     diff = T.sub(pred4, Tensor(t))
-    delta = config.huber_delta
-    l_xy = T.sum_all(T.huber(T.slice_cols(diff, 0, 2), delta))
-    l_z = T.sum_all(T.huber(T.slice_cols(diff, 2, 3), delta))
-    l_th = T.sum_all(T.huber(T.wrap_angle(T.slice_cols(diff, 3, 4)), delta))
-    return T.add(T.add(T.scale(l_xy, config.lambda1), T.scale(l_z, config.lambda2)),
-                 T.scale(l_th, config.lambda3))
+    residual = T.concat([T.slice_cols(diff, 0, 3), T.wrap_angle(T.slice_cols(diff, 3, 4))])
+    weights = Tensor([config.lambda1, config.lambda1, config.lambda2, config.lambda3])
+    return T.sum_all(T.mul(T.huber(residual, config.huber_delta), weights))

@@ -169,32 +169,34 @@ def generate(cfg: SceneConfig) -> LabeledSequence:
 class CroppedPair:
     """A consecutive frame pair in the previous gt box's canonical frame,
     cropped to `spec`, the window it was built with (windows differ per
-    sequence in ratio-crop mode); the regression target is the exact
-    relative motion of the two (possibly augmented) boxes. It lives for one
-    training step: `TrainingSample.cropped` makes it, and `augment` maps it
-    to a new one that it crops again."""
+    sequence in ratio-crop mode); its target is read from its two boxes.
+    It lives for one training step: `TrainingSample.cropped` makes it, and
+    `augment` maps it to a new one that it crops again."""
 
     prev_pts: PointCloud
     curr_pts: PointCloud
     box_prev: Box3D
     box_curr: Box3D
-    target: Motion4
     spec: CropSpec
+
+    @property
+    def target(self) -> Motion4:
+        """The regression target: the relative motion of the pair's boxes."""
+        return relative_motion(self.box_prev, self.box_curr)
 
 
 @dataclass
 class TrainingSample:
     """A consecutive frame pair that references its two frames, so a
     training set holds each frame once; `cropped` makes the pair a step
-    reads. `box_curr` is the current gt box in `ref`'s (the previous gt
-    box's) canonical frame. The frames are shared with the sequence and
-    with the neighbouring pair: they must not be mutated."""
+    reads, and its target is read from the boxes. `box_curr` is the current
+    gt box in `ref`'s (the previous gt box's) canonical frame. The frames are
+    shared with the sequence and the neighbouring pair: do not mutate them."""
 
     prev_frame: PointCloud
     curr_frame: PointCloud
     ref: Box3D
     box_curr: Box3D
-    target: Motion4
     spec: CropSpec
 
     def cropped(self) -> CroppedPair:
@@ -202,8 +204,7 @@ class TrainingSample:
         computed anew on every call and never stored."""
         return CroppedPair(crop(canonicalize(self.prev_frame, self.ref), self.spec),
                            crop(canonicalize(self.curr_frame, self.ref), self.spec),
-                           self.ref.with_pose(0.0, 0.0, 0.0, 0.0), self.box_curr,
-                           self.target, self.spec)
+                           self.ref.with_pose(0.0, 0.0, 0.0, 0.0), self.box_curr, self.spec)
 
 
 # membership margin when selecting "target points": surface sampling noise
@@ -219,7 +220,7 @@ def _membership_box(b: Box3D) -> Box3D:
 def _flip_box(b: Box3D, axis: str) -> Box3D:
     if axis == "x":  # mirror across the x axis: y -> -y
         return b.with_pose(b.x, -b.y, b.z, -b.theta)
-    return b.with_pose(-b.x, b.y, b.z, wrap_angle_value(math.pi - b.theta))
+    return b.with_pose(-b.x, b.y, b.z, math.pi - b.theta)
 
 
 def flip_sample(s: CroppedPair, axis: str = "x") -> CroppedPair:
@@ -232,8 +233,8 @@ def flip_sample(s: CroppedPair, axis: str = "x") -> CroppedPair:
         inside = _membership_box(box).contains(p)
         p[inside, 1 if axis == "x" else 0] *= -1.0
         out_pts.append(PointCloud(p))
-    bp, bc = _flip_box(s.box_prev, axis), _flip_box(s.box_curr, axis)
-    return CroppedPair(out_pts[0], out_pts[1], bp, bc, relative_motion(bp, bc), s.spec)
+    return CroppedPair(*out_pts, _flip_box(s.box_prev, axis), _flip_box(s.box_curr, axis),
+                       s.spec)
 
 
 def rotate_sample(s: CroppedPair, delta: float) -> CroppedPair:
@@ -247,20 +248,17 @@ def rotate_sample(s: CroppedPair, delta: float) -> CroppedPair:
         inside = _membership_box(box).contains(p)
         p[inside, :2] = p[inside, :2] @ rot.T
         out_pts.append(PointCloud(p))
-    boxes = []
-    for b in (s.box_prev, s.box_curr):
-        cxy = rot @ np.array([b.x, b.y])
-        boxes.append(b.with_pose(cxy[0], cxy[1], b.z, wrap_angle_value(b.theta + delta)))
-    return CroppedPair(out_pts[0], out_pts[1], boxes[0], boxes[1],
-                       relative_motion(boxes[0], boxes[1]), s.spec)
+    boxes = [b.with_pose(*(rot @ np.array([b.x, b.y])), b.z, b.theta + delta)
+             for b in (s.box_prev, s.box_curr)]
+    return CroppedPair(*out_pts, *boxes, s.spec)
 
 
 def augment(s: CroppedPair, rng, flip_axis: str = "x", max_rot_deg: float = 5.0) -> CroppedPair:
     """Random horizontal flip (prob 0.5) and uniform yaw perturbation, then
     a crop of both clouds to `s.spec`: the moves can carry points out of it.
 
-    The label is always recomputed from the augmented boxes, so training
-    targets stay exactly consistent with the geometry the network sees."""
+    The target is read from the augmented boxes (`CroppedPair.target`), so
+    it stays exactly consistent with the geometry the network sees."""
     if rng.random() < 0.5:
         s = flip_sample(s, flip_axis)
     s = rotate_sample(s, math.radians(rng.uniform(-max_rot_deg, max_rot_deg)))

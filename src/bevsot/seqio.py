@@ -13,7 +13,8 @@ Tracklets are written twice: a plain text file with one ``t x y z w h l
 theta`` line per frame, and a jsonl variant matching the label schema with
 an added ``coasted`` flag. Every file, of a sequence or a tracklet, is
 written whole or not at all: an interrupted write leaves the previous file
-as it was. Text files are read as UTF-8; any other byte is a data error.
+as it was. Text files are read as UTF-8; any other byte is a data error. A
+label's numbers are JSON numbers, and a sequence has at least 2 frames.
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ def _checked_box(path: str, lineno: int, vals: tuple[float, ...]) -> Box3D:
     return Box3D(*vals)
 
 
+def _label_number(v) -> float:  # a JSON int or float: not a bool or a string
+    if type(v) not in (int, float):
+        raise TypeError(f"{json.dumps(v)} is not a JSON number")
+    return float(v)  # OverflowError for an int that no float holds
+
+
 def read_labels(path: str) -> list[Box3D]:
     boxes: list[tuple[int, Box3D]] = []
     for lineno, line in enumerate(_text_lines(path), start=1):
@@ -95,12 +102,14 @@ def read_labels(path: str) -> list[Box3D]:
             rec = json.loads(line)
             if type(frame := rec["frame"]) is not int:  # not a bool, float or string
                 raise TypeError(f"frame {json.dumps(frame)} is not a JSON integer")
-            cx, cy, cz = (float(v) for v in rec["center"])
-            w, h, l = (float(v) for v in rec["size"])
-            vals = (cx, cy, cz, w, h, l, float(rec["yaw"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            cx, cy, cz = (_label_number(v) for v in rec["center"])
+            w, h, l = (_label_number(v) for v in rec["size"])
+            vals = (cx, cy, cz, w, h, l, _label_number(rec["yaw"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: line {lineno}: bad label ({exc})") from exc
         boxes.append((frame, _checked_box(path, lineno, vals)))
+    if len(boxes) < 2:
+        raise DataFormatError(f"{path}: a sequence needs at least 2 frames, got {len(boxes)}")
     boxes.sort(key=lambda fb: fb[0])
     if [f for f, _ in boxes] != list(range(1, len(boxes) + 1)):
         raise DataFormatError(f"{path}: frame indices are not 1..{len(boxes)}")

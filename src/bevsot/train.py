@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .atomic import atomic_write
 from .exceptions import NumericError
-from .geometry import box_in_frame, relative_motion
+from .geometry import box_in_frame
 from .model import TrackerModel, motion_loss
 from .params import adamw_step, lr_at_epoch
 from .pillars import CropSpec
@@ -45,7 +45,8 @@ def make_training_samples(sequences: list[LabeledSequence],
     The samples reference the sequences' frames and are cropped when a step
     calls `TrainingSample.cropped`, so the list costs a few hundred bytes a
     pair beyond the frames; the frames must not be mutated while the samples
-    are in use."""
+    are in use. No target is stored: a pair's is read from its two boxes
+    (`CroppedPair.target`)."""
     samples = []
     for seq in sequences:
         for t in range(1, len(seq.frames)):
@@ -55,7 +56,6 @@ def make_training_samples(sequences: list[LabeledSequence],
                 curr_frame=seq.frames[t],
                 ref=ref,
                 box_curr=box_in_frame(seq.gt[t], ref),
-                target=relative_motion(seq.gt[t - 1], seq.gt[t]),
                 spec=spec))
     return samples
 

@@ -657,4 +657,4 @@ def test_desk_training_step_tape_has_no_per_head_split(monkeypatch):
     # per sample, head.conv2 and head.conv3 run on a 1x1 grid as a linear
     # layer over their centre tap, one linear node each; the last stage's
     # down conv runs on the current frame only
-    assert sum(nodes.values()) == 624
+    assert sum(nodes.values()) == 592

@@ -621,18 +621,63 @@ def test_track_checkpoint_shape_mismatch_exit_1(tmp_path):
     assert not (tmp_path / "t").exists()
 
 
+def write_short_sequence(path, n):
+    """A sequence directory of `n` < 2 frames, which `gen` never writes;
+    returns its labels file and its boxes."""
+    seq = generate(SceneConfig(scene_length=2, seed=4))
+    write_sequence(LabeledSequence(frames=seq.frames[:n], gt=seq.gt[:n]), str(path))
+    return path / "labels.jsonl", seq.gt[:n]
+
+
 def test_track_short_sequence_exit_code_2(tmp_path, capsys):
     data, ck = data_and_checkpoint(tmp_path)
-    seq = generate(SceneConfig(scene_length=2, seed=4))
-    short = data / "seq_short"
-    write_sequence(LabeledSequence(frames=seq.frames[:1], gt=seq.gt[:1]), str(short))
+    labels, _ = write_short_sequence(data / "seq_short", 1)
     capsys.readouterr()
     out = tmp_path / "t"
     code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"data error: {short}: ") and "at least 2 frames, got 1" in err
-    assert "Traceback" not in err
+    assert err == f"data error: {labels}: a sequence needs at least 2 frames, got 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_short_sequence_exit_code_2(tmp_path, capsys, command, n):
+    # train died in an IndexError traceback at 0 frames and skipped 1; eval
+    # scored the sequence 0 and put that 0 in the mean
+    seq_dir = tmp_path / "d" / "seq_000"
+    labels, boxes = write_short_sequence(seq_dir, n)
+    tracklet = tmp_path / "tracklet.txt"
+    write_tracklet(boxes, [False] * n, str(tracklet))
+    out = tmp_path / "o"
+    args = (["train", "--data", tmp_path / "d"] + FAST if command == "train"
+            else ["eval", "--pred", tracklet, "--gt", seq_dir])
+    code = run(args + ["--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"data error: {labels}: a sequence needs at least 2 frames, got {n}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,named", [
+    pytest.param("center", ["1.5", True, "2"], '"1.5" is not a JSON number', id="string"),
+    pytest.param("size", [1.0, True, 3.0], "true is not a JSON number", id="bool"),
+    pytest.param("yaw", 10 ** 400, "int too large to convert to float", id="int-past-float")])
+def test_label_number_not_a_float_exit_code_2(tmp_path, capsys, field, value, named):
+    # each was read through float(): the first two as a box, the last in an
+    # OverflowError traceback
+    data, out = tmp_path / "d", tmp_path / "o"
+    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
+    labels = data / "seq_001" / "labels.jsonl"
+    lines = labels.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value}) + "\n"
+    labels.write_text("".join(lines))
+    capsys.readouterr()
+    code = run(["train", "--data", data, "--out", out] + FAST)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"data error: {labels}: line 2: bad label ({named})\n"
     assert not out.exists()
 
 

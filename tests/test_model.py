@@ -390,6 +390,54 @@ def test_loss_nonfinite_target_rejected():
         motion_loss(pred, bad, TINY)
 
 
+def motion_loss_three_terms(pred4, target, config):
+    """Oracle: the loss as three Huber terms over (dx, dy), dz and the
+    wrapped dtheta, each summed and scaled, then added."""
+    diff = T.sub(pred4, Tensor(target.as_array()))
+    delta = config.huber_delta
+    l_xy = T.sum_all(T.huber(T.slice_cols(diff, 0, 2), delta))
+    l_z = T.sum_all(T.huber(T.slice_cols(diff, 2, 3), delta))
+    l_th = T.sum_all(T.huber(T.wrap_angle(T.slice_cols(diff, 3, 4)), delta))
+    return T.add(T.add(T.scale(l_xy, config.lambda1), T.scale(l_z, config.lambda2)),
+                 T.scale(l_th, config.lambda3))
+
+
+def loss_and_grad(loss_fn, pred, target, config):
+    leaf = Tensor(pred, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_fn(leaf, target, config)
+    tape.backward(loss)
+    return loss.item(), leaf.grad
+
+
+@pytest.mark.parametrize("config,rel", [
+    pytest.param(ModelConfig(), 0.0, id="default"),
+    pytest.param(ModelConfig(lambda1=0.7, lambda2=1.3, lambda3=2.0, huber_delta=0.3), 4.5e-16,
+                 id="weighted")])
+def test_loss_equals_three_term_oracle(config, rel):
+    """One pass over the residual gives the three-term loss: equal gradients,
+    and equal values at unit weights, where the weighted sum adds the same
+    four Huber terms left to right."""
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        pred = rng.uniform(-2.0, 2.0, 4) * rng.choice([1e-3, 1.0, 4.0])
+        target = Motion4(*rng.uniform(-2.0, 2.0, 3), rng.uniform(-np.pi, np.pi))
+        got, got_grad = loss_and_grad(motion_loss, pred, target, config)
+        want, want_grad = loss_and_grad(motion_loss_three_terms, pred, target, config)
+        np.testing.assert_array_equal(got_grad, want_grad)
+        if rel == 0.0:
+            assert got == want
+        else:
+            assert abs(got - want) <= rel * abs(want)
+
+
+def test_loss_records_eight_nodes():
+    leaf = Tensor(np.zeros(4), requires_grad=True)
+    with Tape() as tape:
+        motion_loss(leaf, Motion4(0.1, 0.2, 0.3, 0.4), ModelConfig())
+        assert len(tape) == 8
+
+
 @given(st.tuples(*[st.floats(-3, 3) for _ in range(4)]),
        st.tuples(*[st.floats(-3, 3) for _ in range(4)]))
 def test_loss_nonnegative(p, t):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -105,6 +106,17 @@ def test_training_sample_target_matches_boxes():
     np.testing.assert_allclose(
         [s.target.dx, s.target.dy, s.target.dz, s.target.dtheta],
         [back.dx, back.dy, back.dz, back.dtheta], atol=1e-12)
+
+
+def test_pair_target_follows_its_boxes():
+    """The target is read from the boxes, so a pair with a moved current box
+    has the moved target; no stored copy can disagree with its geometry."""
+    s = make_sample()
+    b = s.box_curr
+    moved = replace(s, box_curr=b.with_pose(b.x + 0.5, b.y, b.z, b.theta + 0.1))
+    assert moved.target.dx == pytest.approx(s.target.dx + 0.5, abs=1e-12)
+    assert moved.target.dtheta == pytest.approx(s.target.dtheta + 0.1, abs=1e-12)
+    assert moved.target == relative_motion(moved.box_prev, moved.box_curr)
 
 
 def test_flip_twice_restores_sample():

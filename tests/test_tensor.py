@@ -1,11 +1,12 @@
 """Tensor op forward oracles and finite-difference backward checks."""
 
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -523,6 +524,31 @@ def test_wrap_angle_values():
     out = T.wrap_angle(Tensor(x)).data
     np.testing.assert_allclose(out, [0.0, np.pi, np.pi, np.pi, np.pi, -0.1], atol=1e-12)
     assert np.all(out > -np.pi) and np.all(out <= np.pi)
+
+
+def ulps_from(centre: float, k: int) -> float:
+    """The float `k` ulps from `centre` (0 steps through the subnormals)."""
+    if centre == 0.0:
+        return k * math.ulp(0.0)
+    bits = np.float64(abs(centre)).view(np.int64) + (k if centre > 0 else -k)
+    return math.copysign(float(np.int64(bits).view(np.float64)), centre)
+
+
+ANGLE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(ulps_from, st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                                          2 * math.pi, -2 * math.pi]),
+              st.integers(-10_000, 10_000)))
+
+
+@given(ANGLE_FLOATS)
+@example(-0.0)
+@example(1e-20)
+def test_wrap_angle_value_is_idempotent(x):
+    """A wrapped angle wraps to itself bit for bit, sign of zero included, so
+    a box or motion built from an already wrapped angle keeps its bits."""
+    once = T.wrap_angle_value(x)
+    assert np.float64(T.wrap_angle_value(once)).tobytes() == np.float64(once).tobytes()
 
 
 # ---------------------------------------------------------------------------

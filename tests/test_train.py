@@ -13,7 +13,7 @@ from bevsot import scene
 from bevsot import tensor as T
 from bevsot.config import RunConfig
 from bevsot.exceptions import NumericError
-from bevsot.geometry import Motion4, box_in_frame, relative_motion
+from bevsot.geometry import box_in_frame, relative_motion
 from bevsot.model import TrackerModel, motion_loss
 from bevsot.params import adamw_step, lr_at_epoch
 from bevsot.pillars import canonicalize, crop
@@ -38,18 +38,21 @@ def desk_samples(n):
 
 def eager_training_samples(sequences, spec):
     """Oracle: samples built as they were before they referenced their
-    frames, both crops computed up front and kept."""
+    frames, both crops computed up front and kept. The world-frame target
+    they stored is the one each pair now reads from its boxes, bit for bit."""
     samples = []
     for seq in sequences:
         for t in range(1, len(seq.frames)):
             ref = seq.gt[t - 1]
-            samples.append(CroppedPair(
+            pair = CroppedPair(
                 prev_pts=crop(canonicalize(seq.frames[t - 1], ref), spec),
                 curr_pts=crop(canonicalize(seq.frames[t], ref), spec),
                 box_prev=ref.with_pose(0.0, 0.0, 0.0, 0.0),
                 box_curr=box_in_frame(seq.gt[t], ref),
-                target=relative_motion(seq.gt[t - 1], seq.gt[t]),
-                spec=spec))
+                spec=spec)
+            np.testing.assert_array_equal(
+                pair.target.as_array(), relative_motion(seq.gt[t - 1], seq.gt[t]).as_array())
+            samples.append(pair)
     return samples
 
 
@@ -145,7 +148,8 @@ def test_step_that_raises_leaves_no_gradient():
     samples = desk_samples(3)
     settings = TrainSettings(batch=3, epochs=1, augment=False)
     first = np.random.default_rng(settings.seed).permutation(len(samples))[0]
-    samples[first] = replace(samples[first], target=Motion4(np.nan, 0.0, 0.0, 0.0))
+    poisoned = samples[first].box_curr.with_pose(np.nan, 0.0, 0.0, 0.0)
+    samples[first] = replace(samples[first], box_curr=poisoned)
     model = desk_model()
     with pytest.raises(NumericError, match=r"^epoch 0 step 0: non-finite motion target"):
         train(model, samples, settings)
