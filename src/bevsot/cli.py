@@ -3,9 +3,7 @@
 Exit codes: 0 success, 1 usage/config error, 2 data error or unusable path, 3
 numeric failure. Every command is deterministic under a fixed seed; gen, train
 and track echo their resolved configuration next to their outputs. A config or
-input error is found before the run directory is made, and leaves none; track
-checks every frame file's size up front, but a non-finite coordinate shows only
-when its frame is read, after earlier sequences are tracked.
+input error is found before the run directory is made, and leaves none.
 gen and train generate every sequence, and train and track build their model,
 before the run directory is made, so a scene or model too large to hold (say
 points_per_m2=1e16) ends in numpy's MemoryError traceback and leaves none.
@@ -31,8 +29,8 @@ from .model import TrackerModel
 from .params import load_checkpoint, save_checkpoint
 from .rules import COUNT, NON_NEGATIVE, POSITIVE, require
 from .scene import generate
-from .seqio import (frame_paths, list_sequence_dirs, read_labels, read_sequence,
-                    read_tracklet, write_sequence, write_tracklet)
+from .seqio import (list_sequence_dirs, read_sequence, read_tracklet, write_sequence,
+                    write_tracklet)
 from .track import Tracklet, track_sequence, tracker_motion_model
 from .train import make_training_samples, pair_loss, save_train_log, train
 
@@ -157,11 +155,9 @@ def cmd_track(args) -> int:
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     load_checkpoint(model.store, args.checkpoint)
     seq_dirs = list_sequence_dirs(args.data)
-    for seq_dir in seq_dirs:  # labels and frame sizes first; points one sequence at a time
-        frame_paths(seq_dir, len(read_labels(os.path.join(seq_dir, "labels.jsonl"))))
+    seqs = [read_sequence(d) for d in seq_dirs]
     out = _run_dir(args, "track", {"config.echo.cfg": cfgmod.config_text(cfg)})
-    for seq_dir in seq_dirs:
-        seq = read_sequence(seq_dir)
+    for seq_dir, seq in zip(seq_dirs, seqs):
         name = os.path.basename(os.path.normpath(seq_dir))
         motion_model = tracker_motion_model(model, cfg.crop_spec(seq.gt[0]))
         tr = track_sequence(seq.frames, seq.gt[0], motion_model, sequence_id=name)

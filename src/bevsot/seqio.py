@@ -57,16 +57,12 @@ def _text_lines(path: str) -> list[str]:
         raise DataFormatError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from None
 
 
-def _check_whole_points(path: str, size: int):
-    if size % 12:
-        raise DataFormatError(f"{path}: byte {size - size % 12}: truncated point record "
-                              f"(file size {size} is not a multiple of 12)")
-
-
 def read_points_bin(path: str) -> PointCloud:
     with open(path, "rb") as fh:
         blob = fh.read()
-    _check_whole_points(path, len(blob))
+    if tail := len(blob) % 12:
+        raise DataFormatError(f"{path}: byte {len(blob) - tail}: truncated point record "
+                              f"(file size {len(blob)} is not a multiple of 12)")
     xyz = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(-1, 3)
     bad = ~np.isfinite(xyz).all(axis=1)
     if bad.any():
@@ -117,10 +113,8 @@ def read_labels(path: str) -> list[Box3D]:
 
 
 def frame_paths(path: str, n_labels: int) -> list[str]:
-    """The sequence's frame files, checked by size only: frames/000001.bin
-    .. NNNNNN.bin exist for the `n_labels` labels and no other .bin file
-    does, and each holds whole 12-byte points. No point is read, so a
-    non-finite coordinate shows only when its frame is read."""
+    """The sequence's frame files: frames/000001.bin .. NNNNNN.bin exist for
+    the `n_labels` labels and no other .bin file does."""
     frames_dir = os.path.join(path, "frames")
     if not os.path.isdir(frames_dir):
         raise DataFormatError(f"{path}: missing frames/ directory")
@@ -128,7 +122,6 @@ def frame_paths(path: str, n_labels: int) -> list[str]:
     for p in paths:
         if not os.path.isfile(p):
             raise DataFormatError(f"{p}: missing frame file ({n_labels} labels)")
-        _check_whole_points(p, os.path.getsize(p))
     if (n := sum(name.endswith(".bin") for name in os.listdir(frames_dir))) != n_labels:
         raise DataFormatError(f"{path}: {n} frame files but {n_labels} labels")
     return paths

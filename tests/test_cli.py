@@ -1,13 +1,20 @@
 """Command-line surface: exit codes, config echo, and the command suite on
 small workloads."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevsot import cli
 from bevsot.atomic import atomic_write
@@ -17,7 +24,7 @@ from bevsot.exceptions import ConfigError
 from bevsot.geometry import Box3D, relative_motion
 from bevsot.metrics import ope
 from bevsot.model import ModelConfig, TrackerModel
-from bevsot.params import read_checkpoint, save_checkpoint
+from bevsot.params import ParamStore, read_checkpoint, save_checkpoint
 from bevsot.rules import NON_NEGATIVE, Rule
 from bevsot.scene import LabeledSequence, SceneConfig, generate
 from bevsot.seqio import read_sequence, write_sequence, write_tracklet
@@ -417,27 +424,32 @@ def test_unusable_path_exit_code_2(tmp_path, capsys, args, named):
     assert not out.exists() and file.read_bytes() == before
 
 
-def data_and_checkpoint(tmp_path):
+def data_and_checkpoint(tmp_path, args=FAST):
     """Generated sequences and an initial-weights checkpoint for `track`."""
     data, ck = tmp_path / "d", tmp_path / "ck.bin"
-    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
-    model = TrackerModel(from_items(dict(a.split("=", 1) for a in FAST[1::2])).model_config())
+    assert run(["gen", "--out", data, "--seed", 3] + args) == 0
+    model = TrackerModel(from_items(dict(a.split("=", 1) for a in args[1::2])).model_config())
     save_checkpoint(model.store, str(ck))
     return data, ck
 
 
 def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
-    data, ck = data_and_checkpoint(tmp_path)
-    frame = data / "seq_000" / "frames" / "000003.bin"
-    xyz = np.fromfile(frame, dtype="<f4")
-    xyz[4] = np.nan
-    xyz.tofile(frame)
-    capsys.readouterr()
-    code = run(["track", "--checkpoint", ck, "--data", data, "--out", tmp_path / "t"] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert str(frame) in err and "non-finite" in err
-    assert "Traceback" not in err
+    """Every sequence is read before the run directory is made, so a NaN in
+    the first or the last of three sequences leaves none."""
+    for seq in ("seq_000", "seq_002"):
+        data, ck = data_and_checkpoint(tmp_path / seq)
+        frame = data / seq / "frames" / "000003.bin"
+        xyz = np.fromfile(frame, dtype="<f4")
+        xyz[4] = np.nan
+        xyz.tofile(frame)
+        capsys.readouterr()
+        out = tmp_path / seq / "t"
+        code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {frame}: ") and "non-finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("edit,named", [
@@ -445,8 +457,8 @@ def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
                  id="truncated-frame"),
     pytest.param(lambda f: f.unlink(), "missing frame file", id="missing-frame")])
 def test_track_bad_frame_file_exit_code_2(tmp_path, capsys, edit, named):
-    """Every sequence's frame files are checked by size before the run
-    directory is made, so a bad file in the second sequence leaves none."""
+    """Every sequence is read before the run directory is made, so a bad
+    frame file in the second sequence leaves none."""
     data, ck = data_and_checkpoint(tmp_path)
     frame = data / "seq_001" / "frames" / "000002.bin"
     edit(frame)
@@ -537,6 +549,188 @@ def test_non_integer_label_frame_exit_code_2(tmp_path, capsys):
     assert err.startswith(f"data error: {labels}: line 1: bad label (frame 1.0 ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# One always-invalid edit to one file of a small data set: each corruption
+# takes (draw, inputs root), edits a file under it, and returns the commands
+# that read that file and the path their error must name.
+
+FUZZ = [a.replace("head_trunk=32", "head_trunk=16") for a in FAST]
+SEQ_DIRS = ("seq_000", "seq_001", "seq_002")
+ALL = ("train", "track", "eval")
+
+
+def _draw_frame(draw, root):
+    seq = draw(st.sampled_from(SEQ_DIRS))
+    return root / "d" / seq / "frames" / f"{draw(st.integers(1, 4)):06d}.bin"
+
+
+def truncated_frame(draw, root):
+    frame = _draw_frame(draw, root)
+    blob = frame.read_bytes()  # cut to 12 k + r bytes, 0 < r < 12
+    frame.write_bytes(blob[:12 * draw(st.integers(0, len(blob) // 12 - 1))
+                           + draw(st.integers(1, 11))])
+    return ALL, frame
+
+
+def non_finite_point(draw, root):
+    frame = _draw_frame(draw, root)
+    xyz = np.fromfile(frame, dtype="<f4")
+    xyz[draw(st.integers(0, xyz.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    xyz.tofile(frame)
+    return ALL, frame
+
+
+def missing_frame(draw, root):
+    frame = _draw_frame(draw, root)
+    frame.unlink()
+    return ALL, frame
+
+
+def extra_frame(draw, root):  # a file-count error names the sequence directory
+    frame = _draw_frame(draw, root)
+    (frame.parent / f"{draw(st.integers(5, 9)):06d}.bin").write_bytes(frame.read_bytes())
+    return ALL, frame.parent.parent
+
+
+def _not_utf8(draw, path):
+    blob = bytearray(path.read_bytes())
+    blob[offset := draw(st.integers(0, len(blob) - 1))] = 0xFF
+    path.write_bytes(bytes(blob))
+    return f"byte {offset}: not UTF-8 text"
+
+
+def _labels(draw, root):
+    return root / "d" / draw(st.sampled_from(SEQ_DIRS)) / "labels.jsonl"
+
+
+def _tracklet(draw, root):
+    return root / "trk" / draw(st.sampled_from(SEQ_DIRS)) / "tracklet.txt"
+
+
+def labels_not_utf8(draw, root):
+    labels = _labels(draw, root)
+    return ALL, labels, _not_utf8(draw, labels)
+
+
+def tracklet_not_utf8(draw, root):
+    tracklet = _tracklet(draw, root)
+    return ("eval",), tracklet, _not_utf8(draw, tracklet)
+
+
+def _edit_label(draw, root, edit):
+    labels = _labels(draw, root)
+    lines = labels.read_text().splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    rec = json.loads(lines[i])
+    edit(rec, len(lines))
+    lines[i] = json.dumps(rec) + "\n"
+    labels.write_text("".join(lines))
+    return ALL, labels
+
+
+def label_not_a_number(draw, root):
+    bad = draw(st.sampled_from(["string", "bool", "401 digits"]))
+    key = draw(st.sampled_from(["frame", "center", "size", "yaw"]))
+    j = draw(st.integers(0, 2))
+
+    def edit(rec, n):
+        holder, k = (rec[key], j) if key in ("center", "size") else (rec, key)
+        holder[k] = {"string": str(holder[k]), "bool": draw(st.booleans()),
+                     "401 digits": draw(st.sampled_from([1, -1])) * 10 ** 400}[bad]
+    return _edit_label(draw, root, edit)
+
+
+def label_frame_gap(draw, root):
+    def edit(rec, n):
+        rec["frame"] = n + draw(st.integers(1, 3))
+    return _edit_label(draw, root, edit)
+
+
+def too_few_labels(draw, root):
+    labels = _labels(draw, root)
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(lines[:draw(st.integers(0, 1))]))
+    return ALL, labels
+
+
+def _edit_tracklet_line(draw, root, edit):
+    tracklet = _tracklet(draw, root)
+    lines = tracklet.read_text().splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    parts = lines[i].split()
+    edit(parts, i + 1)
+    lines[i] = " ".join(parts) + "\n"
+    tracklet.write_text("".join(lines))
+    return ("eval",), tracklet
+
+
+def tracklet_seven_fields(draw, root):
+    return _edit_tracklet_line(draw, root, lambda parts, t: parts.pop(draw(st.integers(0, 7))))
+
+
+def tracklet_index_out_of_order(draw, root):
+    def edit(parts, t):
+        parts[0] = str(draw(st.integers(-2, 9).filter(lambda v: v != t)))
+    return _edit_tracklet_line(draw, root, edit)
+
+
+def checkpoint_cut(draw, root):
+    ck = root / "ck.bin"
+    blob = ck.read_bytes()
+    ck.write_bytes(blob[:draw(st.integers(0, len(blob) - 1))])
+    return ("track",), ck
+
+
+def checkpoint_nan(draw, root):
+    ck = root / "ck.bin"
+    store = ParamStore()
+    for name, arr in read_checkpoint(str(ck)).items():
+        store.create(name, arr)
+    name = draw(st.sampled_from(store.names()))
+    store[name].data.flat[draw(st.integers(0, store[name].data.size - 1))] = np.nan
+    save_checkpoint(store, str(ck))
+    return ("track",), ck, f"non-finite value in '{name}'"
+
+
+CORRUPTIONS = [truncated_frame, non_finite_point, missing_frame, extra_frame, labels_not_utf8,
+               tracklet_not_utf8, label_not_a_number, label_frame_gap, too_few_labels,
+               tracklet_seven_fields, tracklet_index_out_of_order, checkpoint_cut,
+               checkpoint_nan]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """3 generated sequences of 4 frames, an initial-weights checkpoint, and
+    the tracklets `track` writes from them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data, ck = data_and_checkpoint(root, FUZZ)
+    assert run(["track", "--checkpoint", ck, "--data", data, "--out", root / "trk"] + FUZZ) == 0
+    return root
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_corrupt_input_exit_code_2(fuzz_inputs, data):
+    """One always-invalid edit to one input of `train --data`, `track` or
+    `eval` exits 2 with a data error that names the file (the sequence
+    directory for a file-count error), no traceback, and no run directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "in"
+        shutil.copytree(fuzz_inputs, root)
+        commands, named, *detail = data.draw(st.sampled_from(CORRUPTIONS))(data.draw, root)
+        seqs, out = root / "d", Path(tmp) / "o"
+        args = {"train": ["train", "--data", seqs] + FUZZ,
+                "track": ["track", "--checkpoint", root / "ck.bin", "--data", seqs] + FUZZ,
+                "eval": ["eval", "--pred", root / "trk", "--gt", seqs]}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(args[data.draw(st.sampled_from(commands))] + ["--out", out])
+        err = err.getvalue()
+        assert code == 2, err
+        assert err.startswith(f"data error: {named}: ") and "Traceback" not in err
+        assert all(d in err for d in detail), err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,12 @@ def make_sample(seed=0):
 
 
 def test_training_sample_target_matches_boxes():
-    s = make_sample()
-    back = relative_motion(s.box_prev, s.box_curr)
-    np.testing.assert_allclose(
-        [s.target.dx, s.target.dy, s.target.dz, s.target.dtheta],
-        [back.dx, back.dy, back.dz, back.dtheta], atol=1e-12)
+    """A cropped pair's target, read from its canonical-frame boxes, is the
+    world-frame motion of the two gt boxes it came from."""
+    seq = generate(SceneConfig(scene_length=3, seed=0))
+    for t, sample in enumerate(make_training_samples([seq], CropSpec(grid=(32, 32))), 1):
+        np.testing.assert_array_equal(sample.cropped().target.as_array(),
+                                      relative_motion(seq.gt[t - 1], seq.gt[t]).as_array())
 
 
 def test_pair_target_follows_its_boxes():
@@ -138,15 +139,15 @@ def test_zero_rotation_no_flip_is_identity():
         [s.target.dx, s.target.dy, s.target.dz, s.target.dtheta], atol=1e-15)
 
 
-@given(st.integers(0, 10 ** 6))
-def test_augmented_label_matches_box_recompute(seed):
+@given(st.integers(0, 10 ** 6), st.sampled_from("xy"))
+def test_augmented_label_matches_box_recompute(seed, axis):
+    """A flip on either axis maps the target (dx, dy, dz, dtheta) to (dx, -dy,
+    dz, -dtheta); the rotation about the previous box's centre keeps it."""
     s = make_sample(seed % 7)
-    rng = np.random.default_rng(seed)
-    out = augment(s, rng)
-    oracle = relative_motion(out.box_prev, out.box_curr)
-    np.testing.assert_allclose(
-        [out.target.dx, out.target.dy, out.target.dz, out.target.dtheta],
-        [oracle.dx, oracle.dy, oracle.dz, oracle.dtheta], atol=1e-12)
+    out = augment(s, np.random.default_rng(seed), flip_axis=axis)
+    flipped = np.random.default_rng(seed).random() < 0.5  # augment's first draw
+    sign = np.array([1.0, -1.0, 1.0, -1.0]) if flipped else np.ones(4)
+    np.testing.assert_allclose(out.target.as_array(), sign * s.target.as_array(), atol=1e-12)
     # augmented current box still reachable from prev via compose
     stepped = compose_pose(out.box_prev, out.target)
     np.testing.assert_allclose([stepped.x, stepped.y, stepped.theta],
