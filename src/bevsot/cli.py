@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 usage/config error, 2 data error or unusable path, 3
 numeric failure. Every command is deterministic under a fixed seed; gen, train
 and track echo their resolved configuration next to their outputs. A config or
-input error is found before the run directory is made, and leaves none.
-gen and train generate every sequence, and train and track build their model,
-before the run directory is made, so a scene or model too large to hold (say
-points_per_m2=1e16) ends in numpy's MemoryError traceback and leaves none.
+input error is found before the run directory is made, and leaves none; a scene
+whose frames expect more than scene.MAX_FRAME_POINTS points is a config error.
+train and track build their model before the run directory is made, so a model
+too large to hold (say channels=2**40) ends in numpy's MemoryError traceback and
+leaves none.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ from .rules import (FINITE, FRACTION, NON_NEGATIVE, POSITIVE, TWO_OR_MORE, check
 from .tensor import wrap_angle_value
 
 SENSOR = np.array([0.0, 0.0, 1.8])
-# the largest mean numpy's Poisson draw accepts (numpy/random: POISSON_LAM_MAX)
-POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
+# the most points a frame may expect: 96 MiB of float64 coordinates, far
+# below numpy's Poisson limit (about 9.2e18), so every draw stays drawable
+MAX_FRAME_POINTS = 2**22
 FLIP_AXIS = one_of("x", "y")  # TrainSettings.flip_axis's rule
 REF_RANGE = 10.0  # m from the sensor at which a face has points_per_m2
 SEGMENT_FRAMES = 4  # frames per constant-velocity segment
@@ -54,18 +55,16 @@ class SceneConfig:
         if not self.speed_min <= self.speed_max:
             raise ConfigError(f"speed_min must be <= speed_max, "
                               f"got {self.speed_min} > {self.speed_max}")
-        # the largest Poisson means `generate` draws: a target face at the
-        # near-range density cap (4x), and the clutter slab
+        # a frame's expected points, before dropout: the three target faces a
+        # sensor can see at the near-range density cap (4x), and the clutter slab
         w, h, l = (s * (1.0 + self.size_jitter) for s in (self.size_w, self.size_h, self.size_l))
-        face = max(w * h, w * l, h * l)
+        faces = w * h + w * l + h * l
         side = 2 * self.clutter_extent
-        for keys, mean in ((f"points_per_m2 on a {face:.3g} m^2 target face",
-                            4.0 * self.points_per_m2 * face),
-                           ("clutter_density over clutter_extent",
-                            self.clutter_density * (side * side))):
-            if not mean <= POISSON_LAM_MAX:  # also NaN (0 * inf)
-                raise ConfigError(f"{keys} expects {mean:.3g} points in one draw, past "
-                                  f"numpy's Poisson limit {POISSON_LAM_MAX:.3g}")
+        points = 4.0 * self.points_per_m2 * faces + self.clutter_density * (side * side)
+        if not points <= MAX_FRAME_POINTS:  # also NaN (0 * inf)
+            raise ConfigError(f"points_per_m2 on {faces:.3g} m^2 of target faces and "
+                              f"clutter_density over clutter_extent expect {points:.3g} "
+                              f"points in a frame, past the limit {MAX_FRAME_POINTS}")
 
 
 @dataclass

@@ -7,13 +7,14 @@ import json
 import math
 import os
 import shutil
+import struct
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from bevsot import cli
@@ -24,11 +25,11 @@ from bevsot.exceptions import ConfigError
 from bevsot.geometry import Box3D, relative_motion
 from bevsot.metrics import ope
 from bevsot.model import ModelConfig, TrackerModel
-from bevsot.params import ParamStore, read_checkpoint, save_checkpoint
+from bevsot.params import read_checkpoint, save_checkpoint
 from bevsot.rules import NON_NEGATIVE, Rule
-from bevsot.scene import LabeledSequence, SceneConfig, generate
-from bevsot.seqio import read_sequence, write_sequence, write_tracklet
-from bevsot.track import Tracklet, track_sequence
+from bevsot.scene import SceneConfig, generate
+from bevsot.seqio import write_sequence, write_tracklet
+from bevsot.track import track_sequence
 from bevsot.train import TrainSettings
 from tests.test_params import shape_only_checkpoint
 
@@ -147,14 +148,16 @@ NOT_SHARED = {"crop_mode", "crop_xy", "crop_z", "crop_ratio", "sequences",
 
 def test_every_field_reaches_its_view():
     values = {}
+    scene = {f.name for f in fields(SceneConfig)}
     for i, f in enumerate(fields(RunConfig)):
         default = getattr(RunConfig, f.name)
         if isinstance(default, bool):
             values[f.name] = not default
         elif f.name == "flip_axis":
             values[f.name] = "y"  # the one other valid axis
-        elif f.name in ("size_jitter", "occlusion_dropout"):
-            values[f.name] = 0.5 + i / 1000  # fractions: the scene takes [0, 1)
+        elif f.name in scene and isinstance(default, float):
+            # fractions take [0, 1), and a frame's points stay under MAX_FRAME_POINTS
+            values[f.name] = 0.5 + i / 1000
         elif isinstance(default, int):
             values[f.name] = 100 + i
         elif isinstance(default, float):
@@ -327,10 +330,11 @@ BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropou
     ("clutter_extent=-1", ["clutter_extent", ">= 0", "got -1.0"]),
     ("occlusion_dropout=1", ["occlusion_dropout", "[0, 1)", "got 1.0"]),
     ("occlusion_dropout=2", ["occlusion_dropout", "[0, 1)", "got 2.0"]),
-    # past what numpy can draw: lam value too large, or an OverflowError
-    ("points_per_m2=1e30", ["points_per_m2", "Poisson limit"]),
-    ("clutter_density=1e30", ["clutter_density", "4e+32 points", "Poisson limit"]),
-    ("clutter_extent=1e200", ["clutter_extent", "inf points", "Poisson limit"])]
+    # frames past MAX_FRAME_POINTS, the first three past numpy's Poisson draw too
+    ("points_per_m2=1e30", ["points_per_m2", "8.31e+31 points in a frame", "limit 4194304"]),
+    ("clutter_density=1e30", ["clutter_density", "4e+32 points", "limit 4194304"]),
+    ("clutter_extent=1e200", ["clutter_extent", "inf points", "limit 4194304"]),
+    ("points_per_m2=1e16", ["points_per_m2", "8.31e+17 points in a frame", "limit 4194304"])]
 
 
 @pytest.mark.parametrize("command,names", [
@@ -365,17 +369,6 @@ def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cmd", ["gen", "train"])
-def test_scene_too_large_to_hold_creates_no_run_dir(tmp_path, cmd):
-    # within numpy's Poisson limit, but the first frame would need exabytes:
-    # the traceback stays, and every sequence is drawn before the run directory
-    out = tmp_path / "o"
-    with pytest.raises(MemoryError):
-        run([cmd, "--set", "sequences=1", "--set", "scene_length=2",
-             "--set", "points_per_m2=1e16", "--out", out])
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("cmd", ["train", "track"])
 def test_model_too_large_to_hold_creates_no_run_dir(tmp_path, monkeypatch, cmd):
     # channels=2**40 fails in numpy's allocation; the traceback stays, and the
@@ -391,12 +384,10 @@ def test_model_too_large_to_hold_creates_no_run_dir(tmp_path, monkeypatch, cmd):
     assert not out.exists()
 
 
-def test_missing_data_exit_code_2(tmp_path):
-    ck = tmp_path / "none.bin"
-    ck.write_bytes(b"JUNKJUNKJUNK")
-    code = run(["track", "--checkpoint", ck, "--data", tmp_path / "missing",
-                "--out", tmp_path / "o"] + FAST)
-    assert code == 2
+def write_checkpoint(path, args=FAST):
+    """An initial-weights checkpoint of the model that `args` configure."""
+    model = TrackerModel(from_items(dict(a.split("=", 1) for a in args[1::2])).model_config())
+    save_checkpoint(model.store, str(path))
 
 
 @pytest.mark.parametrize("args,named", [
@@ -406,16 +397,20 @@ def test_missing_data_exit_code_2(tmp_path):
     pytest.param(["eval", "--pred", "{file}", "--gt", "{file}", "--out", "{out}"], "{file}",
                  id="eval-gt-file"),
     pytest.param(["track", "--checkpoint", "{dir}", "--data", "{dir}", "--out", "{out}"] + FAST,
-                 "{dir}", id="track-checkpoint-dir")])
+                 "{dir}", id="track-checkpoint-dir"),
+    pytest.param(["track", "--checkpoint", "{ck}", "--data", "{missing}", "--out", "{out}"] + FAST,
+                 "{missing}", id="track-data-missing")])
 def test_unusable_path_exit_code_2(tmp_path, capsys, args, named):
     """An OSError on a path a command was given (FileExistsError,
-    NotADirectoryError, IsADirectoryError) is a data error that names the
-    path; no run directory is made and the file is left as it was."""
-    file, folder, out = tmp_path / "tracklet.txt", tmp_path / "d", tmp_path / "o"
+    NotADirectoryError, IsADirectoryError, FileNotFoundError) is a data error
+    that names the path; no run directory is made and the file is left as it
+    was."""
+    paths = {n: tmp_path / n for n in ("file", "dir", "out", "ck", "missing")}
+    file, out = paths["file"], paths["out"]
     write_tracklet([Box3D(0, 0, 0, 1, 1, 1, 0)], [False], str(file))  # a valid --pred
+    write_checkpoint(paths["ck"])  # a valid --checkpoint
     before = file.read_bytes()
-    folder.mkdir()
-    paths = {"file": file, "dir": folder, "out": out}
+    paths["dir"].mkdir()
     code = run([a.format(**paths) for a in args])
     err = capsys.readouterr().err
     assert code == 2
@@ -424,140 +419,17 @@ def test_unusable_path_exit_code_2(tmp_path, capsys, args, named):
     assert not out.exists() and file.read_bytes() == before
 
 
-def data_and_checkpoint(tmp_path, args=FAST):
-    """Generated sequences and an initial-weights checkpoint for `track`."""
-    data, ck = tmp_path / "d", tmp_path / "ck.bin"
-    assert run(["gen", "--out", data, "--seed", 3] + args) == 0
-    model = TrackerModel(from_items(dict(a.split("=", 1) for a in args[1::2])).model_config())
-    save_checkpoint(model.store, str(ck))
-    return data, ck
-
-
-def test_nan_coordinate_frame_exit_code_2(tmp_path, capsys):
-    """Every sequence is read before the run directory is made, so a NaN in
-    the first or the last of three sequences leaves none."""
-    for seq in ("seq_000", "seq_002"):
-        data, ck = data_and_checkpoint(tmp_path / seq)
-        frame = data / seq / "frames" / "000003.bin"
-        xyz = np.fromfile(frame, dtype="<f4")
-        xyz[4] = np.nan
-        xyz.tofile(frame)
-        capsys.readouterr()
-        out = tmp_path / seq / "t"
-        code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"data error: {frame}: ") and "non-finite" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("edit,named", [
-    pytest.param(lambda f: f.write_bytes(f.read_bytes()[:100]), "not a multiple of 12",
-                 id="truncated-frame"),
-    pytest.param(lambda f: f.unlink(), "missing frame file", id="missing-frame")])
-def test_track_bad_frame_file_exit_code_2(tmp_path, capsys, edit, named):
-    """Every sequence is read before the run directory is made, so a bad
-    frame file in the second sequence leaves none."""
-    data, ck = data_and_checkpoint(tmp_path)
-    frame = data / "seq_001" / "frames" / "000002.bin"
-    edit(frame)
-    capsys.readouterr()
-    out = tmp_path / "t"
-    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith(f"data error: {frame}: ") and named in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_checkpoint_name_not_utf8_exit_code_2(tmp_path, capsys):
-    data, ck = data_and_checkpoint(tmp_path)
-    blob = bytearray(ck.read_bytes())
-    blob[14] = 0xFF  # first byte of the first parameter name
-    ck.write_bytes(bytes(blob))
-    capsys.readouterr()
-    code = run(["track", "--checkpoint", ck, "--data", data, "--out", tmp_path / "t"] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"{ck}: byte 14:" in err and "utf-8" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_not_utf8_text_exit_code_2(tmp_path, capsys, command):
-    """A labels file under `train --data` or a tracklet under `eval --pred`
-    with a byte that is not UTF-8 is a data error naming the file and byte."""
-    data, tracklet, out = tmp_path / "d", tmp_path / "tracklet.txt", tmp_path / "o"
-    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
-    seq_dir = data / "seq_001"
-    write_tracklet(read_sequence(str(seq_dir)).gt, [False] * 4, str(tracklet))
-    bad = seq_dir / "labels.jsonl" if command == "train" else tracklet
-    blob = bad.read_bytes()
-    bad.write_bytes(blob[:40] + b"\xff" + blob[41:])
-    capsys.readouterr()
-    args = (["train", "--data", data] + FAST if command == "train"
-            else ["eval", "--pred", tracklet, "--gt", seq_dir])
-    code = run(args + ["--out", out])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith(f"data error: {bad}: byte 40: not UTF-8 text")
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_non_finite_checkpoint_exit_code_2(tmp_path, capsys):
-    data, ck = data_and_checkpoint(tmp_path)
-    model = TrackerModel(from_items(dict(a.split("=", 1) for a in FAST[1::2])).model_config())
-    name, first = next(model.store.items())
-    first.data.flat[1] = np.inf
-    save_checkpoint(model.store, str(ck))
-    capsys.readouterr()
-    out = tmp_path / "t"
-    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"{ck}: byte " in err and f"non-finite value in '{name}'" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_checkpoint_shape_past_int64_exit_code_2(tmp_path, capsys):
-    data, ck = data_and_checkpoint(tmp_path)
-    ck.write_bytes(shape_only_checkpoint((2**32 - 1, 2**32 - 1)))
-    capsys.readouterr()
-    out = tmp_path / "t"
-    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"data error: {ck}: byte 24: truncated data for 'w'\n"
-    assert not out.exists()
-
-
-def test_non_integer_label_frame_exit_code_2(tmp_path, capsys):
-    data, out = tmp_path / "d", tmp_path / "o"
-    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
-    labels = data / "seq_001" / "labels.jsonl"
-    lines = labels.read_text().splitlines(keepends=True)
-    labels.write_text("".join(line.replace(f'"frame": {t}', f'"frame": {t}.0', 1)
-                              for t, line in enumerate(lines, 1)))
-    capsys.readouterr()
-    code = run(["train", "--data", data, "--out", out] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith(f"data error: {labels}: line 1: bad label (frame 1.0 ")
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 # One always-invalid edit to one file of a small data set: each corruption
 # takes (draw, inputs root), edits a file under it, and returns the commands
-# that read that file and the path their error must name.
+# that read that file, the path their error names and the message after it.
+# This is the one registry of malformed inputs to `train --data`, `track` and
+# `eval`: a new input check adds its corruption here.
 
 FUZZ = [a.replace("head_trunk=32", "head_trunk=16") for a in FAST]
 SEQ_DIRS = ("seq_000", "seq_001", "seq_002")
 ALL = ("train", "track", "eval")
+NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 def _draw_frame(draw, root):
@@ -568,36 +440,39 @@ def _draw_frame(draw, root):
 def truncated_frame(draw, root):
     frame = _draw_frame(draw, root)
     blob = frame.read_bytes()  # cut to 12 k + r bytes, 0 < r < 12
-    frame.write_bytes(blob[:12 * draw(st.integers(0, len(blob) // 12 - 1))
-                           + draw(st.integers(1, 11))])
-    return ALL, frame
+    k, r = draw(st.integers(0, len(blob) // 12 - 1)), draw(st.integers(1, 11))
+    frame.write_bytes(blob[:12 * k + r])
+    return ALL, frame, (f"byte {12 * k}: truncated point record "
+                        f"(file size {12 * k + r} is not a multiple of 12)")
 
 
 def non_finite_point(draw, root):
     frame = _draw_frame(draw, root)
     xyz = np.fromfile(frame, dtype="<f4")
-    xyz[draw(st.integers(0, xyz.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    i = draw(st.integers(0, xyz.size - 1))
+    xyz[i] = draw(NOT_FINITE)
     xyz.tofile(frame)
-    return ALL, frame
+    p = i // 3
+    return ALL, frame, f"byte {12 * p}: non-finite coordinate in point {p} (1 such points)"
 
 
 def missing_frame(draw, root):
     frame = _draw_frame(draw, root)
     frame.unlink()
-    return ALL, frame
+    return ALL, frame, "missing frame file (4 labels)"
 
 
 def extra_frame(draw, root):  # a file-count error names the sequence directory
     frame = _draw_frame(draw, root)
     (frame.parent / f"{draw(st.integers(5, 9)):06d}.bin").write_bytes(frame.read_bytes())
-    return ALL, frame.parent.parent
+    return ALL, frame.parent.parent, "5 frame files but 4 labels"
 
 
 def _not_utf8(draw, path):
     blob = bytearray(path.read_bytes())
     blob[offset := draw(st.integers(0, len(blob) - 1))] = 0xFF
     path.write_bytes(bytes(blob))
-    return f"byte {offset}: not UTF-8 text"
+    return f"byte {offset}: not UTF-8 text (invalid start byte)"
 
 
 def _labels(draw, root):
@@ -618,85 +493,195 @@ def tracklet_not_utf8(draw, root):
     return ("eval",), tracklet, _not_utf8(draw, tracklet)
 
 
+def _bad_box(draw, vals):
+    """The box values (x, y, z, w, h, l, theta) with one made non-finite or a
+    size made <= 0, and the error that names them."""
+    j = draw(st.integers(0, 6))
+    vals[j] = draw(st.one_of(NOT_FINITE, NOT_POSITIVE) if 3 <= j < 6 else NOT_FINITE)
+    vals = tuple(vals)
+    if all(map(math.isfinite, vals)):
+        return vals, f"box size {vals[3:6]} is not positive"
+    return vals, f"non-finite box value in {vals}"
+
+
 def _edit_label(draw, root, edit):
+    """Edit the record on a drawn line t of a drawn labels.jsonl: `edit(rec,
+    t, n)`, given the file's n labels, returns the error message."""
     labels = _labels(draw, root)
     lines = labels.read_text().splitlines(keepends=True)
     i = draw(st.integers(0, len(lines) - 1))
     rec = json.loads(lines[i])
-    edit(rec, len(lines))
+    message = edit(rec, i + 1, len(lines))
     lines[i] = json.dumps(rec) + "\n"
     labels.write_text("".join(lines))
-    return ALL, labels
+    return ALL, labels, message
 
 
 def label_not_a_number(draw, root):
-    bad = draw(st.sampled_from(["string", "bool", "401 digits"]))
+    """A frame made a string, a bool or a float, or a center, size or yaw
+    made a string, a bool or an integer that no float holds."""
     key = draw(st.sampled_from(["frame", "center", "size", "yaw"]))
-    j = draw(st.integers(0, 2))
+    if key == "frame":
+        bad = draw(st.one_of(st.integers(1, 4).map(str), st.booleans(),
+                             st.integers(1, 4).map(float)))
+        why = f"frame {json.dumps(bad)} is not a JSON integer"
+    else:
+        bad = draw(st.one_of(st.floats().map(str), st.booleans(),
+                             st.sampled_from([10 ** 400, -10 ** 400])))
+        why = ("int too large to convert to float" if type(bad) is int
+               else f"{json.dumps(bad)} is not a JSON number")
 
-    def edit(rec, n):
-        holder, k = (rec[key], j) if key in ("center", "size") else (rec, key)
-        holder[k] = {"string": str(holder[k]), "bool": draw(st.booleans()),
-                     "401 digits": draw(st.sampled_from([1, -1])) * 10 ** 400}[bad]
+    def edit(rec, t, n):
+        if key in ("center", "size"):
+            rec[key][draw(st.integers(0, 2))] = bad
+        else:
+            rec[key] = bad
+        return f"line {t}: bad label ({why})"
+    return _edit_label(draw, root, edit)
+
+
+def label_bad_value(draw, root):  # JSON NaN or Infinity, or a size <= 0
+    def edit(rec, t, n):
+        vals, why = _bad_box(draw, [*rec["center"], *rec["size"], rec["yaw"]])
+        rec.update(center=vals[:3], size=vals[3:6], yaw=vals[6])
+        return f"line {t}: {why}"
     return _edit_label(draw, root, edit)
 
 
 def label_frame_gap(draw, root):
-    def edit(rec, n):
+    def edit(rec, t, n):
         rec["frame"] = n + draw(st.integers(1, 3))
+        return f"frame indices are not 1..{n}"
     return _edit_label(draw, root, edit)
 
 
 def too_few_labels(draw, root):
     labels = _labels(draw, root)
     lines = labels.read_text().splitlines(keepends=True)
-    labels.write_text("".join(lines[:draw(st.integers(0, 1))]))
-    return ALL, labels
+    labels.write_text("".join(lines[:(n := draw(st.integers(0, 1)))]))
+    return ALL, labels, f"a sequence needs at least 2 frames, got {n}"
 
 
 def _edit_tracklet_line(draw, root, edit):
+    """Edit the fields of a drawn line t of a drawn tracklet.txt: `edit(parts,
+    t)` returns the error message after the line number."""
     tracklet = _tracklet(draw, root)
     lines = tracklet.read_text().splitlines(keepends=True)
     i = draw(st.integers(0, len(lines) - 1))
     parts = lines[i].split()
-    edit(parts, i + 1)
+    why = edit(parts, i + 1)
     lines[i] = " ".join(parts) + "\n"
     tracklet.write_text("".join(lines))
-    return ("eval",), tracklet
+    return ("eval",), tracklet, f"line {i + 1}: {why}"
 
 
 def tracklet_seven_fields(draw, root):
-    return _edit_tracklet_line(draw, root, lambda parts, t: parts.pop(draw(st.integers(0, 7))))
+    def edit(parts, t):
+        parts.pop(draw(st.integers(0, 7)))
+        return "expected 8 fields, got 7"
+    return _edit_tracklet_line(draw, root, edit)
 
 
 def tracklet_index_out_of_order(draw, root):
     def edit(parts, t):
-        parts[0] = str(draw(st.integers(-2, 9).filter(lambda v: v != t)))
+        parts[0] = str(index := draw(st.integers(-2, 9).filter(lambda v: v != t)))
+        return f"frame index {index} out of order"
     return _edit_tracklet_line(draw, root, edit)
+
+
+def tracklet_bad_value(draw, root):  # NaN or inf, or a size <= 0
+    def edit(parts, t):
+        vals, why = _bad_box(draw, [float(v) for v in parts[1:]])
+        parts[1:] = map(repr, vals)
+        return why
+    return _edit_tracklet_line(draw, root, edit)
+
+
+def tracklet_short(draw, root):  # fewer boxes than its sequence has frames
+    tracklet = _tracklet(draw, root)
+    lines = tracklet.read_text().splitlines(keepends=True)
+    tracklet.write_text("".join(lines[:(n := draw(st.integers(0, len(lines) - 1)))]))
+    return ("eval",), tracklet, (f"{n} boxes but the sequence {root / 'd' / tracklet.parent.name}"
+                                 f" has {len(lines)} frames")
+
+
+def _params(blob):
+    """Each parameter of a checkpoint: its name and the offsets of its name
+    length, its shape, its data and its end."""
+    off = 12
+    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+        (nlen,) = struct.unpack_from("<H", blob, off)
+        shape_at = off + 3 + nlen
+        ndim = blob[shape_at - 1]
+        data = shape_at + 4 * ndim
+        end = data + 8 * math.prod(struct.unpack_from(f"<{ndim}I", blob, shape_at))
+        yield blob[off + 2:shape_at - 1].decode(), off, shape_at, data, end
+        off = end
 
 
 def checkpoint_cut(draw, root):
     ck = root / "ck.bin"
     blob = ck.read_bytes()
-    ck.write_bytes(blob[:draw(st.integers(0, len(blob) - 1))])
-    return ("track",), ck
+    ck.write_bytes(blob[:(cut := draw(st.integers(0, len(blob) - 1)))])
+    ends = [(4, "byte 0: bad magic (not a checkpoint)"), (12, f"byte {cut}: truncated header")]
+    for name, off, shape_at, data, end in _params(blob):  # the field the cut falls in
+        ends += [(off + 2, f"byte {off}: truncated name length"),
+                 (shape_at, f"byte {off + 2}: truncated name"),
+                 (data, f"byte {shape_at}: truncated shape"),
+                 (end, f"byte {data}: truncated data for '{name}'")]
+    return ("track",), ck, next(why for at, why in ends if cut < at)
 
 
-def checkpoint_nan(draw, root):
+def _draw_param(draw, blob):
+    params = list(_params(blob))
+    return params[draw(st.integers(0, len(params) - 1))]
+
+
+def checkpoint_nan(draw, root):  # NaN or inf
     ck = root / "ck.bin"
-    store = ParamStore()
-    for name, arr in read_checkpoint(str(ck)).items():
-        store.create(name, arr)
-    name = draw(st.sampled_from(store.names()))
-    store[name].data.flat[draw(st.integers(0, store[name].data.size - 1))] = np.nan
-    save_checkpoint(store, str(ck))
-    return ("track",), ck, f"non-finite value in '{name}'"
+    blob = bytearray(ck.read_bytes())
+    name, _, _, data, end = _draw_param(draw, blob)
+    at = data + 8 * draw(st.integers(0, (end - data) // 8 - 1))
+    struct.pack_into("<d", blob, at, draw(NOT_FINITE))
+    ck.write_bytes(bytes(blob))
+    return ("track",), ck, f"byte {at}: non-finite value in '{name}'"
+
+
+def checkpoint_name_not_utf8(draw, root):
+    ck = root / "ck.bin"
+    blob = bytearray(ck.read_bytes())
+    name, off, *_ = _draw_param(draw, blob)
+    blob[at := off + 2 + draw(st.integers(0, len(name) - 1))] = 0xFF
+    ck.write_bytes(bytes(blob))
+    return ("track",), ck, f"byte {at}: parameter name is not valid utf-8 (invalid start byte)"
+
+
+def checkpoint_shape_past_int64(draw, root):  # its data would be past 2**63 bytes
+    ck = root / "ck.bin"
+    shape = draw(st.sampled_from([(2**32 - 1,) * 2, (2**16,) * 4]))
+    ck.write_bytes(shape_only_checkpoint(shape))
+    return ("track",), ck, f"byte {16 + 4 * len(shape)}: truncated data for 'w'"
 
 
 CORRUPTIONS = [truncated_frame, non_finite_point, missing_frame, extra_frame, labels_not_utf8,
-               tracklet_not_utf8, label_not_a_number, label_frame_gap, too_few_labels,
-               tracklet_seven_fields, tracklet_index_out_of_order, checkpoint_cut,
-               checkpoint_nan]
+               tracklet_not_utf8, label_not_a_number, label_bad_value, label_frame_gap,
+               too_few_labels, tracklet_seven_fields, tracklet_index_out_of_order,
+               tracklet_bad_value, tracklet_short, checkpoint_cut, checkpoint_nan,
+               checkpoint_name_not_utf8, checkpoint_shape_past_int64]
+
+
+class Pin:
+    """A fixed case for @example: `draw` returns `values` in order, whatever
+    it is asked for: the corruption first, then its draws, then the command."""
+
+    def __init__(self, *values):
+        self.values, self._left = values, iter(values)
+
+    def draw(self, strategy):
+        return next(self._left)
+
+    def __repr__(self):
+        return f"Pin({', '.join(getattr(v, '__name__', repr(v)) for v in self.values)})"
 
 
 @pytest.fixture(scope="module")
@@ -704,32 +689,46 @@ def fuzz_inputs(tmp_path_factory):
     """3 generated sequences of 4 frames, an initial-weights checkpoint, and
     the tracklets `track` writes from them."""
     root = tmp_path_factory.mktemp("fuzz")
-    data, ck = data_and_checkpoint(root, FUZZ)
+    data, ck = root / "d", root / "ck.bin"
+    assert run(["gen", "--out", data, "--seed", 3] + FUZZ) == 0
+    write_checkpoint(ck, FUZZ)
     assert run(["track", "--checkpoint", ck, "--data", data, "--out", root / "trk"] + FUZZ) == 0
     return root
 
 
 @settings(max_examples=300)
 @given(st.data())
+@example(data=Pin(non_finite_point, "seq_002", 3, 4, math.nan, "track"))  # the last sequence
+@example(data=Pin(truncated_frame, "seq_001", 2, 8, 4, "track"))  # to 100 bytes
+@example(data=Pin(labels_not_utf8, "seq_001", 40, "train"))
+@example(data=Pin(label_not_a_number, "frame", 1.0, "seq_001", 0, "train"))
+@example(data=Pin(label_not_a_number, "center", "1.5", "seq_001", 1, 0, "train"))
+@example(data=Pin(too_few_labels, "seq_000", 0, "train"))
+@example(data=Pin(too_few_labels, "seq_002", 1, "track"))
+@example(data=Pin(tracklet_short, "seq_000", 3, "eval"))
+@example(data=Pin(tracklet_bad_value, "seq_000", 1, 3, 0.0, "eval"))  # w = 0 on line 2
+@example(data=Pin(checkpoint_nan, 0, 1, math.inf, "track"))
+@example(data=Pin(checkpoint_name_not_utf8, 0, 0, "track"))  # byte 14
+@example(data=Pin(checkpoint_shape_past_int64, (2**32 - 1,) * 2, "track"))  # byte 24
 def test_corrupt_input_exit_code_2(fuzz_inputs, data):
     """One always-invalid edit to one input of `train --data`, `track` or
-    `eval` exits 2 with a data error that names the file (the sequence
-    directory for a file-count error), no traceback, and no run directory."""
+    `eval` exits 2 with one line, the data error that names the file (the
+    sequence directory for a file-count error), and makes no run directory."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "in"
         shutil.copytree(fuzz_inputs, root)
-        commands, named, *detail = data.draw(st.sampled_from(CORRUPTIONS))(data.draw, root)
+        corruption = data.draw(st.sampled_from(CORRUPTIONS))
+        commands, named, message = corruption(data.draw, root)
+        command = data.draw(st.sampled_from(commands))
+        event(f"{corruption.__name__}/{command}")
         seqs, out = root / "d", Path(tmp) / "o"
         args = {"train": ["train", "--data", seqs] + FUZZ,
                 "track": ["track", "--checkpoint", root / "ck.bin", "--data", seqs] + FUZZ,
                 "eval": ["eval", "--pred", root / "trk", "--gt", seqs]}
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = run(args[data.draw(st.sampled_from(commands))] + ["--out", out])
-        err = err.getvalue()
-        assert code == 2, err
-        assert err.startswith(f"data error: {named}: ") and "Traceback" not in err
-        assert all(d in err for d in detail), err
+            code = run(args[command] + ["--out", out])
+        assert (code, err.getvalue()) == (2, f"data error: {named}: {message}\n")
         assert not out.exists()
 
 
@@ -815,66 +814,6 @@ def test_track_checkpoint_shape_mismatch_exit_1(tmp_path):
     assert not (tmp_path / "t").exists()
 
 
-def write_short_sequence(path, n):
-    """A sequence directory of `n` < 2 frames, which `gen` never writes;
-    returns its labels file and its boxes."""
-    seq = generate(SceneConfig(scene_length=2, seed=4))
-    write_sequence(LabeledSequence(frames=seq.frames[:n], gt=seq.gt[:n]), str(path))
-    return path / "labels.jsonl", seq.gt[:n]
-
-
-def test_track_short_sequence_exit_code_2(tmp_path, capsys):
-    data, ck = data_and_checkpoint(tmp_path)
-    labels, _ = write_short_sequence(data / "seq_short", 1)
-    capsys.readouterr()
-    out = tmp_path / "t"
-    code = run(["track", "--checkpoint", ck, "--data", data, "--out", out] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"data error: {labels}: a sequence needs at least 2 frames, got 1\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_short_sequence_exit_code_2(tmp_path, capsys, command, n):
-    # train died in an IndexError traceback at 0 frames and skipped 1; eval
-    # scored the sequence 0 and put that 0 in the mean
-    seq_dir = tmp_path / "d" / "seq_000"
-    labels, boxes = write_short_sequence(seq_dir, n)
-    tracklet = tmp_path / "tracklet.txt"
-    write_tracklet(boxes, [False] * n, str(tracklet))
-    out = tmp_path / "o"
-    args = (["train", "--data", tmp_path / "d"] + FAST if command == "train"
-            else ["eval", "--pred", tracklet, "--gt", seq_dir])
-    code = run(args + ["--out", out])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"data error: {labels}: a sequence needs at least 2 frames, got {n}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("field,value,named", [
-    pytest.param("center", ["1.5", True, "2"], '"1.5" is not a JSON number', id="string"),
-    pytest.param("size", [1.0, True, 3.0], "true is not a JSON number", id="bool"),
-    pytest.param("yaw", 10 ** 400, "int too large to convert to float", id="int-past-float")])
-def test_label_number_not_a_float_exit_code_2(tmp_path, capsys, field, value, named):
-    # each was read through float(): the first two as a box, the last in an
-    # OverflowError traceback
-    data, out = tmp_path / "d", tmp_path / "o"
-    assert run(["gen", "--out", data, "--seed", 3] + FAST) == 0
-    labels = data / "seq_001" / "labels.jsonl"
-    lines = labels.read_text().splitlines(keepends=True)
-    lines[1] = json.dumps({**json.loads(lines[1]), field: value}) + "\n"
-    labels.write_text("".join(lines))
-    capsys.readouterr()
-    code = run(["train", "--data", data, "--out", out] + FAST)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"data error: {labels}: line 2: bad label ({named})\n"
-    assert not out.exists()
-
-
 def test_eval_perfect_oracle_stub_scores_one(tmp_path):
     """Tracklets produced by a ground-truth motion stub evaluate to 1.0."""
     seq = generate(SceneConfig(scene_length=5, seed=13))
@@ -897,36 +836,6 @@ def test_eval_perfect_oracle_stub_scores_one(tmp_path):
     _, succ, prec = summary.split(",")
     assert float(succ) == pytest.approx(1.0, abs=1e-9)
     assert float(prec) == pytest.approx(1.0, abs=1e-9)
-
-
-def _set_field(line, i, value):
-    parts = line.split()
-    parts[i] = value
-    return " ".join(parts) + "\n"
-
-
-@pytest.mark.parametrize("target,lineno,edit,named", [
-    pytest.param("pred", 4, lambda line: "", "3 boxes", id="tracklet-short"),
-    pytest.param("pred", 2, lambda line: _set_field(line, 4, "0"), "line 2", id="tracklet-size-0"),
-    pytest.param("pred", 2, lambda line: _set_field(line, 1, "nan"), "line 2", id="tracklet-nan"),
-    pytest.param("gt", 3, lambda line: json.dumps({**json.loads(line), "yaw": float("nan")}) + "\n",
-                 "line 3", id="labels-nan")])
-def test_eval_malformed_input_exit_code_2(tmp_path, capsys, target, lineno, edit, named):
-    seq = generate(SceneConfig(scene_length=4, seed=3))
-    write_sequence(seq, str(tmp_path / "gt" / "seq_000"))
-    os.makedirs(tmp_path / "pred" / "seq_000")
-    write_tracklet(seq.gt, [False] * 4, str(tmp_path / "pred" / "seq_000" / "tracklet.txt"))
-    bad = tmp_path / target / "seq_000" / ("tracklet.txt" if target == "pred" else "labels.jsonl")
-    lines = bad.read_text().splitlines(keepends=True)
-    lines[lineno - 1] = edit(lines[lineno - 1])
-    bad.write_text("".join(lines))
-    code = run(["eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
-                "--out", tmp_path / "ev"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith(f"data error: {bad}: ") and named in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "ev").exists()
 
 
 def test_small_outputs_are_written_whole(tmp_path, monkeypatch):

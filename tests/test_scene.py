@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bevsot.exceptions import ConfigError, DataFormatError
 from bevsot.geometry import Box3D, compose_pose, relative_motion
 from bevsot.pillars import CropSpec
-from bevsot.scene import (POISSON_LAM_MAX, SceneConfig, augment, flip_sample, generate,
+from bevsot.scene import (MAX_FRAME_POINTS, SceneConfig, augment, flip_sample, generate,
                           rotate_sample)
 from bevsot.seqio import (read_labels, read_points_bin, read_sequence, read_tracklet,
                           write_sequence, write_tracklet)
@@ -80,15 +80,12 @@ def test_undrawable_scene_values_rejected(values, named):
         SceneConfig(**values)
 
 
-def test_clutter_bound_is_numpys_poisson_limit():
-    # a 1 m clutter slab: its expected point count is clutter_density itself
-    np.random.default_rng(0).poisson(POISSON_LAM_MAX, size=0)
-    SceneConfig(clutter_extent=0.5, clutter_density=POISSON_LAM_MAX)
-    too_many = math.nextafter(POISSON_LAM_MAX, math.inf)
-    with pytest.raises(ValueError, match="lam value too large"):
-        np.random.default_rng(0).poisson(too_many, size=0)
-    with pytest.raises(ConfigError, match="clutter_density over clutter_extent"):
-        SceneConfig(clutter_extent=0.5, clutter_density=too_many)
+def test_frame_point_bound_is_exact():
+    # a 1 m clutter slab and no target points: a frame expects clutter_density points
+    SceneConfig(clutter_extent=0.5, points_per_m2=0.0, clutter_density=MAX_FRAME_POINTS)
+    too_many = math.nextafter(MAX_FRAME_POINTS, math.inf)
+    with pytest.raises(ConfigError, match="expect 4.19e[+]06 points in a frame"):
+        SceneConfig(clutter_extent=0.5, points_per_m2=0.0, clutter_density=too_many)
 
 
 # ---------------------------------------------------------------------------
