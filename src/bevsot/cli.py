@@ -7,7 +7,10 @@ input error is found before the run directory is made, and leaves none; a scene
 whose frames expect more than scene.MAX_FRAME_POINTS points is a config error.
 train and track build their model before the run directory is made, so a model
 too large to hold (say channels=2**40) ends in numpy's MemoryError traceback and
-leaves none.
+leaves none. tests/test_cli.py checks each exit code's cases in one place:
+test_invalid_config_creates_no_run_dir (1), CORRUPTIONS and
+test_unusable_path_exit_code_2 (2), test_numeric_failure_exit_code_3 (3); CI
+runs the console script on one case of 1 and one of 2 only.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def cmd_eval(args) -> int:
             name = os.path.basename(os.path.normpath(seq_dir))
             tfile = os.path.join(args.pred, name, "tracklet.txt")
             if not os.path.isfile(tfile):
-                raise DataFormatError(f"no tracklet for sequence '{name}' under {args.pred}")
+                raise DataFormatError(f"{tfile}: no tracklet for sequence '{name}'")
             pairs.append((tfile, seq_dir))
     results = {}
     for tfile, seq_dir in pairs:
