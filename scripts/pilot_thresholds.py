@@ -9,6 +9,7 @@ configuration and its seeds.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,10 +33,9 @@ def run_pilot(log=None) -> dict:
     cfg.epochs = 100  # the step cap governs
     spec = cfg.crop_spec()
 
-    train_seqs = [generate(cfg.scene_config(seed=1000 + i, static=i < 12))
-                  for i in range(48)]
-    val_seqs = [generate(cfg.scene_config(seed=9000 + i, static=i < 4))
-                for i in range(20)]
+    train_seqs = [generate(s) for s in cfg.scene_configs(1)]  # `bevsot gen --seed 1`
+    val_seqs = [generate(s) for s in
+                replace(cfg, sequences=20, static_fraction=0.2).scene_configs(9)]
     samples = make_training_samples(train_seqs, spec)
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     eval_sub = samples[::4]

@@ -47,19 +47,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_args(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key=value config file")
+    # --seed and the ablation flags append to --set's list, so every override
+    # resolves left to right and the later one wins; --set comes first so its
+    # [] default is the one taken
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
+    p.add_argument("--config", help="key=value config file")
     p.add_argument("--preset", choices=["desk", "full"], default="desk",
                    help="desk (default) or the expensive full-scale preset")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--no-imm", action="store_true",
+    p.add_argument("--seed", dest="set", action="append", type="seed={}".format,
+                   metavar="SEED", help="override the config seed")
+    p.add_argument("--no-imm", dest="set", action="append_const", const="imm=false",
                    help="disable inter-frame motion gating (gate == 1)")
-    p.add_argument("--no-dwc", action="store_true",
+    p.add_argument("--no-dwc", dest="set", action="append_const", const="dwc=false",
                    help="drop the shared depthwise conv from preprocessing")
-    p.add_argument("--no-linear", action="store_true",
+    p.add_argument("--no-linear", dest="set", action="append_const", const="linear=false",
                    help="drop the shared linear layer from preprocessing")
-    p.add_argument("--unshared", action="store_true",
+    p.add_argument("--unshared", dest="set", action="append_const", const="shared=false",
                    help="separate previous-frame copies of CNN/linear/DWC weights "
                         "(needs the motion module)")
 
@@ -77,16 +81,6 @@ def _build_config(args, base: cfgmod.RunConfig | None = None) -> cfgmod.RunConfi
         key, val = item.split("=", 1)
         overrides[key.strip()] = val
     cfg = cfgmod.from_items(overrides, cfg)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.no_imm:
-        cfg.imm = False
-    if args.no_dwc:
-        cfg.dwc = False
-    if args.no_linear:
-        cfg.linear = False
-    if args.unshared:
-        cfg.shared = False
     cfg.validate()
     return cfg
 
@@ -114,22 +108,13 @@ def _run_dir(args, tag: str, files: dict[str, str]) -> str:
     return out
 
 
-def _generate_dataset(cfg: cfgmod.RunConfig, base_seed: int):
-    n_static = round(cfg.static_fraction * cfg.sequences)
-    seqs = []
-    for i in range(cfg.sequences):
-        seqs.append(generate(cfg.scene_config(seed=base_seed * 1000 + i,
-                                              static=i < n_static)))
-    return seqs
-
-
 def cmd_gen(args) -> int:
     cfg = _build_config(args)
-    seqs = _generate_dataset(cfg, cfg.seed)
+    scenes = cfg.scene_configs(cfg.seed)
+    seqs = [generate(scene) for scene in scenes]
     out = _run_dir(args, "gen", {"config.echo.cfg": cfgmod.config_text(cfg)})
-    for i, seq in enumerate(seqs):
-        write_sequence(seq, os.path.join(out, f"seq_{i:03d}"),
-                       meta={"seed": cfg.seed * 1000 + i})
+    for i, (scene, seq) in enumerate(zip(scenes, seqs)):
+        write_sequence(seq, os.path.join(out, f"seq_{i:03d}"), meta={"seed": scene.seed})
     print(f"wrote {len(seqs)} sequences to {out}")
     return 0
 
@@ -139,7 +124,7 @@ def cmd_train(args) -> int:
     if args.data:
         seqs = [read_sequence(d) for d in list_sequence_dirs(args.data)]
     else:
-        seqs = _generate_dataset(cfg, cfg.seed)
+        seqs = [generate(scene) for scene in cfg.scene_configs(cfg.seed)]
     samples = [s for seq in seqs
                for s in make_training_samples([seq], cfg.crop_spec(seq.gt[0]))]
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
@@ -147,7 +132,7 @@ def cmd_train(args) -> int:
     print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
 
     history = train(model, samples, cfg.train_settings(), log=print)
-    save_train_log(history, len(model.alphas()), os.path.join(out, "train_log.csv"))
+    save_train_log(history, os.path.join(out, "train_log.csv"))
     ckpt = os.path.join(out, "checkpoint.bin")
     save_checkpoint(model.store, ckpt)
     print(f"checkpoint: {ckpt}")
@@ -243,7 +228,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="bevsot", description=__doc__)
+    p = _Parser(prog="bevsot",
+                description="Desk-scale bird's-eye-view LiDAR single-object tracker.")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate labeled synthetic sequences")

@@ -99,6 +99,13 @@ class RunConfig:
     def scene_config(self, seed: int, static: bool = False) -> SceneConfig:
         return self._view(SceneConfig, seed=seed, static=static)
 
+    def scene_configs(self, base_seed: int) -> list[SceneConfig]:
+        """The generated data set: scene i has seed base_seed * 1000 + i, and the
+        first round(static_fraction * sequences) scenes are static."""
+        n_static = round(self.static_fraction * self.sequences)
+        return [self.scene_config(seed=base_seed * 1000 + i, static=i < n_static)
+                for i in range(self.sequences)]
+
     def crop_spec(self, target_box=None) -> CropSpec:
         """The crop window. Fixed mode ignores `target_box`; ratio mode sizes
         the window from it and needs it."""

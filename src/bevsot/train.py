@@ -69,11 +69,11 @@ class EpochStats:
     steps: int
 
 
-def save_train_log(history: list[EpochStats], n_alpha: int, path: str):
+def save_train_log(history: list[EpochStats], path: str):
     """Write the per-epoch CSV (epoch, lr, loss, alpha1..alphaS), replacing
-    `path` only once the write is whole."""
+    `path` only once the write is whole. `history` holds at least one epoch."""
     with atomic_write(path) as fh:
-        cols = ["epoch", "lr", "loss"] + [f"alpha{s + 1}" for s in range(n_alpha)]
+        cols = ["epoch", "lr", "loss"] + [f"alpha{s + 1}" for s in range(len(history[0].alphas))]
         fh.write(",".join(cols) + "\n")
         for st in history:
             row = [str(st.epoch), repr(st.lr), repr(st.mean_loss)]

@@ -28,7 +28,7 @@ from bevsot.model import ModelConfig, TrackerModel
 from bevsot.params import read_checkpoint, save_checkpoint
 from bevsot.rules import NON_NEGATIVE, Rule
 from bevsot.scene import SceneConfig, generate
-from bevsot.seqio import write_sequence, write_tracklet
+from bevsot.seqio import read_sequence, write_sequence, write_tracklet
 from bevsot.track import track_sequence
 from bevsot.train import TrainSettings
 from tests.test_params import shape_only_checkpoint
@@ -44,11 +44,6 @@ def run(args):
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-
-def test_unknown_key_rejected_with_name():
-    with pytest.raises(ConfigError, match="unknown config key 'gridd'"):
-        from_items({"gridd": "32"})
 
 
 def test_bad_bool_rejected():
@@ -225,6 +220,13 @@ def test_scene_config_seed_is_the_argument():
     assert cfg.scene_config(seed=11, static=True).static
 
 
+@pytest.mark.parametrize("n,share,n_static", [(48, 0.25, 12), (20, 0.2, 4)])
+def test_scene_configs_are_the_data_set_recipe(n, share, n_static):
+    scenes = RunConfig(sequences=n, static_fraction=share).scene_configs(9)
+    assert [s.seed for s in scenes] == [9000 + i for i in range(n)]
+    assert [s.static for s in scenes] == [True] * n_static + [False] * (n - n_static)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -233,6 +235,14 @@ def test_usage_error_exit_code_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["track"])  # missing required args
     assert exc.value.code == 1
+
+
+def test_help_leaves_out_developer_notes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "\n\nDesk-scale bird's-eye-view LiDAR" in out
+    assert "MemoryError" not in out and "test_cli" not in out
 
 
 def _config_error(capsys, code, *names):
@@ -325,6 +335,8 @@ BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropou
                  id="gen-set-no-value"),
     pytest.param(["gen", "--set", "grid=abc"],
                  ["key 'grid': invalid literal for int() with base 10: 'abc'"], id="gen-grid-abc"),
+    pytest.param(["gen", "--seed", "abc"],
+                 ["key 'seed': invalid literal for int() with base 10: 'abc'"], id="gen-seed-abc"),
     pytest.param(["train", "--set", "grid=12"], ["grid", "12"], id="train-grid"),
     pytest.param(["train", "--no-imm", "--unshared"], ["shared=false", "imm=true"],
                  id="train-unshared"),
@@ -766,11 +778,20 @@ def test_corrupt_input_exit_code_2(fuzz_inputs, data):
 
 
 def test_gen_writes_sequences(tmp_path):
+    # scene i is seeded seed * 1000 + i and the first round(static_fraction *
+    # sequences) are static: their targets only drift, slower than speed_min
     out = tmp_path / "data"
-    assert run(["gen", "--out", out, "--seed", 3] + FAST) == 0
+    assert run(["gen", "--out", out, "--seed", 3] + FAST
+               + ["--set", "sequences=4", "--set", "static_fraction=0.5"]) == 0
     assert (out / "config.echo.cfg").exists()
     assert (out / "seq_000" / "labels.jsonl").exists()
     assert len(list((out / "seq_000" / "frames").iterdir())) == 4
+    dirs = sorted(out.glob("seq_*"))
+    assert [json.loads((d / "meta.json").read_text())["seed"] for d in dirs] == [
+        3000, 3001, 3002, 3003]
+    steps = [[math.dist(a.center[:2], b.center[:2]) for a, b in zip(gt, gt[1:])]
+             for gt in (read_sequence(str(d)).gt for d in dirs)]
+    assert [max(s) < SceneConfig.speed_min for s in steps] == [True, True, False, False]
 
 
 def test_default_run_dirs_in_one_second_are_not_shared(tmp_path, monkeypatch):
@@ -1014,10 +1035,14 @@ def test_gradcheck_ratio_crop_mode():
 
 
 def test_ablation_toggles_shape_the_checkpoint(tmp_path):
-    out = tmp_path / "no_imm"
-    assert run(["train", "--out", out, "--seed", 2, "--no-imm"] + FAST) == 0
-    names = set(read_checkpoint(str(out / "checkpoint.bin")))
-    assert not any("alpha" in n or "gate" in n for n in names)
+    # a flag is a spelling of --set, so of the two the later one wins
+    for order, imm in [(["--set", "imm=true", "--no-imm"], False),
+                       (["--no-imm", "--set", "imm=true"], True)]:
+        out = tmp_path / f"imm_{imm}"
+        assert run(["train", "--out", out, "--seed", 2] + order + FAST) == 0
+        names = set(read_checkpoint(str(out / "checkpoint.bin")))
+        assert [any(k in n for n in names) for k in ("alpha", "gate")] == [imm, imm]
+        assert f"imm={str(imm).lower()}\n" in (out / "config.echo.cfg").read_text()
 
     out2 = tmp_path / "unshared"
     assert run(["train", "--out", out2, "--seed", 2, "--unshared",

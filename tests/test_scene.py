@@ -160,11 +160,6 @@ def test_flip_changes_lateral_motion_sign():
     assert flipped.target.dtheta == pytest.approx(-s.target.dtheta, abs=1e-12)
 
 
-def test_bad_flip_axis():
-    with pytest.raises(ConfigError):
-        flip_sample(make_sample(), "z")
-
-
 def test_flip_axis_rule_is_the_train_settings_rule():
     with pytest.raises(ConfigError) as flip:
         flip_sample(make_sample(), "z")

@@ -159,14 +159,14 @@ def test_step_that_raises_leaves_no_gradient():
 def test_train_log_write_that_fails_keeps_previous_file(tmp_path):
     path = tmp_path / "train_log.csv"
     stats = [EpochStats(epoch=0, lr=5e-4, mean_loss=0.25, alphas=[1.0, 1.0], steps=2)]
-    save_train_log(stats, 2, str(path))
+    save_train_log(stats, str(path))
     before = path.read_bytes()
     assert before.decode().splitlines() == ["epoch,lr,loss,alpha1,alpha2",
                                             "0,0.0005,0.25,1.000000,1.000000"]
     # the second row's alpha cannot be formatted, so the write fails midway
     stats.append(EpochStats(epoch=1, lr=5e-4, mean_loss=0.5, alphas=["x", 1.0], steps=4))
     with pytest.raises(ValueError):
-        save_train_log(stats, 2, str(path))
+        save_train_log(stats, str(path))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv"]
 
@@ -174,7 +174,7 @@ def test_train_log_write_that_fails_keeps_previous_file(tmp_path):
 def test_train_log_write_that_fails_leaves_no_file(tmp_path):
     stats = [EpochStats(epoch=0, lr=5e-4, mean_loss=0.25, alphas=["x"], steps=2)]
     with pytest.raises(ValueError):
-        save_train_log(stats, 1, str(tmp_path / "train_log.csv"))
+        save_train_log(stats, str(tmp_path / "train_log.csv"))
     assert list(tmp_path.iterdir()) == []
 
 
