@@ -205,18 +205,6 @@ def stack(ts: Sequence[Tensor]) -> Tensor:
                 lambda g: tuple(g[i] for i in range(len(ts))))
 
 
-def take(a: Tensor, i: int) -> Tensor:
-    """Index along axis 0 (used to pull one head out of a stacked tensor)."""
-    shape = a.data.shape
-
-    def bw(g):
-        out = np.zeros(shape)
-        out[i] = g
-        return (out,)
-
-    return _out(a.data[i].copy(), "take", (a,), bw)
-
-
 def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     cols = a.data.shape[-1]
 
@@ -247,11 +235,6 @@ def _sigmoid_value(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarra
         return np.divide(1.0, out, out=out)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_value(a.data)
-    return _out(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
-
-
 def silu(a: Tensor) -> Tensor:
     x = a.data
 
@@ -277,9 +260,12 @@ def wrap_angle(a: Tensor) -> Tensor:
 
 
 def wrap_angle_value(x):
-    """numpy/scalar version of the (-pi, pi] wrap."""
-    w = np.mod(np.asarray(x, dtype=np.float64) + np.pi, 2.0 * np.pi) - np.pi
-    w = np.where(w == -np.pi, np.pi, w)
+    """numpy/scalar version of the (-pi, pi] wrap. An angle already in
+    (-pi, pi] is returned unchanged, bit for bit; any other is moved by a
+    multiple of 2 pi (with the rounding of x + pi), and -pi goes to pi."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+    w = np.where((-np.pi < x) & (x <= np.pi), x, np.where(w == -np.pi, np.pi, w))
     if np.ndim(x) == 0:
         return float(w)
     return w
@@ -401,6 +387,7 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
         drhs_t = [np.zeros((2 * d, N)) for _ in cols]
         dG = np.zeros_like(G.data)
         m_buf, q_buf, tmp_buf = np.empty((3, rows, N))
+        G_t = [np.ascontiguousarray(G.data[h].T) for h in range(heads)]  # d x N: a faster dz G^T
         for h, c, t in tiles:
             m, q = neg_silu_tile(h, t, m_buf, q_buf)
             dG[h] -= m.T @ dz[t, c]
@@ -411,7 +398,7 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
             np.subtract(1.0, sig, out=tmp)
             np.multiply(m, tmp, out=tmp)
             np.subtract(tmp, sig, out=tmp)
-            dns = np.multiply(np.matmul(dz[t, c], G.data[h].T, out=sig), tmp, out=tmp)
+            dns = np.multiply(np.matmul(dz[t, c], G_t[h], out=sig), tmp, out=tmp)
             np.matmul(dns, rhs_t[h].T, out=dlhs[h][t])
             drhs_t[h] += lhs[h][t].T @ dns
         dqp = np.hstack([x[:, d:] for x in dlhs])

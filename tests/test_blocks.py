@@ -13,7 +13,7 @@ from bevsot import tensor as T
 from bevsot.blocks import (BlockParams, FrameEncoder, block_forward,
                            focus_attention, imm_weights, preprocess, tokenize)
 from bevsot.exceptions import NumericError, ShapeError
-from bevsot.gradcheck import gradcheck_params
+from bevsot.gradcheck import gradcheck, gradcheck_params
 from bevsot.tensor import Tape, Tensor
 
 
@@ -240,8 +240,7 @@ def test_attention_gate_strictly_inside_unit_interval(rng):
     bp = make_block(rng=rng)
     x = Tensor(rng.standard_normal((16, 4)))
     wm = imm_weights(Tensor(rng.standard_normal((16, 4))), x, bp)
-    gate = T.sigmoid(T.add(T.matmul(T.take(wm, 0), T.take(bp.gate_w, 0)),
-                           T.take(bp.gate_b, 0)))
+    gate = sigmoid(T.add(T.matmul(take(wm, 0), take(bp.gate_w, 0)), take(bp.gate_b, 0)))
     assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
 
@@ -264,8 +263,7 @@ def _per_head_attention(xb_curr, xb_prev, bp):
     for i in range(bp.heads):
         core = T.matmul(T.silu(qs[i]), T.matmul(T.transpose(T.silu(ks[i])), vs[i]))
         if wm is not None:
-            gate = T.sigmoid(T.add(T.matmul(T.take(wm, i), T.take(bp.gate_w, i)),
-                                   T.take(bp.gate_b, i)))
+            gate = sigmoid(T.add(T.matmul(take(wm, i), take(bp.gate_w, i)), take(bp.gate_b, i)))
             core = T.mul(core, gate)
         outs.append(core)
     return T.linear(T.concat(outs, axis=-1), bp.lo_w, bp.lo_b)
@@ -328,6 +326,27 @@ def _gate_leaves(rng, N=16, C=4, heads=1, alpha=0.5):
                 gate_b=leaf(rng.uniform(-0.5, 0.5, (heads, d))))
 
 
+def take(a, i):
+    """Tape op: a[i], one head of a stacked tensor."""
+    def bw(g):
+        out = np.zeros(a.shape)
+        out[i] = g
+        return (out,)
+    return T._out(a.data[i].copy(), "take", (a,), bw)
+
+
+def sigmoid(a):
+    s = T._sigmoid_value(a.data)
+    return T._out(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
+
+
+def test_take_and_sigmoid_grads(rng):
+    x = leaf(rng.standard_normal((2, 25)))
+    w = Tensor(rng.standard_normal(25))
+    assert sigmoid(Tensor(0.0)).item() == 0.5
+    assert gradcheck(lambda t: T.sum_all(T.mul(sigmoid(take(t, 1)), w)), x) < 1e-7
+
+
 def _oracle_gates(lv, heads):
     """sigmoid(take(imm_weights) take(gate_w) + gate_b) per head. Selector
     projections make imm_weights' Q and K the leaf halves themselves, so the
@@ -340,8 +359,8 @@ def _oracle_gates(lv, heads):
                      ln2_g=None, ln2_b=None, ffn1_w=None, ffn1_b=None, ffn2_w=None,
                      ffn2_b=None, alpha=lv["alpha"])
     wm = imm_weights(lv["xp"], lv["xc"], bp)
-    return [T.sigmoid(T.add(T.matmul(T.take(wm, i), T.take(lv["gate_w"], i)),
-                            T.take(lv["gate_b"], i))) for i in range(heads)]
+    return [sigmoid(T.add(T.matmul(take(wm, i), take(lv["gate_w"], i)), take(lv["gate_b"], i)))
+            for i in range(heads)]
 
 
 def _fused_gates(lv, heads):

@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, config echo, and the command suite on
 small workloads."""
 
+import ast
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -31,7 +34,6 @@ from bevsot.scene import SceneConfig, generate
 from bevsot.seqio import read_sequence, write_sequence, write_tracklet
 from bevsot.track import track_sequence
 from bevsot.train import TrainSettings
-from tests.test_params import shape_only_checkpoint
 
 FAST = ["--set", "sequences=3", "--set", "scene_length=4", "--set", "grid=16",
         "--set", "channels=4", "--set", "head_trunk=32", "--set", "epochs=1",
@@ -423,13 +425,15 @@ def test_unusable_path_exit_code_2(tmp_path, capsys, args, named):
 # takes (draw, inputs root), edits a file under it, and returns the path the
 # error names and the message after it. CORRUPTIONS, the one registry of
 # malformed inputs to `train --data`, `track` and `eval`, says which commands
-# read each file: a new input check adds its corruption there.
+# read each file: a new input check adds its corruption there, and
+# test_every_data_error_is_pinned fails until it does.
 
 FUZZ = [a.replace("head_trunk=32", "head_trunk=16") for a in FAST]
 SEQ_DIRS = ("seq_000", "seq_001", "seq_002")
 ALL, EVAL_ONLY, TRACK_ONLY = ("train", "track", "eval"), ("eval",), ("track",)
 NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+LABEL_KEYS = ("frame", "center", "size", "yaw")  # in the order read_labels reads them
 
 
 def _draw_frame(draw, root):
@@ -446,14 +450,17 @@ def truncated_frame(draw, root):
                    f"(file size {12 * k + r} is not a multiple of 12)")
 
 
-def non_finite_point(draw, root):
+def non_finite_point(draw, root):  # 1 to 3 points, each with a coordinate made NaN or inf
     frame = _draw_frame(draw, root)
-    xyz = np.fromfile(frame, dtype="<f4")
-    i = draw(st.integers(0, xyz.size - 1))
-    xyz[i] = draw(NOT_FINITE)
+    xyz = np.fromfile(frame, dtype="<f4").reshape(-1, 3)
+    points = set()
+    for _ in range(draw(st.integers(1, 3))):
+        points.add(p := draw(st.integers(0, len(xyz) - 1)))
+        j = draw(st.integers(0, 2))
+        xyz[p, j] = draw(NOT_FINITE)
     xyz.tofile(frame)
-    p = i // 3
-    return frame, f"byte {12 * p}: non-finite coordinate in point {p} (1 such points)"
+    p = min(points)
+    return frame, f"byte {12 * p}: non-finite coordinate in point {p} ({len(points)} such points)"
 
 
 def missing_frame(draw, root):
@@ -540,6 +547,15 @@ def label_not_a_number(draw, root):
     return _edit_label(draw, root, edit)
 
 
+def label_missing_key(draw, root):  # the error names the first one read
+    def edit(rec, t, n):
+        gone = {draw(st.sampled_from(LABEL_KEYS)) for _ in range(draw(st.integers(1, 4)))}
+        for key in gone:
+            del rec[key]
+        return f"line {t}: bad label ({min(gone, key=LABEL_KEYS.index)!r})"
+    return _edit_label(draw, root, edit)
+
+
 def label_bad_value(draw, root):  # JSON NaN or Infinity, or a size <= 0
     def edit(rec, t, n):
         vals, why = _bad_box(draw, [*rec["center"], *rec["size"], rec["yaw"]])
@@ -586,6 +602,15 @@ def tracklet_index_out_of_order(draw, root):
     def edit(parts, t):
         parts[0] = str(index := draw(st.integers(-2, 9).filter(lambda v: v != t)))
         return f"frame index {index} out of order"
+    return _edit_tracklet_line(draw, root, edit)
+
+
+def tracklet_not_a_number(draw, root):  # a field that int() or float() cannot read
+    def edit(parts, t):
+        j = draw(st.integers(0, 7))
+        parts[j] = word = draw(st.text("xyz_", min_size=1, max_size=3))
+        return (f"invalid literal for int() with base 10: {word!r}" if j == 0
+                else f"could not convert string to float: {word!r}")
     return _edit_tracklet_line(draw, root, edit)
 
 
@@ -656,10 +681,22 @@ def checkpoint_name_not_utf8(draw, root):
     return ck, f"byte {at}: parameter name is not valid utf-8 (invalid start byte)"
 
 
+def checkpoint_repeated_name(draw, root):  # a name made equal to an earlier one of its length
+    blob = bytearray((ck := root / "ck.bin").read_bytes())
+    name_at = {name: off + 2 for name, off, *_ in _params(blob)}
+    first, second = draw(st.sampled_from(
+        [(a, b) for a, b in itertools.combinations(name_at, 2) if len(a) == len(b)]))
+    blob[name_at[second]:name_at[second] + len(first)] = first.encode()
+    ck.write_bytes(bytes(blob))
+    return ck, f"byte {name_at[second]}: repeated parameter name '{first}'"
+
+
 def checkpoint_shape_past_int64(draw, root):  # its data would be past 2**63 bytes
-    ck = root / "ck.bin"
+    # one parameter 'w' with 16 bytes of data; an int64 count of the shape
+    # would wrap to -2**33 + 1 or to 0
     shape = draw(st.sampled_from([(2**32 - 1,) * 2, (2**16,) * 4]))
-    ck.write_bytes(shape_only_checkpoint(shape))
+    (ck := root / "ck.bin").write_bytes(b"BSOT" + struct.pack(
+        f"<IIHsB{len(shape)}I", 1, 1, 1, b"w", len(shape), *shape) + bytes(16))
     return ck, f"byte {16 + 4 * len(shape)}: truncated data for 'w'"
 
 
@@ -689,25 +726,31 @@ def tracklet_missing(draw, root):
 
 CORRUPTIONS = {  # corruption: (the commands that read its file, its pinned draws)
     truncated_frame: (ALL, [("seq_001", 2, 8, 4)]),  # to 100 bytes
-    non_finite_point: (ALL, [("seq_002", 3, 4, math.nan)]),  # the last sequence
+    non_finite_point: (ALL, [("seq_002", 3, 2, 4, 0, math.nan, 3, 1, math.inf)]),  # point 3
     missing_frame: (ALL, [("seq_000", 4)]),
     extra_frame: (ALL, [("seq_001", 1, 5)]),
     labels_not_utf8: (ALL, [("seq_001", 40)]),
-    label_not_a_number: (ALL, [("frame", 1.0, "seq_001", 0), ("center", "1.5", "seq_001", 1, 0)]),
+    label_not_a_number: (ALL, [("frame", 1.0, "seq_001", 0), ("frame", True, "seq_001", 0),
+                               ("frame", "1", "seq_001", 0),
+                               ("center", "1.5", "seq_001", 1, 0)]),
+    label_missing_key: (ALL, [("seq_001", 1, 2, "yaw", "size")]),  # names 'size'
     label_bad_value: (ALL, [("seq_000", 2, 6, math.inf)]),  # yaw on line 3
     label_frame_gap: (ALL, [("seq_002", 3, 1)]),
     too_few_labels: (ALL, [("seq_000", 0), ("seq_002", 1)]),
     no_sequences: (ALL, [(True, False, True)]),
     tracklet_not_utf8: (EVAL_ONLY, [("seq_002", 0)]),
     tracklet_seven_fields: (EVAL_ONLY, [("seq_000", 0, 7)]),
+    tracklet_not_a_number: (EVAL_ONLY, [("seq_002", 2, 0, "x"), ("seq_002", 3, 5, "_")]),
     tracklet_index_out_of_order: (EVAL_ONLY, [("seq_001", 1, 1)]),
     tracklet_bad_value: (EVAL_ONLY, [("seq_000", 1, 3, 0.0)]),  # w = 0 on line 2
     tracklet_short: (EVAL_ONLY, [("seq_000", 3)]),
     tracklet_missing: (EVAL_ONLY, [("seq_001",)]),
-    checkpoint_cut: (TRACK_ONLY, [(100,)]),
-    checkpoint_nan: (TRACK_ONLY, [(0, 1, math.inf)]),
+    # cut in the magic, the header, the first name length, name, shape and data
+    checkpoint_cut: (TRACK_ONLY, [(2,), (8,), (13,), (20,), (25,), (100,)]),
+    checkpoint_nan: (TRACK_ONLY, [(0, 1, math.inf), (1, 0, math.nan), (2, 3, -math.inf)]),
     checkpoint_name_not_utf8: (TRACK_ONLY, [(0, 0)]),  # byte 14
-    checkpoint_shape_past_int64: (TRACK_ONLY, [((2**32 - 1,) * 2,)]),  # byte 24
+    checkpoint_repeated_name: (TRACK_ONLY, [(("stage1.wq", "stage1.wk"),)]),
+    checkpoint_shape_past_int64: (TRACK_ONLY, [((2**32 - 1,) * 2,), ((2**16,) * 4,)]),
     checkpoint_version: (TRACK_ONLY, [(2,)]),
     checkpoint_trailing: (TRACK_ONLY, [(b"\0",)])}
 
@@ -771,6 +814,50 @@ def test_corrupt_input_exit_code_2(fuzz_inputs, data):
             code = run(args[command] + ["--out", out])
         assert (code, err.getvalue()) == (2, f"data error: {named}: {message}\n")
         assert not out.exists()
+
+
+UNREACHED = {  # data error templates no command reaches, and why
+    "DataFormatError(f'{path}: missing frames/ directory')":
+        "list_sequence_dirs returns only directories that have frames/"}
+FAIL = "f'{path}: byte {offset}: {why}'"  # read_checkpoint's fail(offset, why)
+
+
+def data_error_templates() -> dict[str, tuple[str, int]]:
+    """Each DataFormatError message template in src/bevsot, by its source
+    text: a regex over the whole message, each formatted value as .+, and its
+    count of literal characters. Each fail(offset, why) call is a template,
+    its why after fail's own "{path}: byte {offset}: "."""
+    out = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            name = getattr(getattr(call, "func", None), "id", None)
+            if name == "DataFormatError" and ast.unparse(call.args[0]) != FAIL:
+                pieces, text = [], call.args[0]
+            elif name == "fail":
+                pieces, text = [None, ": byte ", None, ": "], call.args[1]
+            else:
+                continue
+            pieces += [v.value if isinstance(v, ast.Constant) else None
+                       for v in (text.values if isinstance(text, ast.JoinedStr) else [text])]
+            out[ast.unparse(call)] = ("".join(".+" if p is None else re.escape(p) for p in pieces),
+                                      sum(len(p) for p in pieces if p))
+    return out
+
+
+def test_every_data_error_is_pinned(fuzz_inputs, tmp_path):
+    """Each data error template is the closest match, the one with the most
+    literal text, of some pinned corruption's message, or is UNREACHED: a new
+    input check fails here until its corruption is in CORRUPTIONS."""
+    templates, pinned = data_error_templates(), set()
+    for corruption, (_, pins) in CORRUPTIONS.items():
+        for i, draws in enumerate(pins):
+            root = shutil.copytree(fuzz_inputs, tmp_path / f"{corruption.__name__}{i}")
+            named, message = corruption(Pin(*draws).draw, root)
+            line = f"{named}: {message}"
+            matches = [t for t, (regex, _) in templates.items() if re.fullmatch(regex, line)]
+            assert matches, line
+            pinned.add(max(matches, key=lambda t: templates[t][1]))
+    assert sorted(set(templates) - pinned) == sorted(UNREACHED)
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +934,8 @@ def test_track_then_eval_pipeline(tmp_path):
                 "--out", trk, "--seed", 5] + FAST) == 0
     tracklet = (trk / "seq_000" / "tracklet.txt").read_text().splitlines()
     assert len(tracklet) == 4
+    rec = json.loads((trk / "seq_000" / "tracklet.jsonl").read_text().splitlines()[0])
+    assert "coasted" in rec and rec["frame"] == 1
     assert run(["eval", "--pred", trk, "--gt", data, "--out", ev]) == 0
     csv = (ev / "ope_seq_000.csv").read_text()
     assert csv.splitlines()[-1].startswith("summary,")
@@ -975,16 +1064,6 @@ def test_gradcheck_samples_below_one_exit_code_1(capsys, flag, value):
 def test_gradcheck_command_small():
     assert run(["gradcheck", "--samples", "2", "--set", "head_trunk=16",
                 "--set", "scene_length=3", "--seed", 0]) == 0
-
-
-def test_tracklet_jsonl_has_coast_flags(tmp_path):
-    data, run_dir, trk = tmp_path / "d", tmp_path / "r", tmp_path / "t"
-    assert run(["gen", "--out", data, "--seed", 5] + FAST) == 0
-    assert run(["train", "--out", run_dir, "--data", data, "--seed", 5] + FAST) == 0
-    assert run(["track", "--checkpoint", run_dir / "checkpoint.bin", "--data", data,
-                "--out", trk, "--seed", 5] + FAST) == 0
-    rec = json.loads((trk / "seq_000" / "tracklet.jsonl").read_text().splitlines()[0])
-    assert "coasted" in rec and rec["frame"] == 1
 
 
 def test_ratio_crop_mode_pipeline(tmp_path):

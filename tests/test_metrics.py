@@ -98,12 +98,6 @@ def test_degenerate_box_rejected():
 # OPE
 
 
-def boxes_along_x(ious_like):
-    """A gt list plus predictions offset to produce varying IoU."""
-    gt = [Box3D(float(i), 0, 0, 2, 2, 2, 0.0) for i in range(len(ious_like) + 1)]
-    return gt
-
-
 def sweep_oracle_success(ious, n_breaks=100_000):
     """Integrate the success curve segment-by-segment over sorted breakpoints."""
     vals = np.clip(np.sort(np.asarray(ious)), 0.0, 1.0)

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bevsot.exceptions import ConfigError, DataFormatError
+from bevsot.exceptions import ConfigError
 from bevsot.geometry import Box3D, compose_pose, relative_motion
 from bevsot.pillars import CropSpec
 from bevsot.scene import (MAX_FRAME_POINTS, SceneConfig, augment, flip_sample, generate,
                           rotate_sample)
-from bevsot.seqio import (read_labels, read_points_bin, read_sequence, read_tracklet,
-                          write_sequence, write_tracklet)
+from bevsot.seqio import (read_points_bin, read_sequence, read_tracklet, write_sequence,
+                          write_tracklet)
 from bevsot.train import TrainSettings, make_training_samples
 
 
@@ -212,61 +212,10 @@ def test_point_file_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.xyz.astype(np.float32), pts)
 
 
-def test_truncated_point_file_reports_offset(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x00" * 25)  # not a multiple of 12
-    with pytest.raises(DataFormatError, match=r"byte 24"):
-        read_points_bin(str(path))
-
-
-def test_non_finite_point_reports_offset(tmp_path):
-    pts = np.zeros((5, 3), dtype="<f4")
-    pts[3, 1] = np.inf
-    pts[4, 0] = np.nan
-    path = tmp_path / "nan.bin"
-    path.write_bytes(pts.tobytes())
-    with pytest.raises(DataFormatError, match=r"nan\.bin: byte 36: non-finite .*point 3 \(2 such"):
-        read_points_bin(str(path))
-
-
 def test_empty_frame_parses_to_empty_cloud(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"")
     assert len(read_points_bin(str(path))) == 0
-
-
-def test_label_frame_count_mismatch(tmp_path):
-    seq = generate(SceneConfig(scene_length=4, seed=2))
-    write_sequence(seq, str(tmp_path / "seq"))
-    labels = (tmp_path / "seq" / "labels.jsonl").read_text().splitlines()
-    (tmp_path / "seq" / "labels.jsonl").write_text("\n".join(labels[:-1]) + "\n")
-    with pytest.raises(DataFormatError, match="4 frame files but 3 labels"):
-        read_sequence(str(tmp_path / "seq"))
-
-
-def test_malformed_label_names_line(tmp_path):
-    seq = generate(SceneConfig(scene_length=3, seed=2))
-    write_sequence(seq, str(tmp_path / "seq"))
-    path = tmp_path / "seq" / "labels.jsonl"
-    lines = path.read_text().splitlines()
-    lines[1] = json.dumps({"frame": 2, "center": [0, 0, 0]})  # missing keys
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError, match="line 2"):
-        read_sequence(str(tmp_path / "seq"))
-
-
-@pytest.mark.parametrize("frames", [(1.9, 2.2), (True, 2), ("1", "2")],
-                         ids=["float", "bool", "string"])
-def test_label_frame_must_be_json_integer(tmp_path, frames):
-    # each pair was read as frames 1 and 2 through int()
-    write_sequence(generate(SceneConfig(scene_length=2, seed=2)), str(tmp_path / "seq"))
-    path = tmp_path / "seq" / "labels.jsonl"
-    recs = [json.loads(line) for line in path.read_text().splitlines()]
-    path.write_text("".join(json.dumps({**r, "frame": f}) + "\n" for r, f in zip(recs, frames)))
-    with pytest.raises(DataFormatError) as exc:
-        read_labels(str(path))
-    assert str(exc.value) == (f"{path}: line 1: bad label "
-                              f"(frame {json.dumps(frames[0])} is not a JSON integer)")
 
 
 def test_tracklet_round_trip(tmp_path):
@@ -315,10 +264,3 @@ def test_tracklet_write_that_fails_leaves_no_file(tmp_path):
     with pytest.raises(ValueError):
         _write_tracklet_pair(tmp_path, [Box3D("x", 2, 3, 1, 1, 4, 0.0)])
     assert list(tmp_path.iterdir()) == []
-
-
-def test_tracklet_bad_field_count(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 0 0 0 1 1 1\n")  # 7 fields
-    with pytest.raises(DataFormatError, match="line 1"):
-        read_tracklet(str(path))
