@@ -926,19 +926,32 @@ def test_train_logs_alphas(tmp_path):
     assert len(row.split(",")) == 6
 
 
-def test_track_then_eval_pipeline(tmp_path):
-    data, run_dir, trk, ev = (tmp_path / n for n in ("d", "r", "t", "e"))
+@pytest.fixture(scope="module")
+def tracked(tmp_path_factory):
+    """One seed-5 gen -> train -> track, shared by the tests that read its output."""
+    root = tmp_path_factory.mktemp("pipeline")
+    data, run_dir, trk = root / "d", root / "r", root / "t"
     assert run(["gen", "--out", data, "--seed", 5] + FAST) == 0
     assert run(["train", "--out", run_dir, "--data", data, "--seed", 5] + FAST) == 0
     assert run(["track", "--checkpoint", run_dir / "checkpoint.bin", "--data", data,
                 "--out", trk, "--seed", 5] + FAST) == 0
+    return data, trk
+
+
+def test_track_then_eval_pipeline(tracked, tmp_path):
+    data, trk = tracked
+    ev = tmp_path / "e"
     tracklet = (trk / "seq_000" / "tracklet.txt").read_text().splitlines()
     assert len(tracklet) == 4
-    rec = json.loads((trk / "seq_000" / "tracklet.jsonl").read_text().splitlines()[0])
-    assert "coasted" in rec and rec["frame"] == 1
     assert run(["eval", "--pred", trk, "--gt", data, "--out", ev]) == 0
     csv = (ev / "ope_seq_000.csv").read_text()
     assert csv.splitlines()[-1].startswith("summary,")
+
+
+def test_tracklet_jsonl_has_coast_flags(tracked):
+    _, trk = tracked
+    rec = json.loads((trk / "seq_000" / "tracklet.jsonl").read_text().splitlines()[0])
+    assert "coasted" in rec and rec["frame"] == 1
 
 
 def test_track_checkpoint_shape_mismatch_exit_1(tmp_path, capsys):

@@ -17,6 +17,8 @@ from bevsot.gradcheck import gradcheck
 from bevsot.model import ModelConfig, TrackerModel, _head_pad
 from bevsot.tensor import Tape, Tensor
 
+from tests.test_blocks import sigmoid  # the gate oracle's tape op, kept out of src
+
 
 def leaf(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
@@ -508,6 +510,11 @@ def test_silu_grad_tight(rng):
     assert gradcheck(lambda t: T.sum_all(T.silu(t)), x) < 1e-7
 
 
+def test_sigmoid_grad(rng):
+    x = leaf(rng.standard_normal(50))
+    assert gradcheck(lambda t: T.sum_all(sigmoid(t)), x) < 1e-7
+
+
 def test_huber_values():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
     out = T.huber(Tensor(x), delta=1.0).data
@@ -825,6 +832,7 @@ OPS_FOR_SWEEP = [
     ("add", lambda t, w: T.sum_all(T.mul(T.add(t, t), w)), (3, 4)),
     ("mul", lambda t, w: T.sum_all(T.mul(T.mul(t, t), w)), (3, 4)),
     ("silu", lambda t, w: T.sum_all(T.mul(T.silu(t), w)), (3, 4)),
+    ("sigmoid", lambda t, w: T.sum_all(T.mul(sigmoid(t), w)), (3, 4)),
     ("huber", lambda t, w: T.sum_all(T.mul(T.huber(t, 0.7), w)), (3, 4)),
     ("matmul", lambda t, w: T.sum_all(T.mul(T.matmul(t, t), w)), (4, 4)),
     ("linear", lambda t, w: T.sum_all(T.mul(T.linear(t, Tensor(_LIN_W), Tensor(_LIN_B)), w)),
