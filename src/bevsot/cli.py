@@ -145,10 +145,11 @@ def cmd_track(args) -> int:
     load_checkpoint(model.store, args.checkpoint)
     seq_dirs = list_sequence_dirs(args.data)
     seqs = [read_sequence(d) for d in seq_dirs]
+    specs = [cfg.crop_spec(seq.gt[0]) for seq in seqs]
     out = _run_dir(args, "track", {"config.echo.cfg": cfgmod.config_text(cfg)})
-    for seq_dir, seq in zip(seq_dirs, seqs):
+    for seq_dir, seq, spec in zip(seq_dirs, seqs, specs):
         name = os.path.basename(os.path.normpath(seq_dir))
-        motion_model = tracker_motion_model(model, cfg.crop_spec(seq.gt[0]))
+        motion_model = tracker_motion_model(model, spec)
         tr = track_sequence(seq.frames, seq.gt[0], motion_model, sequence_id=name)
         tdir = os.path.join(out, name)
         os.makedirs(tdir, exist_ok=True)

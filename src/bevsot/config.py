@@ -80,6 +80,8 @@ class RunConfig:
         self.model_config().validate()
         self.train_settings()
         self.scene_config(seed=0)
+        if self.crop_mode == "fixed":  # a ratio window is built per sequence
+            self.crop_spec()
 
     # -- derived views ------------------------------------------------------
 

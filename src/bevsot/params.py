@@ -68,9 +68,9 @@ class ParamStore:
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
 
-    def num_values(self, prefix: str = "") -> int:
-        """Total scalar parameter count, optionally under a name prefix."""
-        return sum(t.data.size for n, t in self._params.items() if n.startswith(prefix))
+    def num_values(self) -> int:
+        """Total scalar parameter count."""
+        return sum(t.data.size for t in self._params.values())
 
     def zero_grad(self):
         for t in self._params.values():
@@ -136,8 +136,7 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.01,
             np.subtract(pc, a, out=pc)
 
 
-def lr_at_epoch(base_lr: float, epoch: int, decay_factor: float = 5.0,
-                decay_interval: int = 20) -> float:
+def lr_at_epoch(base_lr: float, epoch: int, decay_factor: float, decay_interval: int) -> float:
     """Step schedule: divide the rate by `decay_factor` every `decay_interval` epochs."""
     return base_lr / decay_factor ** (epoch // decay_interval)
 

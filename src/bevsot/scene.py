@@ -222,7 +222,7 @@ def _flip_box(b: Box3D, axis: str) -> Box3D:
     return b.with_pose(-b.x, b.y, b.z, math.pi - b.theta)
 
 
-def flip_sample(s: CroppedPair, axis: str = "x") -> CroppedPair:
+def flip_sample(s: CroppedPair, axis: str) -> CroppedPair:
     """Mirror the target points and boxes of both frames; an involution.
     The result may hold points outside the window until `augment` crops it."""
     require("flip_axis", axis, FLIP_AXIS)
@@ -252,7 +252,7 @@ def rotate_sample(s: CroppedPair, delta: float) -> CroppedPair:
     return CroppedPair(*out_pts, *boxes, s.spec)
 
 
-def augment(s: CroppedPair, rng, flip_axis: str = "x", max_rot_deg: float = 5.0) -> CroppedPair:
+def augment(s: CroppedPair, rng, flip_axis: str, max_rot_deg: float) -> CroppedPair:
     """Random horizontal flip (prob 0.5) and uniform yaw perturbation, then
     a crop of both clouds to `s.spec`: the moves can carry points out of it.
 

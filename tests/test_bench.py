@@ -97,14 +97,6 @@ def test_motion_gate_tiled_is_the_ops_forward(rng, monkeypatch, N, d, rows):
     np.testing.assert_array_equal(got, want.data)
 
 
-def test_doubling_ratios_exact():
-    d = 8
-    for N in (16, 64, 256):
-        assert linear_core_macs(2 * N, d) == 2 * linear_core_macs(N, d)
-        assert softmax_macs(2 * N, d) == 4 * softmax_macs(N, d)
-        assert motion_map_macs(2 * N, d) == 4 * motion_map_macs(N, d)
-
-
 def test_linear_and_quadratic_orders_agree(rng):
     for _ in range(20):
         N = int(rng.integers(4, 128))

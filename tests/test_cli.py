@@ -38,6 +38,7 @@ from bevsot.train import TrainSettings
 FAST = ["--set", "sequences=3", "--set", "scene_length=4", "--set", "grid=16",
         "--set", "channels=4", "--set", "head_trunk=32", "--set", "epochs=1",
         "--set", "batch=4", "--set", "crop_xy=4.8"]
+FUZZ = [a.replace("head_trunk=32", "head_trunk=16") for a in FAST]
 
 
 def run(args):
@@ -296,7 +297,7 @@ def test_negative_seed_exit_code_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
-TRACK = ["track", "--checkpoint", "c.bin", "--data", "seqs"]
+TRACK = ["track", "--checkpoint", "c.bin", "--data", "seqs"]  # neither exists: config first
 COMMAND_OF_VIEW = {"model": TRACK, "crop": TRACK, "train": ["train"], "scene": ["gen"]}
 
 
@@ -315,7 +316,10 @@ def outside_each_bound():
 BAD_CROP = [
     (["--set", "crop_mode=bogus"], ["crop_mode", "'bogus'"], "crop-mode"),
     (["--set", "crop_xy=0"], ["crop_xy", "> 0"], "crop-xy"),
-    (["--set", "crop_mode=ratio", "--set", "crop_ratio=0"], ["crop_ratio", "> 0"], "crop-ratio")]
+    (["--set", "crop_mode=ratio", "--set", "crop_ratio=0"], ["crop_ratio", "> 0"], "crop-ratio"),
+    # a window wider than a float holds has inf cells, and the run would fail numerically
+    (["--set", "crop_xy=1e308"], ["crop range (-1e+308, 1e+308) too wide", "crop_xy"],
+     "crop-xy-too-wide")]
 BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropout >= 1
     ("speed_min=0.5", ["speed_min", "speed_max", "0.5 > 0.35"]),
     ("size_w=-1", ["size_w", "> 0", "got -1.0"]),
@@ -345,7 +349,17 @@ BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropou
     pytest.param(["train", "--set", "batch=0"], ["batch"], id="train-batch"),
     pytest.param(TRACK + ["--set", "grid=12"], ["grid", "12"], id="track-grid"),
     *[pytest.param(cmd + bad, names, id=f"{cmd[0]}-{tag}")
-      for cmd in (["train"], TRACK) for bad, names, tag in BAD_CROP],
+      for cmd in (["train"] + FUZZ, TRACK) for bad, names, tag in BAD_CROP],
+    # a ratio window is sized from each sequence's box: track reads fuzz_inputs' valid files
+    *[pytest.param(cmd + FUZZ + ["--set", "crop_mode=ratio", "--set", "crop_ratio=1e308"],
+                   ["crop range (-inf, inf) too wide", "crop_ratio"],
+                   id=f"{cmd[0]}-crop-ratio-too-wide")
+      for cmd in (["train"], ["track", "--checkpoint", "ck.bin", "--data", "d"])],
+    pytest.param(["train", "--set", "heads=3"], ["channels 8 not divisible by heads 3"],
+                 id="train-heads"),
+    pytest.param(TRACK + ["--preset", "full", "--set", "stages=1"],
+                 ["final grid 64x64 is not reducible to 1x1 by the 3 head convolutions"],
+                 id="track-final-grid"),
     *[pytest.param([cmd, "--set", "scene_length=1"], ["scene_length", "got 1"],
                    id=f"{cmd}-scene-length") for cmd in ("gen", "train")],
     pytest.param(["train", "--set", "flip_axis=z"], ["flip_axis", "'z'"], id="train-flip-axis"),
@@ -365,7 +379,9 @@ BAD_SCENE = [  # each used to end in a traceback, or in 0-byte frames for dropou
     *[pytest.param(["train", "--set", f"huber_delta={v}"], ["huber_delta", "> 0"],
                    id=f"train-huber-delta-{v}") for v in ("0", "-1")],
     *outside_each_bound()])
-def test_invalid_config_creates_no_run_dir(tmp_path, capsys, command, names):
+def test_invalid_config_creates_no_run_dir(fuzz_inputs, monkeypatch, tmp_path, capsys, command,
+                                           names):
+    monkeypatch.chdir(fuzz_inputs)  # where the ratio rows' ck.bin and d are
     out = tmp_path / "o"
     _config_error(capsys, run(command + ["--out", out]), *names)
     assert not out.exists()
@@ -428,7 +444,6 @@ def test_unusable_path_exit_code_2(tmp_path, capsys, args, named):
 # read each file: a new input check adds its corruption there, and
 # test_every_data_error_is_pinned fails until it does.
 
-FUZZ = [a.replace("head_trunk=32", "head_trunk=16") for a in FAST]
 SEQ_DIRS = ("seq_000", "seq_001", "seq_002")
 ALL, EVAL_ONLY, TRACK_ONLY = ("train", "track", "eval"), ("eval",), ("track",)
 NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

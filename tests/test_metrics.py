@@ -1,5 +1,6 @@
-"""Rotated IoU against Monte Carlo volume estimates; OPE against an
-explicit threshold-sweep oracle; the softmax attention reference."""
+"""Rotated IoU and OPE on hand cases and invariances; the Monte Carlo IoU
+and threshold-sweep oracles that acceptance criteria 6 and 10 run; the
+softmax attention reference."""
 
 import math
 
@@ -40,14 +41,6 @@ def test_disjoint_boxes_iou_zero():
     assert iou3d(a, b) == 0.0
     c = Box3D(0, 0, 10, 1, 1, 1, 0.0)  # vertically disjoint
     assert iou3d(a, c) == 0.0
-
-
-def test_thirty_degree_partial_overlap_matches_monte_carlo():
-    a = Box3D(0, 0, 0, 2.0, 1.5, 4.0, 0.0)
-    b = Box3D(0.8, 0.4, 0.2, 2.0, 1.5, 4.0, math.radians(30))
-    got = iou3d(a, b)
-    want = mc_iou(a, b, n=1_000_000)
-    assert got == pytest.approx(want, abs=0.01)
 
 
 def test_half_overlap_axis_aligned():
@@ -98,7 +91,7 @@ def test_degenerate_box_rejected():
 # OPE
 
 
-def sweep_oracle_success(ious, n_breaks=100_000):
+def sweep_oracle_success(ious):
     """Integrate the success curve segment-by-segment over sorted breakpoints."""
     vals = np.clip(np.sort(np.asarray(ious)), 0.0, 1.0)
     area = 0.0
@@ -109,37 +102,6 @@ def sweep_oracle_success(ious, n_breaks=100_000):
         area += (v - prev) * frac_above
         prev = v
     return area
-
-
-def test_perfect_tracklet_scores_one():
-    gt = [Box3D(float(i), 0.1 * i, 0, 2, 1, 3, 0.05 * i) for i in range(6)]
-    pred = Tracklet("s", list(gt), [False] * 6)
-    res = ope(pred, gt)
-    assert res.success_auc == pytest.approx(1.0, abs=0)
-    assert res.precision_auc == pytest.approx(1.0, abs=0)
-
-
-def test_constant_half_iou_scores_half():
-    # offset each prediction so the overlap is exactly half the length:
-    # intersection 1*2*2=4 of union 12 -> IoU 1/3... use overlap giving 0.5:
-    # need inter/(2*vol - inter) = 0.5 -> inter = (2/3) vol; shift = l/3
-    gt = [Box3D(float(i), 0, 0, 2, 2, 3, 0.0) for i in range(5)]
-    pred_boxes = [b.with_pose(b.x + 1.0, b.y, b.z, b.theta) for b in gt]
-    pred_boxes[0] = gt[0]  # frame 1 is given
-    res = ope(Tracklet("s", pred_boxes, [False] * 5), gt)
-    for i in res.ious:
-        assert i == pytest.approx(0.5, abs=1e-12)
-    assert res.success_auc == pytest.approx(0.5, abs=1e-12)
-
-
-def test_success_matches_sweep_oracle(rng):
-    gt = [Box3D(float(i), 0, 0, 2, 2, 3, 0.0) for i in range(12)]
-    pred = [gt[0]]
-    for b in gt[1:]:
-        shift = rng.uniform(0.0, 3.5)
-        pred.append(b.with_pose(b.x + shift, b.y, b.z, b.theta))
-    res = ope(Tracklet("s", pred, [False] * 12), gt)
-    assert res.success_auc == pytest.approx(sweep_oracle_success(res.ious), abs=1e-9)
 
 
 def test_precision_matches_sweep_oracle(rng):

@@ -148,10 +148,10 @@ def test_adamw_chunked_bit_identical_to_whole_array(rng):
 
 
 def test_lr_schedule_paper_values():
-    assert lr_at_epoch(1e-4, 0) == pytest.approx(1e-4)
-    assert lr_at_epoch(1e-4, 19) == pytest.approx(1e-4)
-    assert lr_at_epoch(1e-4, 20) == pytest.approx(2e-5)
-    assert lr_at_epoch(1e-4, 40) == pytest.approx(4e-6)
+    assert lr_at_epoch(1e-4, 0, 5.0, 20) == pytest.approx(1e-4)
+    assert lr_at_epoch(1e-4, 19, 5.0, 20) == pytest.approx(1e-4)
+    assert lr_at_epoch(1e-4, 20, 5.0, 20) == pytest.approx(2e-5)
+    assert lr_at_epoch(1e-4, 40, 5.0, 20) == pytest.approx(4e-6)
 
 
 def test_optimizer_state_shapes_mirror_params(rng):

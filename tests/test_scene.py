@@ -141,7 +141,7 @@ def test_augmented_label_matches_box_recompute(seed, axis):
     """A flip on either axis maps the target (dx, dy, dz, dtheta) to (dx, -dy,
     dz, -dtheta); the rotation about the previous box's centre keeps it."""
     s = make_sample(seed % 7)
-    out = augment(s, np.random.default_rng(seed), flip_axis=axis)
+    out = augment(s, np.random.default_rng(seed), axis, 5.0)
     flipped = np.random.default_rng(seed).random() < 0.5  # augment's first draw
     sign = np.array([1.0, -1.0, 1.0, -1.0]) if flipped else np.ones(4)
     np.testing.assert_allclose(out.target.as_array(), sign * s.target.as_array(), atol=1e-12)
@@ -172,7 +172,7 @@ def test_rotation_bounded_by_five_degrees():
     s = make_sample()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        out = augment(s, rng, max_rot_deg=5.0)
+        out = augment(s, rng, "x", 5.0)
         d = abs(out.box_prev.theta)
         assert d <= math.radians(5.0) + 1e-12
 

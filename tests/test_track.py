@@ -126,30 +126,3 @@ def test_tracking_deterministic():
     t2 = track_sequence(seq.frames, seq.gt[0], mm)
     for a, b in zip(t1.boxes, t2.boxes):
         assert (a.x, a.y, a.z, a.theta) == (b.x, b.y, b.z, b.theta)
-
-
-def test_world_frame_equivariance():
-    """Rotating the whole scene and the init box rotates the tracklet."""
-    cfg = SceneConfig(scene_length=5, seed=7)
-    seq = generate(cfg)
-    m = TrackerModel(ModelConfig(grid=16, channels=4, head_trunk=32), seed=3)
-    m.randomize_all(np.random.default_rng(4))
-    mm = tracker_motion_model(m, CropSpec(grid=(16, 16)))
-
-    phi = 1.234
-    rot = rot2d(phi)
-    frames_rot = []
-    for f in seq.frames:
-        p = f.xyz.copy()
-        p[:, :2] = p[:, :2] @ rot.T
-        frames_rot.append(PointCloud(p))
-    b0 = seq.gt[0]
-    cxy = rot @ np.array([b0.x, b0.y])
-    init_rot = b0.with_pose(cxy[0], cxy[1], b0.z, b0.theta + phi)
-
-    base = track_sequence(seq.frames, b0, mm)
-    rotated = track_sequence(frames_rot, init_rot, mm)
-    for a, b in zip(base.boxes, rotated.boxes):
-        back = rot.T @ np.array([b.x, b.y])
-        np.testing.assert_allclose(back, [a.x, a.y], atol=1e-9)
-        assert abs(b.z - a.z) < 1e-9

@@ -288,8 +288,9 @@ def test_each_pair_is_cropped_once_per_move(monkeypatch):
     """A window is applied where a pair's points are made (`cropped()`, the
     tracker) or moved (`augment`), never again by the model: a tracked pair
     crops twice, a loss evaluation twice per sample, and a batch-4 step 8
-    times, 16 with augmentation."""
-    calls = []
+    times, 16 with augmentation. Training's first pair is the tracker's first,
+    cropped to the same points."""
+    calls, clouds = [], []
 
     def counted(cloud, spec):
         calls.append(spec)
@@ -299,10 +300,15 @@ def test_each_pair_is_cropped_once_per_move(monkeypatch):
         if name.startswith("bevsot") and getattr(mod, "crop", None) is crop:
             monkeypatch.setattr(mod, "crop", counted)
     model, seq = desk_model(), generate(DESK.scene_config(seed=0))
+    forward = model.forward_clouds
+    monkeypatch.setattr(model, "forward_clouds", lambda *a: clouds.append(a[:2]) or forward(*a))
     samples = make_training_samples([seq], DESK.crop_spec())[:4]
     assert tracker_motion_model(model, DESK.crop_spec())(seq.frames[0], seq.frames[1],
                                                          seq.gt[0]) is not None
     assert len(calls) == 2
+    pair = samples[0].cropped()
+    for got, want in zip(clouds[0], (pair.prev_pts, pair.curr_pts)):
+        np.testing.assert_array_equal(got.xyz, want.xyz)
     calls.clear()
     evaluate_mean_loss(model, samples[:3])
     assert len(calls) == 2 * 3
