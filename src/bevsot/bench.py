@@ -1,8 +1,8 @@
 """Attention complexity benchmark: exact multiply-add counts and wall time
 for the softmax baseline, the right-associated linear attention core, the
 motion-difference weight construction and its gate projection, and the
-model's fused row-tiled motion gate (``tensor.motion_gate`` itself), across a
-token-count sweep.
+model's fused row-tiled motion gate (``tensor.motion_gate`` itself, counted
+by the closed form ``tensor.motion_gate_macs``), across a token-count sweep.
 
 Counting rules (documented so the closed forms are checkable): a matmul
 of (m x k) @ (k x n) counts m*n*k multiply-adds; an elementwise scale,
@@ -101,8 +101,8 @@ def motion_gate_tiled(Qc: np.ndarray, Kc: np.ndarray, Qp: np.ndarray, Kp: np.nda
                       alpha: float, G: np.ndarray, b: np.ndarray,
                       counter: MacCounter | None = None) -> np.ndarray:
     """``tensor.motion_gate`` on one head: motion map and gate projection fused
-    over tiles of query rows. Its count is ``tensor.motion_gate_macs`` over the
-    op's own tile plan, 3 N^2 d + N^2 + 2 N d for any tile height, against
+    over tiles of query rows. Its count is ``tensor.motion_gate_macs``, the
+    closed form 3 N^2 d + N^2 + 2 N d, the same for any tile height, against
     3 N^2 d + 4 N^2 for motion_weight_map plus gate_projection.
     """
     N, d = Qc.shape

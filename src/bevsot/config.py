@@ -110,18 +110,22 @@ class RunConfig:
 
     def crop_spec(self, target_box=None) -> CropSpec:
         """The crop window. Fixed mode ignores `target_box`; ratio mode sizes
-        the window from it and needs it."""
+        the window from it and needs it. A CropSpec error names what set the
+        window: crop_xy, or crop_ratio and the target box's length and width."""
         require("crop_mode", self.crop_mode, CROP_MODE)
-        if self.crop_mode == "ratio":
-            if target_box is None:
-                raise ConfigError("crop_mode=ratio needs the sequence's target box")
-            return ratio_crop_spec(target_box, ratio=self.crop_ratio,
-                                   grid=(self.grid, self.grid),
-                                   z_range=(-self.crop_z, self.crop_z))
-        return CropSpec(x_range=(-self.crop_xy, self.crop_xy),
-                        y_range=(-self.crop_xy, self.crop_xy),
-                        z_range=(-self.crop_z, self.crop_z),
-                        grid=(self.grid, self.grid))
+        ratio = self.crop_mode == "ratio"
+        if ratio and target_box is None:
+            raise ConfigError("crop_mode=ratio needs the sequence's target box")
+        grid, z_range = (self.grid, self.grid), (-self.crop_z, self.crop_z)
+        try:
+            if ratio:
+                return ratio_crop_spec(target_box, self.crop_ratio, grid, z_range)
+            xy = (-self.crop_xy, self.crop_xy)
+            return CropSpec(x_range=xy, y_range=xy, z_range=z_range, grid=grid)
+        except ConfigError as e:
+            by = f"crop_ratio={self.crop_ratio}" if ratio else f"crop_xy={self.crop_xy}"
+            box = f" and a box {target_box.l} long, {target_box.w} wide" if ratio else ""
+            raise ConfigError(f"{e} (window from {by}{box})") from None
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}

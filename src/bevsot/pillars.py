@@ -43,7 +43,7 @@ class CropSpec:
                 raise ConfigError(f"degenerate crop range ({lo}, {hi})")
         for lo, hi in (self.x_range, self.y_range):  # the width sets the cells; z only filters
             if not np.isfinite(hi - lo):
-                raise ConfigError(f"crop range ({lo}, {hi}) too wide: lower crop_xy or crop_ratio")
+                raise ConfigError(f"crop range ({lo}, {hi}) too wide")
         for n in self.grid:
             require("grid", n, POWER_OF_TWO)
 

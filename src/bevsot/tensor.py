@@ -303,27 +303,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 MOTION_GATE_ROWS = 64
 
 
-def motion_gate_rows(N: int) -> int:
-    """Query rows per motion_gate tile for N tokens."""
-    return min(N, MOTION_GATE_ROWS)
-
-
-def motion_gate_tiles(N: int, heads: int, d: int) -> list[tuple[int, slice, slice]]:
-    """motion_gate's (head, columns, rows) tiles: heads one after another, so
-    a tile's working set does not grow with heads."""
-    rows = motion_gate_rows(N)
-    return [(h, slice(h * d, (h + 1) * d), slice(lo, min(lo + rows, N)))
-            for h in range(heads) for lo in range(0, N, rows)]
-
-
 def motion_gate_macs(N: int, heads: int, d: int) -> int:
-    """motion_gate's forward multiply-adds under bench.py's counting rules,
-    summed over its tile plan: per head the two N x d operand scalings, per
-    r-row tile the (r x 2d) @ (2d x N) product, one SiLU op per element (the
-    tile's divide) and the (r x N) @ (N x d) gate matmul. 3 N^2 d + N^2 +
-    2 N d per head."""
-    return 2 * heads * N * d + sum((t.stop - t.start) * N * (3 * d + 1)
-                                   for _, _, t in motion_gate_tiles(N, heads, d))
+    """motion_gate's forward multiply-adds under bench.py's counting rules:
+    per head the two N x d operand scalings, the (N x 2d) @ (2d x N)
+    products of its row tiles, one SiLU op per element (the tile's divide)
+    and the (N x N) @ (N x d) gate matmul. 3 N^2 d + N^2 + 2 N d per head,
+    the same for any tile height."""
+    return heads * (3 * N * N * d + N * N + 2 * N * d)
 
 
 def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
@@ -359,8 +345,10 @@ def motion_gate(qc: Tensor, kc: Tensor, qp: Tensor, kp: Tensor, alpha: Tensor,
     lhs = [np.concatenate([qc.data[:, c] * -inv, qp.data[:, c] * (a * inv)], axis=1)
            for c in cols]  # N x 2d per head, so lhs @ rhs_t is -S
     rhs_t = [np.concatenate([kc.data[:, c], kp.data[:, c]], axis=1).T for c in cols]
-    rows = motion_gate_rows(N)
-    tiles = motion_gate_tiles(N, heads, d)
+    rows = min(N, MOTION_GATE_ROWS)
+    # heads one after another, so a tile's working set does not grow with heads
+    tiles = [(h, c, slice(lo, min(lo + rows, N)))
+             for h, c in enumerate(cols) for lo in range(0, N, rows)]
 
     def neg_silu_tile(h, t, m, q):
         """-SiLU(S) into m and 1 + exp(-S) into q for head h's row tile t;

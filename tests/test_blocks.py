@@ -386,7 +386,7 @@ def unbuffered_motion_gate(qc, kc, qp, kp, alpha, G, b):
     lhs = [np.concatenate([qc.data[:, c] * -inv, qp.data[:, c] * (a * inv)], axis=1)
            for c in cols]
     rhs_t = [np.concatenate([kc.data[:, c], kp.data[:, c]], axis=1).T for c in cols]
-    rows = T.motion_gate_rows(N)
+    rows = min(N, T.MOTION_GATE_ROWS)
     tiles = [(h, c, slice(lo, min(lo + rows, N)))
              for h, c in enumerate(cols) for lo in range(0, N, rows)]
 
@@ -452,13 +452,6 @@ def test_motion_gate_is_bit_identical_to_unbuffered_oracle(monkeypatch, N, d, he
     assert len(got_grads) == 7
     for g, w in zip(got_grads, want_grads):
         np.testing.assert_array_equal(g, w)
-
-
-@pytest.mark.parametrize("N,rows", [(12, 12), (64, 64), (256, 64), (1024, 64),
-                                    (4096, 64), (16384, 64)])
-def test_motion_gate_rows_are_64_or_all_of_n(N, rows):
-    # the desk's stage 3 (N = 64) and anything smaller is one tile
-    assert T.motion_gate_rows(N) == rows
 
 
 def test_motion_gate_row_tiles_change_only_cross_tile_sums(monkeypatch):

@@ -253,6 +253,7 @@ def _config_error(capsys, code, *names):
     assert code == 1
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert all(n in err for n in names), err
+    return err
 
 
 def test_config_file_repeated_key_exit_code_1(tmp_path, capsys):
@@ -383,7 +384,9 @@ def test_invalid_config_creates_no_run_dir(fuzz_inputs, monkeypatch, tmp_path, c
                                            names):
     monkeypatch.chdir(fuzz_inputs)  # where the ratio rows' ck.bin and d are
     out = tmp_path / "o"
-    _config_error(capsys, run(command + ["--out", out]), *names)
+    err = _config_error(capsys, run(command + ["--out", out]), *names)
+    if "crop_mode=ratio" in command:  # ratio mode ignores crop_xy, so no message names it
+        assert "crop_xy" not in err
     assert not out.exists()
 
 
@@ -958,6 +961,12 @@ def test_track_then_eval_pipeline(tracked, tmp_path):
     ev = tmp_path / "e"
     tracklet = (trk / "seq_000" / "tracklet.txt").read_text().splitlines()
     assert len(tracklet) == 4
+    # --data may be one sequence directory: it tracks as it does under the root
+    one = tmp_path / "one"
+    assert run(["track", "--checkpoint", data.parent / "r" / "checkpoint.bin",
+                "--data", data / "seq_001", "--out", one, "--seed", 5] + FAST) == 0
+    assert (one / "seq_001" / "tracklet.txt").read_bytes() == \
+        (trk / "seq_001" / "tracklet.txt").read_bytes()
     assert run(["eval", "--pred", trk, "--gt", data, "--out", ev]) == 0
     csv = (ev / "ope_seq_000.csv").read_text()
     assert csv.splitlines()[-1].startswith("summary,")
@@ -1094,7 +1103,7 @@ def test_gradcheck_command_small():
                 "--set", "scene_length=3", "--seed", 0]) == 0
 
 
-def test_ratio_crop_mode_pipeline(tmp_path):
+def test_ratio_crop_mode_pipeline(tmp_path, capsys):
     data, run_dir, trk = tmp_path / "d", tmp_path / "r", tmp_path / "t"
     ratio = ["--set", "crop_mode=ratio", "--set", "crop_ratio=2.0"]
     assert run(["gen", "--out", data, "--seed", 4] + FAST) == 0
@@ -1103,6 +1112,18 @@ def test_ratio_crop_mode_pipeline(tmp_path):
     assert run(["track", "--checkpoint", run_dir / "checkpoint.bin", "--data", data,
                 "--out", trk, "--seed", 4] + FAST + ratio) == 0
     assert (trk / "seq_000" / "tracklet.txt").exists()
+    # a first label box too long for a float window: the config error names the box
+    labels = data / "seq_001" / "labels.jsonl"
+    first, *rest = labels.read_text().splitlines(keepends=True)
+    box = json.loads(first)
+    box["size"][2] = 1.7e308  # [w, h, l]
+    labels.write_text(json.dumps(box) + "\n" + "".join(rest))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    for cmd in (["train"], ["track", "--checkpoint", run_dir / "checkpoint.bin"]):
+        _config_error(capsys, run(cmd + ["--data", data, "--out", out] + FAST + ratio),
+                      "crop range (-inf, inf) too wide", "crop_ratio=2.0 and a box 1.7e+308 long")
+        assert not out.exists()
 
 
 def test_crop_mode_rule_is_the_run_config_rule():

@@ -139,6 +139,11 @@ def test_step_holds_one_sample_tape_at_a_time(monkeypatch):
     train(desk_model(), samples, settings)
     assert len(lengths) == 4
     assert max(lengths) <= one_sample
+    # max_steps stops mid-epoch: steps of 4 and 2 pairs in epoch 0, one of 4 in epoch 1
+    lengths.clear()
+    history = train(desk_model(), desk_samples(6), replace(settings, epochs=5, max_steps=3))
+    assert [(s.epoch, s.steps) for s in history] == [(0, 2), (1, 3)]
+    assert len(lengths) == 10
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
