@@ -108,6 +108,14 @@ def _run_dir(args, tag: str, files: dict[str, str]) -> str:
     return out
 
 
+def _crop_spec(cfg, seq, name: str):
+    """seq's crop window; a window error starts with name, its directory or scene seed."""
+    try:
+        return cfg.crop_spec(seq.gt[0])
+    except ConfigError as e:
+        raise ConfigError(f"{name}: {e}") from None
+
+
 def cmd_gen(args) -> int:
     cfg = _build_config(args)
     scenes = cfg.scene_configs(cfg.seed)
@@ -122,14 +130,14 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     if args.data:
-        seqs = [read_sequence(d) for d in list_sequence_dirs(args.data)]
+        named = [(d, read_sequence(d)) for d in list_sequence_dirs(args.data)]
     else:
-        seqs = [generate(scene) for scene in cfg.scene_configs(cfg.seed)]
-    samples = [s for seq in seqs
-               for s in make_training_samples([seq], cfg.crop_spec(seq.gt[0]))]
+        named = [(f"scene seed {s.seed}", generate(s)) for s in cfg.scene_configs(cfg.seed)]
+    samples = [s for name, seq in named
+               for s in make_training_samples([seq], _crop_spec(cfg, seq, name))]
     model = TrackerModel(cfg.model_config(), seed=cfg.seed)
     out = _run_dir(args, "train", {"config.echo.cfg": cfgmod.config_text(cfg)})
-    print(f"training on {len(samples)} frame pairs from {len(seqs)} sequences")
+    print(f"training on {len(samples)} frame pairs from {len(named)} sequences")
 
     history = train(model, samples, cfg.train_settings(), log=print)
     save_train_log(history, os.path.join(out, "train_log.csv"))
@@ -145,7 +153,7 @@ def cmd_track(args) -> int:
     load_checkpoint(model.store, args.checkpoint)
     seq_dirs = list_sequence_dirs(args.data)
     seqs = [read_sequence(d) for d in seq_dirs]
-    specs = [cfg.crop_spec(seq.gt[0]) for seq in seqs]
+    specs = [_crop_spec(cfg, seq, d) for d, seq in zip(seq_dirs, seqs)]
     out = _run_dir(args, "track", {"config.echo.cfg": cfgmod.config_text(cfg)})
     for seq_dir, seq, spec in zip(seq_dirs, seqs, specs):
         name = os.path.basename(os.path.normpath(seq_dir))

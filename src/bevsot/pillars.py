@@ -1,9 +1,9 @@
 """Crop canonicalization and pillar feature encoding.
 
-A cropped, canonicalized cloud becomes a dense H x W x C grid: points are
-binned into vertical pillars on the xy plane, decorated with 8 geometric
-features, pushed through a per-point linear layer + SiLU, and max-pooled
-per pillar. Pillars with no points stay exactly zero.
+A cropped, canonicalized cloud becomes a dense H x W x C grid: `decorate`
+bins the points into vertical pillars on the xy plane and gives each point 8
+geometric features, which are pushed through a per-point linear layer + SiLU
+and max-pooled per pillar. Pillars with no points stay exactly zero.
 
 There is no per-pillar point cap: every point is encoded, so memory
 scales with the raw point count rather than the grid. At desk scale
@@ -79,39 +79,30 @@ def crop(cloud: PointCloud, spec: CropSpec) -> PointCloud:
     return PointCloud(p[keep])
 
 
-def assign_cells(cloud: PointCloud, spec: CropSpec) -> np.ndarray:
-    """Flat row-major cell index (row * W + col) per point; cloud must be cropped."""
-    H, W = spec.grid
-    sx, sy = spec.cell_size
-    col = np.floor((cloud.xyz[:, 0] - spec.x_range[0]) / sx).astype(np.int64)
-    row = np.floor((cloud.xyz[:, 1] - spec.y_range[0]) / sy).astype(np.int64)
-    # cropped points are strictly inside; clamp only guards float rounding
-    col = np.clip(col, 0, W - 1)
-    row = np.clip(row, 0, H - 1)
-    return row * W + col
-
-
 def decorate(cloud: PointCloud, spec: CropSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point 8-feature decoration and flat cell index.
+    """Bin a cropped cloud's points into pillars: per-point 8-feature
+    decoration and flat row-major cell index (row * W + col).
 
-    Features: x, y, z, signed offset to the pillar x-center, signed offset
-    to the pillar y-center, and signed offset to the pillar point mean
-    (x, y, z). The means are summed over the runs of ``T.cell_runs``, the
-    same grouping ``T.scatter_max`` pools over.
+    Features: x, y, z, signed offsets to the x- and y-center of the column
+    and row binned here, and signed offset to the pillar point mean (x, y, z),
+    summed over the runs of ``T.cell_runs``, which ``T.scatter_max`` pools over.
     """
-    n = len(cloud)
-    cells = assign_cells(cloud, spec)
-    feats = np.zeros((n, 8))
-    if n == 0:
-        return feats, cells
     H, W = spec.grid
     sx, sy = spec.cell_size
     p = cloud.xyz
+    col = np.floor((p[:, 0] - spec.x_range[0]) / sx).astype(np.int64)
+    row = np.floor((p[:, 1] - spec.y_range[0]) / sy).astype(np.int64)
+    # cropped points are strictly inside; clamp only guards float rounding
+    col = np.clip(col, 0, W - 1)
+    row = np.clip(row, 0, H - 1)
+    cells = row * W + col
+    n = len(cloud)
+    feats = np.zeros((n, 8))
+    if n == 0:
+        return feats, cells
     feats[:, 0:3] = p
-    cx = spec.x_range[0] + ((cells % W) + 0.5) * sx
-    cy = spec.y_range[0] + ((cells // W) + 0.5) * sy
-    feats[:, 3] = p[:, 0] - cx
-    feats[:, 4] = p[:, 1] - cy
+    feats[:, 3] = p[:, 0] - (spec.x_range[0] + (col + 0.5) * sx)
+    feats[:, 4] = p[:, 1] - (spec.y_range[0] + (row + 0.5) * sy)
     order, starts, run_of = T.cell_runs(cells)
     sums = np.add.reduceat(p[order], starts, axis=0)
     counts = np.diff(np.append(starts, n))

@@ -1112,7 +1112,8 @@ def test_ratio_crop_mode_pipeline(tmp_path, capsys):
     assert run(["track", "--checkpoint", run_dir / "checkpoint.bin", "--data", data,
                 "--out", trk, "--seed", 4] + FAST + ratio) == 0
     assert (trk / "seq_000" / "tracklet.txt").exists()
-    # a first label box too long for a float window: the config error names the box
+    # a first label box too long for a float window: the config error names its
+    # sequence and the box
     labels = data / "seq_001" / "labels.jsonl"
     first, *rest = labels.read_text().splitlines(keepends=True)
     box = json.loads(first)
@@ -1122,7 +1123,8 @@ def test_ratio_crop_mode_pipeline(tmp_path, capsys):
     out = tmp_path / "o"
     for cmd in (["train"], ["track", "--checkpoint", run_dir / "checkpoint.bin"]):
         _config_error(capsys, run(cmd + ["--data", data, "--out", out] + FAST + ratio),
-                      "crop range (-inf, inf) too wide", "crop_ratio=2.0 and a box 1.7e+308 long")
+                      "seq_001", "crop range (-inf, inf) too wide",
+                      "crop_ratio=2.0 and a box 1.7e+308 long")
         assert not out.exists()
 
 

@@ -11,8 +11,7 @@ from bevsot import tensor as T
 from bevsot.exceptions import ConfigError
 from bevsot.geometry import Box3D, PointCloud, transform_from_frame
 from bevsot.gradcheck import gradcheck
-from bevsot.pillars import (CropSpec, assign_cells, canonicalize, crop, decorate,
-                            pillarize)
+from bevsot.pillars import CropSpec, canonicalize, crop, decorate, pillarize
 from bevsot.tensor import Tensor
 
 SPEC16 = CropSpec(grid=(16, 16))
@@ -103,6 +102,19 @@ def test_decoration_features_single_point():
     np.testing.assert_allclose(feats[0, 5:8], [0, 0, 0], atol=1e-15)  # own mean
 
 
+def test_binning_clamps_rounding_at_window_edge():
+    # README's human-scale window at grid 32: the last x inside the crop
+    # divides to exactly 32.0 cells, one past the last column
+    spec = CropSpec(x_range=(-1.92, 1.92), y_range=(-1.92, 1.92), grid=(32, 32))
+    x = np.nextafter(1.92, -np.inf)
+    sx = spec.cell_size[0]
+    assert (x - spec.x_range[0]) / sx == 32.0
+    pts = crop(PointCloud([[x, 0.0, 0.0]]), spec)
+    feats, cells = decorate(pts, spec)
+    assert cells.tolist() == [16 * 32 + 31]  # row 16, column 31
+    assert feats[0, 3] == x - (spec.x_range[0] + 31.5 * sx)
+
+
 def test_decoration_mean_offsets(rng):
     spec = CropSpec(x_range=(-4, 4), y_range=(-4, 4), z_range=(-2, 2), grid=(8, 8))
     pts = rng.uniform(-3.9, 3.9, size=(200, 3)) * [1, 1, 0.4]
@@ -125,7 +137,7 @@ def test_empty_pillars_exactly_zero(rng):
     b = Tensor(rng.standard_normal(4))
     pts = PointCloud([[0.1, 0.1, 0.0]])
     grid = pillarize(pts, SPEC16, w, b).data
-    occupied = int(assign_cells(pts, SPEC16)[0])
+    occupied = int(decorate(pts, SPEC16)[1][0])
     flat = grid.reshape(-1, 4)
     mask = np.ones(256, dtype=bool)
     mask[occupied] = False
