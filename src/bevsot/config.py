@@ -11,11 +11,15 @@ from dataclasses import dataclass, fields
 from .exceptions import ConfigError
 from .model import ModelConfig
 from .pillars import CropSpec, ratio_crop_spec
-from .rules import COUNT, NON_NEGATIVE, POSITIVE, SHARE, check, one_of, require, ruled
+from .rules import NON_NEGATIVE, POSITIVE, SHARE, Rule, check, one_of, require, ruled
 from .scene import SceneConfig
 from .train import TrainSettings
 
 CROP_MODE = one_of("fixed", "ratio")
+# scene i of base seed s has seed s * SEED_STRIDE + i: more sequences than the
+# stride would give two base seeds' data sets common scenes
+SEED_STRIDE = 1000
+SEQUENCES = Rule(f"in [1, {SEED_STRIDE}]", lambda v: 1 <= v <= SEED_STRIDE, (0, SEED_STRIDE + 1))
 
 
 @dataclass
@@ -56,7 +60,7 @@ class RunConfig:
     flip_axis: str = TrainSettings.flip_axis
     max_rot_deg: float = TrainSettings.max_rot_deg
     # scene generation
-    sequences: int = ruled(48, COUNT, "scene")
+    sequences: int = ruled(48, SEQUENCES, "scene")
     scene_length: int = SceneConfig.scene_length
     speed_min: float = SceneConfig.speed_min
     speed_max: float = SceneConfig.speed_max
@@ -102,10 +106,10 @@ class RunConfig:
         return self._view(SceneConfig, seed=seed, static=static)
 
     def scene_configs(self, base_seed: int) -> list[SceneConfig]:
-        """The generated data set: scene i has seed base_seed * 1000 + i, and the
-        first round(static_fraction * sequences) scenes are static."""
+        """The generated data set: scene i has seed base_seed * SEED_STRIDE + i,
+        and the first round(static_fraction * sequences) scenes are static."""
         n_static = round(self.static_fraction * self.sequences)
-        return [self.scene_config(seed=base_seed * 1000 + i, static=i < n_static)
+        return [self.scene_config(seed=base_seed * SEED_STRIDE + i, static=i < n_static)
                 for i in range(self.sequences)]
 
     def crop_spec(self, target_box=None) -> CropSpec:
@@ -158,7 +162,7 @@ def from_items(items: dict[str, str], base: RunConfig | None = None) -> RunConfi
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -11,6 +11,7 @@ import os
 import re
 import shutil
 import struct
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -28,12 +29,12 @@ from bevsot.exceptions import ConfigError
 from bevsot.geometry import Box3D, relative_motion
 from bevsot.metrics import ope
 from bevsot.model import ModelConfig, TrackerModel
-from bevsot.params import read_checkpoint, save_checkpoint
+from bevsot.params import ParamStore, read_checkpoint, save_checkpoint
 from bevsot.rules import NON_NEGATIVE, Rule
 from bevsot.scene import SceneConfig, generate
 from bevsot.seqio import read_sequence, write_sequence, write_tracklet
 from bevsot.track import track_sequence
-from bevsot.train import TrainSettings
+from bevsot.train import EpochStats, TrainSettings, save_train_log
 
 FAST = ["--set", "sequences=3", "--set", "scene_length=4", "--set", "grid=16",
         "--set", "channels=4", "--set", "head_trunk=32", "--set", "epochs=1",
@@ -228,6 +229,11 @@ def test_scene_configs_are_the_data_set_recipe(n, share, n_static):
     scenes = RunConfig(sequences=n, static_fraction=share).scene_configs(9)
     assert [s.seed for s in scenes] == [9000 + i for i in range(n)]
     assert [s.static for s in scenes] == [True] * n_static + [False] * (n - n_static)
+    # two base seeds share no scene at any count the config accepts
+    for top in (1000, 1001):
+        if key_rules()["sequences"][0].ok(top):
+            seeds = [{s.seed for s in RunConfig(sequences=top).scene_configs(b)} for b in (9, 10)]
+            assert not seeds[0] & seeds[1], top
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +274,12 @@ def test_config_file_not_utf8_exit_code_1(tmp_path, capsys):
     path.write_bytes(b"grid=16\nseed=\xff\n")
     code = run(["gen", "--out", tmp_path / "g", "--config", path])
     _config_error(capsys, code, str(path), "UTF-8")
+
+
+def test_config_file_may_start_with_byte_order_mark(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"\xef\xbb\xbfgrid=16\n")
+    assert load_config(str(path)).grid == 16
 
 
 @pytest.mark.parametrize("command", [["gen"], ["train"], ["track", "--checkpoint", "c.bin",
@@ -1010,26 +1022,51 @@ def test_eval_perfect_oracle_stub_scores_one(tmp_path):
     assert float(prec) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_small_outputs_are_written_whole(tmp_path, monkeypatch):
-    """The config echo and the eval CSVs go through atomic_write, which
-    leaves no temporary file behind."""
+def test_atomic_write_that_raises_leaves_the_path_as_it_was(tmp_path):
+    """A block that writes part of a file and raises: the error comes back
+    out, the path keeps what it held or stays absent, and no temporary file
+    is left."""
+    (tmp_path / "kept.txt").write_text("before\n")
+    for name in ("kept.txt", "absent.txt"):
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(str(tmp_path / name)) as fh:
+                fh.write("part")
+                raise RuntimeError("midway")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"kept.txt": "before\n"}
+
+
+def test_every_output_file_is_written_whole(tmp_path, monkeypatch):
+    """Every writer makes each of its files through atomic_write, whose
+    guarantee is the test above: the files on disk are exactly the paths it
+    was called with, in the order each writer writes them. A new writer
+    adds one call here."""
     written = []
 
     def spy(path, mode="w"):
-        written.append(os.path.relpath(path, tmp_path))
+        written.append(Path(path).relative_to(tmp_path).as_posix())
         return atomic_write(path, mode)
 
-    monkeypatch.setattr(cli, "atomic_write", spy)
-    seq = generate(SceneConfig(scene_length=4, seed=3))
+    for name, mod in list(sys.modules.items()):  # every bevsot module that binds it
+        if name.startswith("bevsot") and getattr(mod, "atomic_write", None) is atomic_write:
+            monkeypatch.setattr(mod, "atomic_write", spy)
+    store = ParamStore()
+    store.create("w", np.zeros(2))
+    seq = generate(SceneConfig(scene_length=2, seed=3))
+    save_checkpoint(store, str(tmp_path / "ck.bin"))
+    save_train_log([EpochStats(epoch=0, lr=5e-4, mean_loss=0.25, alphas=[1.0], steps=2)],
+                   str(tmp_path / "train_log.csv"))
     write_sequence(seq, str(tmp_path / "gt"))
-    write_tracklet(seq.gt, [False] * 4, str(tmp_path / "tracklet.txt"))
+    write_tracklet(seq.gt, [False, False], str(tmp_path / "t.txt"), str(tmp_path / "t.jsonl"))
     assert run(["gen", "--out", tmp_path / "g", "--set", "sequences=1",
                 "--set", "scene_length=2"]) == 0
-    assert run(["eval", "--pred", tmp_path / "tracklet.txt", "--gt", tmp_path / "gt",
+    assert run(["eval", "--pred", tmp_path / "t.txt", "--gt", tmp_path / "gt",
                 "--out", tmp_path / "ev"]) == 0
-    assert written == [os.path.join("g", "config.echo.cfg"), os.path.join("ev", "ope_gt.csv")]
-    assert (tmp_path / "ev" / "ope_gt.csv").read_text().startswith("frame,iou,center_dist\n")
-    assert not list(tmp_path.rglob("*.tmp"))
+    seq_files = lambda d: [f"{d}/frames/000001.bin", f"{d}/frames/000002.bin",
+                           f"{d}/labels.jsonl", f"{d}/meta.json"]
+    assert written == ["ck.bin", "train_log.csv", *seq_files("gt"), "t.txt", "t.jsonl",
+                       "g/config.echo.cfg", *seq_files("g/seq_000"), "ev/ope_gt.csv"]
+    on_disk = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()]
+    assert sorted(on_disk) == sorted(written)
 
 
 def test_bench_command(tmp_path):

@@ -24,6 +24,8 @@ from bevsot.tensor import Tape, Tensor
 from bevsot.track import track_sequence, tracker_motion_model
 from bevsot.train import make_training_samples
 
+from tests.helpers import block_leaves, leaf, probe
+
 TINY = ModelConfig(grid=16, channels=4, head_trunk=32)
 
 
@@ -148,26 +150,23 @@ def test_centre_tap_head_matches_full_conv_head(rng):
     same outputs and gradients, and zero gradient on the padding taps."""
     m = TrackerModel(ModelConfig(), seed=0)
     m.randomize_all(np.random.default_rng(5))
-    feat = Tensor(rng.standard_normal((4, 4, 64)), requires_grad=True)
-    up = Tensor(rng.standard_normal(4))
-    kernels = {n: Tensor(k, requires_grad=True) for n, k in full_kernels(m, rng).items()}
+    feat = leaf(rng.standard_normal((4, 4, 64)))
+    up = rng.standard_normal(4)
+    kernels = {n: leaf(k) for n, k in full_kernels(m, rng).items()}
     conv_head = replace(m.head, conv_w=[kernels.get(f"head.conv{i}.w", w)
                                         for i, w in enumerate(m.head.conv_w, start=1)])
     runs = []
-    for head in (m.head, conv_head):
+    # the conv run reads each full kernel's gradient under its parameter's name
+    for head, swapped in ((m.head, {}), (conv_head, kernels)):
         m.head = head
-        m.store.zero_grad()
-        feat.grad = None
-        with Tape() as tape:
-            out = m.head_forward(feat)
-            tape.backward(T.sum_all(T.mul(out, up)))
-        runs.append((out.data, feat.grad, {n: t.grad for n, t in m.store.items()}))
-    (out_f, dfeat_f, grads_f), (out_c, dfeat_c, grads_c) = runs
+        runs.append(probe(lambda: m.head_forward(feat),
+                          {**dict(m.store.items()), **swapped, "feat": feat}, up))
+    (out_f, grads_f), (out_c, grads_c) = runs
     np.testing.assert_array_equal(out_f, out_c)
-    np.testing.assert_array_equal(dfeat_f, dfeat_c)
+    np.testing.assert_array_equal(grads_f.pop("feat"), grads_c["feat"])
     for name, g in grads_f.items():
         if name in kernels:
-            dk = kernels[name].grad
+            dk = grads_c[name]
             np.testing.assert_array_equal(g, dk[1, 1])
             dk[1, 1] = 0.0
             assert not dk.any()
@@ -371,14 +370,6 @@ def motion_loss_three_terms(pred4, target, config):
                  T.scale(l_th, config.lambda3))
 
 
-def loss_and_grad(loss_fn, pred, target, config):
-    leaf = Tensor(pred, requires_grad=True)
-    with Tape() as tape:
-        loss = loss_fn(leaf, target, config)
-    tape.backward(loss)
-    return loss.item(), leaf.grad
-
-
 @pytest.mark.parametrize("config,rel", [
     pytest.param(ModelConfig(), 0.0, id="default"),
     pytest.param(ModelConfig(lambda1=0.7, lambda2=1.3, lambda3=2.0, huber_delta=0.3), 4.5e-16,
@@ -391,8 +382,9 @@ def test_loss_equals_three_term_oracle(config, rel):
     for _ in range(2000):
         pred = rng.uniform(-2.0, 2.0, 4) * rng.choice([1e-3, 1.0, 4.0])
         target = Motion4(*rng.uniform(-2.0, 2.0, 3), rng.uniform(-np.pi, np.pi))
-        got, got_grad = loss_and_grad(motion_loss, pred, target, config)
-        want, want_grad = loss_and_grad(motion_loss_three_terms, pred, target, config)
+        x = leaf(pred)
+        got, (got_grad,) = probe(lambda: motion_loss(x, target, config), [x])
+        want, (want_grad,) = probe(lambda: motion_loss_three_terms(x, target, config), [x])
         np.testing.assert_array_equal(got_grad, want_grad)
         if rel == 0.0:
             assert got == want
@@ -401,9 +393,9 @@ def test_loss_equals_three_term_oracle(config, rel):
 
 
 def test_loss_records_eight_nodes():
-    leaf = Tensor(np.zeros(4), requires_grad=True)
+    pred = leaf(np.zeros(4))
     with Tape() as tape:
-        motion_loss(leaf, Motion4(0.1, 0.2, 0.3, 0.4), ModelConfig())
+        motion_loss(pred, Motion4(0.1, 0.2, 0.3, 0.4), ModelConfig())
         assert len(tape) == 8
 
 
@@ -444,11 +436,9 @@ def test_every_param_receives_grad(rng):
     spec = CropSpec(grid=(16, 16))
     prev = PointCloud(rng.uniform(-4, 4, size=(60, 3)) * [1, 1, 0.3])
     curr = PointCloud(rng.uniform(-4, 4, size=(60, 3)) * [1, 1, 0.3])
-    with Tape() as tape:
-        loss = motion_loss(m.forward_clouds(prev, curr, spec),
-                           Motion4(0.1, 0, 0, 0), m.config)
-        tape.backward(loss)
-    missing = [n for n, p in m.store.items() if p.grad is None]
+    _, grads = probe(lambda: motion_loss(m.forward_clouds(prev, curr, spec),
+                                         Motion4(0.1, 0, 0, 0), m.config), dict(m.store.items()))
+    missing = [n for n, g in grads.items() if g is None]
     assert missing == []
 
 
@@ -468,7 +458,6 @@ def one_sample():
     k if on else f"no_{k}" for k, on in f.items()))
 def test_ablation_matrix_trains_one_step_or_is_rejected(one_sample, flags):
     from bevsot.train import TrainSettings, train
-    from tests.test_blocks import block_leaves
     cfg = replace(TINY, **flags)
     if not (flags["imm"] or flags["shared"]):
         # the previous frame is only encoded for the motion gate, so its own

@@ -3,8 +3,6 @@
 import json
 import math
 from dataclasses import replace
-from decimal import Decimal
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,15 +193,6 @@ def test_write_read_round_trip(tmp_path):
                                    rtol=0, atol=0)
 
 
-def test_sequence_write_that_fails_leaves_no_frame_file(tmp_path):
-    seq = generate(SceneConfig(scene_length=3, seed=9))
-    seq.frames[1] = SimpleNamespace(xyz=[["x", 0, 0]])  # not a number: the write fails
-    with pytest.raises(ValueError):
-        write_sequence(seq, str(tmp_path / "seq"))
-    assert sorted(p.name for p in (tmp_path / "seq" / "frames").iterdir()) == ["000001.bin"]
-    assert len(read_points_bin(str(tmp_path / "seq" / "frames" / "000001.bin"))) > 0
-
-
 def test_point_file_round_trip_bit_exact(tmp_path):
     pts = np.random.default_rng(1).standard_normal((37, 3)).astype(np.float32)
     path = tmp_path / "f.bin"
@@ -229,38 +218,3 @@ def test_tracklet_round_trip(tmp_path):
                (b.x, b.y, b.z, b.w, b.h, b.l, b.theta)
     rec = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
     assert rec["frame"] == 1 and rec["coasted"] is False
-
-
-def _write_tracklet_pair(tmp_path, boxes):
-    write_tracklet(boxes, [False] * len(boxes), str(tmp_path / "t.txt"),
-                   str(tmp_path / "t.jsonl"))
-
-
-def test_tracklet_write_that_fails_keeps_previous_files(tmp_path):
-    good = [Box3D(0.1, -0.2, 0.3, 1, 1, 4, 0.5), Box3D(1, 2, 3, 1, 1, 4, -3.1)]
-    _write_tracklet_pair(tmp_path, good)
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    # the second box's x cannot be formatted, so the text file fails midway
-    moved = [Box3D(5, 5, 5, 1, 1, 4, 0.0), Box3D("x", 2, 3, 1, 1, 4, 0.0)]
-    with pytest.raises(ValueError):
-        _write_tracklet_pair(tmp_path, moved)
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-
-
-def test_tracklet_jsonl_write_that_fails_keeps_previous_jsonl(tmp_path):
-    good = [Box3D(0.1, -0.2, 0.3, 1, 1, 4, 0.5), Box3D(1, 2, 3, 1, 1, 4, -3.1)]
-    _write_tracklet_pair(tmp_path, good)
-    before = (tmp_path / "t.jsonl").read_bytes()
-    # a Decimal formats as text but is not JSON: the jsonl fails midway
-    moved = [Box3D(5, 5, 5, 1, 1, 4, 0.0), Box3D(Decimal("2.5"), 2, 3, 1, 1, 4, 0.0)]
-    with pytest.raises(TypeError):
-        _write_tracklet_pair(tmp_path, moved)
-    assert (tmp_path / "t.jsonl").read_bytes() == before
-    assert read_tracklet(str(tmp_path / "t.txt"))[0].x == 5.0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl", "t.txt"]
-
-
-def test_tracklet_write_that_fails_leaves_no_file(tmp_path):
-    with pytest.raises(ValueError):
-        _write_tracklet_pair(tmp_path, [Box3D("x", 2, 3, 1, 1, 4, 0.0)])
-    assert list(tmp_path.iterdir()) == []

@@ -17,20 +17,7 @@ from bevsot.gradcheck import gradcheck
 from bevsot.model import ModelConfig, TrackerModel, _head_pad
 from bevsot.tensor import Tape, Tensor
 
-from tests.test_blocks import sigmoid  # the gate oracle's tape op, kept out of src
-
-
-def leaf(arr):
-    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
-
-
-def grad_of(f, *tensors):
-    with Tape() as tape:
-        out = f(*tensors)
-        for t in tensors:
-            t.grad = None
-        tape.backward(out)
-    return [t.grad for t in tensors]
+from tests.helpers import conv2d_loop, leaf, probe, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -62,27 +49,6 @@ def test_matmul_grad_vs_finite_differences(rng):
 
 # ---------------------------------------------------------------------------
 # conv2d
-
-
-def conv2d_loop(x, w, b=None, stride=1, padding=1):
-    """Independent nested-loop oracle for the dense 3x3 convolution."""
-    H, W, Cin = x.shape
-    Cout = w.shape[3]
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    Ho = (H + 2 * padding - 3) // stride + 1
-    Wo = (W + 2 * padding - 3) // stride + 1
-    out = np.zeros((Ho, Wo, Cout))
-    for i in range(Ho):
-        for j in range(Wo):
-            for di in range(3):
-                for dj in range(3):
-                    for ci in range(Cin):
-                        v = xp[i * stride + di, j * stride + dj, ci]
-                        for co in range(Cout):
-                            out[i, j, co] += v * w[di, dj, ci, co]
-    if b is not None:
-        out += b
-    return out
 
 
 def test_conv2d_zero_input_zero_bias():
@@ -216,13 +182,11 @@ def conv2d_padded_taps(x, w, b, up, stride, padding, depthwise):
 
 def conv_grads(rng, x, w, b, stride, padding, depthwise):
     """conv2d's output and (dx, dw, db) for a random upstream gradient."""
-    xs, ws, bs = leaf(x), leaf(w), leaf(b)
-    out = T.conv2d(xs, ws, bs, stride=stride, padding=padding, depthwise=depthwise)
-    up = rng.standard_normal(out.shape)
-    grads = grad_of(lambda *t: T.sum_all(T.mul(
-        T.conv2d(*t, stride=stride, padding=padding, depthwise=depthwise), Tensor(up))),
-        xs, ws, bs)
-    return out.data, up, grads
+    leaves = [leaf(x), leaf(w), leaf(b)]
+    f = lambda: T.conv2d(*leaves, stride=stride, padding=padding, depthwise=depthwise)
+    up = rng.standard_normal(f().shape)
+    out, grads = probe(f, leaves, up)
+    return out, up, grads
 
 
 def assert_rel_close(got, want, tol=1e-12):
@@ -322,13 +286,11 @@ def test_centre_tap_linear_matches_padded_conv_on_1x1(rng, cin, cout):
     b = leaf(rng.standard_normal(cout))
     row, tap, b2 = leaf(x.data.reshape(1, cin)), leaf(w.data[1, 1].copy()), leaf(b.data)
     up = rng.standard_normal(cout)
-    conv_out = T.conv2d(x, w, b, stride=2, padding=1)
-    lin_out = T.linear(row, tap, b2)
-    np.testing.assert_array_equal(lin_out.data, conv_out.data.reshape(1, cout))
-    dx, dw, db = grad_of(lambda *t: T.sum_all(T.mul(
-        T.conv2d(*t, stride=2, padding=1), Tensor(up.reshape(1, 1, cout)))), x, w, b)
-    drow, dtap, db2 = grad_of(lambda *t: T.sum_all(T.mul(
-        T.linear(*t), Tensor(up.reshape(1, cout)))), row, tap, b2)
+    conv_out, (dx, dw, db) = probe(lambda: T.conv2d(x, w, b, stride=2, padding=1), [x, w, b],
+                                   up.reshape(1, 1, cout))
+    lin_out, (drow, dtap, db2) = probe(lambda: T.linear(row, tap, b2), [row, tap, b2],
+                                       up.reshape(1, cout))
+    np.testing.assert_array_equal(lin_out, conv_out.reshape(1, cout))
     np.testing.assert_array_equal(drow, dx.reshape(1, cin))
     np.testing.assert_array_equal(dtap, dw[1, 1])
     np.testing.assert_array_equal(db2, db)
@@ -410,17 +372,9 @@ def parent_silu(a):
 
 def assert_same_op(rng, op, oracle, *leaves):
     """op and oracle give array_equal values and input gradients."""
-    up = None
-    results = []
-    for f in (oracle, op):
-        with Tape() as tape:
-            out = f(*leaves)
-            up = rng.standard_normal(out.shape) if up is None else up
-            for t in leaves:
-                t.grad = None
-            tape.backward(T.sum_all(T.mul(out, Tensor(up))))
-        results.append((out.data, [t.grad for t in leaves]))
-    (want, want_grads), (got, got_grads) = results
+    up = rng.standard_normal(oracle(*leaves).shape)
+    want, want_grads = probe(lambda: oracle(*leaves), leaves, up)
+    got, got_grads = probe(lambda: op(*leaves), leaves, up)
     np.testing.assert_array_equal(got, want)
     for g, w in zip(got_grads, want_grads):
         np.testing.assert_array_equal(g, w)
@@ -585,14 +539,12 @@ def test_scatter_max_matches_lexsort_oracle_with_ties(rng, P, C, cells, n_cells)
     want, arg = scatter_max_lexsort(feats, idx, n_cells)
     g = rng.integers(1, 9, size=(n_cells, C)).astype(float)
     x = leaf(feats)
-    with Tape() as tape:
-        out = T.scatter_max(x, idx, n_cells)
-        tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+    out, (dx,) = probe(lambda: T.scatter_max(x, idx, n_cells), [x], g)
     want_grad = np.zeros((P, C))
     rows, cols = np.nonzero(arg >= 0)
     want_grad[arg[rows, cols], cols] = g[rows, cols]
-    np.testing.assert_array_equal(out.data, want)
-    np.testing.assert_array_equal(x.grad, want_grad)
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(dx, want_grad)
 
 
 def test_scatter_max_tied_zeros_keep_the_lowest_index_sign():
@@ -665,12 +617,9 @@ def test_scatter_max_permutation_invariant(perm_seed):
 
 def test_scatter_max_grad_ties_to_lowest_index():
     feats = leaf(np.array([[1.0, 2.0], [1.0, 5.0], [1.0, 5.0]]))
-    with Tape() as tape:
-        out = T.scatter_max(feats, np.array([0, 0, 0]), 1)
-        loss = T.sum_all(out)
-        tape.backward(loss)
+    _, (dfeats,) = probe(lambda: T.sum_all(T.scatter_max(feats, np.array([0, 0, 0]), 1)), [feats])
     # channel 0: three-way tie -> point 0; channel 1: tie between 1 and 2 -> 1
-    np.testing.assert_array_equal(feats.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(dfeats, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def test_scatter_max_grad_fd(rng):
@@ -713,7 +662,7 @@ def test_structural_ops_grads(rng):
 
 def test_mul_same_tensor_accumulates(rng):
     x = leaf(np.array([3.0]))
-    (g,) = grad_of(lambda t: T.sum_all(T.mul(t, t)), x)
+    _, (g,) = probe(lambda: T.sum_all(T.mul(x, x)), [x])
     np.testing.assert_allclose(g, [6.0])
 
 

@@ -21,7 +21,7 @@ from bevsot.scene import CroppedPair, augment, generate
 from bevsot.tensor import Tape
 from bevsot.track import tracker_motion_model
 from bevsot.train import (EpochStats, TrainSettings, evaluate_mean_loss, make_training_samples,
-                          pair_loss, save_train_log, train)
+                          pair_loss, train)
 
 DESK = RunConfig()
 
@@ -159,28 +159,6 @@ def test_step_that_raises_leaves_no_gradient():
     with pytest.raises(NumericError, match=r"^epoch 0 step 0: non-finite motion target"):
         train(model, samples, settings)
     assert [n for n, t in model.store.items() if t.grad is not None] == []
-
-
-def test_train_log_write_that_fails_keeps_previous_file(tmp_path):
-    path = tmp_path / "train_log.csv"
-    stats = [EpochStats(epoch=0, lr=5e-4, mean_loss=0.25, alphas=[1.0, 1.0], steps=2)]
-    save_train_log(stats, str(path))
-    before = path.read_bytes()
-    assert before.decode().splitlines() == ["epoch,lr,loss,alpha1,alpha2",
-                                            "0,0.0005,0.25,1.000000,1.000000"]
-    # the second row's alpha cannot be formatted, so the write fails midway
-    stats.append(EpochStats(epoch=1, lr=5e-4, mean_loss=0.5, alphas=["x", 1.0], steps=4))
-    with pytest.raises(ValueError):
-        save_train_log(stats, str(path))
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv"]
-
-
-def test_train_log_write_that_fails_leaves_no_file(tmp_path):
-    stats = [EpochStats(epoch=0, lr=5e-4, mean_loss=0.25, alphas=["x"], steps=2)]
-    with pytest.raises(ValueError):
-        save_train_log(stats, str(tmp_path / "train_log.csv"))
-    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
